@@ -10,7 +10,6 @@ from .evolution import (
     adjoint_backward_family,
     build_forward_family,
     check_semigroup,
-    family_value,
     propagate_step,
 )
 from .linops import (
@@ -64,7 +63,7 @@ __version__ = "0.1.0"
 __all__ = [
     "TimeGrid", "OperatorFunction", "EvolutionFamily",
     "propagate_step", "build_forward_family", "adjoint_backward_family",
-    "family_value", "check_semigroup",
+    "check_semigroup",
     "SymmetryReport", "adjoint", "is_self_adjoint", "is_nonnegative",
     "loewner_leq", "op_norm", "quadratic_form", "symmetry_report",
     "PerturbationSpec", "GronwallBound", "ContinuousDependenceResult",

@@ -5,8 +5,9 @@ Problem files are JSON documents; matrices are row-major nested arrays and
 time-dependent coefficients are given as specs ({"kind": "zero" | "constant" |
 "polynomial" | "piecewise", ...}).  Solutions are written as CSV (one row per
 node: t followed by the n^2 entries of P(t), row-major) next to a JSON
-diagnostics document.  Exit codes: 0 success, 1 failed check/assertion,
-2 invalid input, 3 non-convergence, 4 hypothesis violation in symmetric mode.
+diagnostics document.  Exit codes, assigned in ``main`` alone: 0 success,
+1 failed check/assertion, 2 invalid input, 3 non-convergence, 4 hypothesis
+violation.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import argparse
 import dataclasses
 import hashlib
 import json
+import math
 import sys
 import time
 from dataclasses import dataclass
@@ -28,8 +30,8 @@ from .evolution import (EvolutionFamily, OperatorFunction, TimeGrid,
                         adjoint_backward_family, build_forward_family)
 from .linops import quadratic_form
 from .oracle import solve_differential_riccati
-from .riccati import (ConvergenceError, HypothesisViolation, RiccatiProblem,
-                      RiccatiSolution, check_hypotheses, flow_consistency,
+from .riccati import (HypothesisViolation, RiccatiProblem, RiccatiSolution,
+                      check_hypotheses, flow_consistency,
                       representation_check_one_sided,
                       representation_check_two_sided, riccati_residual,
                       solve_monotone, solve_picard_stepped)
@@ -56,6 +58,47 @@ def _as_matrix(data, n: int, name: str, cols: Optional[int] = None) -> np.ndarra
     if not np.all(np.isfinite(mat)):
         raise ValueError(f"{name} has non-finite entries")
     return mat
+
+
+def _as_object(value, name: str) -> dict:
+    if not isinstance(value, dict):
+        raise ValueError(f"{name} must be a JSON object, got {type(value).__name__}")
+    return value
+
+
+def _field(doc: dict, name: str, parse, default=...):
+    """Parse one document field (null counts as absent); any error names it."""
+    value = doc.get(name)
+    if value is None:
+        if default is ...:
+            raise ValueError(f"problem file is missing field {name!r}")
+        return default
+    try:
+        return parse(value)
+    except (ArithmeticError, LookupError, TypeError, ValueError) as exc:
+        raise ValueError(f"field {name!r}: {exc}") from None
+
+
+def _safety(value) -> float:
+    """Window safety margin of the Picard solver, in (0, 1)."""
+    value = float(value)
+    if not 0.0 < value < 1.0:
+        raise ValueError(f"safety must lie in (0, 1), got {value!r}")
+    return value
+
+
+def _grids(text: str) -> List[int]:
+    grids = [int(g) for g in text.split(",") if g.strip()]
+    if min(grids, default=0) < 1:
+        raise ValueError(f"grid sizes must be positive, got {text!r}")
+    return grids
+
+
+def _reals(text: str) -> List[float]:
+    values = [float(v) for v in text.split(",") if v.strip()]
+    if not all(map(math.isfinite, values)):
+        raise ValueError(f"expected finite reals, got {text!r}")
+    return values
 
 
 def _spec_callable(spec: dict, n: int, name: str):
@@ -100,6 +143,29 @@ def _spec_callable(spec: dict, n: int, name: str):
     raise ValueError(f"{name} spec kind must be one of {_SPEC_KINDS}, got {kind!r}")
 
 
+def _spec(n: int, name: str):
+    """Field parser that validates a coefficient spec and keeps it as given."""
+    def parse(spec):
+        _spec_callable(spec, n, name)
+        return spec
+    return parse
+
+
+def _propagator_table(table, steps: int, n: int) -> np.ndarray:
+    steps_arr = np.asarray(_as_object(table, "propagators")["steps"], dtype=float)
+    if steps_arr.shape != (steps, n, n):
+        raise ValueError(f"propagators.steps must have shape {(steps, n, n)}, "
+                         f"got {steps_arr.shape}")
+    return steps_arr
+
+
+def _tolerances(table) -> dict:
+    table = _as_object(table, "tolerances")
+    return {key: _field(table, key, kind)
+            for key, kind in (("tol_abs", float), ("tol_rel", float), ("max_iter", int))
+            if key in table}
+
+
 @dataclass
 class ProblemFile:
     """Parsed problem document; see the README for the format reference."""
@@ -119,46 +185,29 @@ class ProblemFile:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ProblemFile":
-        try:
-            n = int(doc["dimension"])
-            horizon = float(doc["horizon"])
-            steps = int(doc["steps"])
-            g = _as_matrix(doc["G"], n, "G")
-            c_spec = doc["C"]
-            b_spec = doc["B"]
-        except KeyError as exc:
-            raise ValueError(f"problem file is missing field {exc}") from exc
+        _as_object(doc, "a problem file")
+        n = _field(doc, "dimension", int)
         if n < 1:
             raise ValueError("dimension must be >= 1")
-        generator = doc.get("generator")
-        propagators = doc.get("propagators")
+        steps = _field(doc, "steps", int)
+        generator = _field(doc, "generator", _spec(n, "generator"), None)
+        propagators = _field(doc, "propagators",
+                             lambda table: _propagator_table(table, steps, n), None)
         if (generator is None) == (propagators is None):
             raise ValueError("exactly one of 'generator' or 'propagators' is required")
-        if propagators is not None:
-            steps_arr = np.asarray(propagators.get("steps"), dtype=float)
-            if steps_arr.shape != (steps, n, n):
-                raise ValueError(
-                    f"propagators.steps must have shape {(steps, n, n)}, "
-                    f"got {steps_arr.shape}")
-            propagators = steps_arr
-        solver = doc.get("solver", "monotone")
+        solver = _field(doc, "solver", str, "monotone")
         if solver not in _SOLVERS:
             raise ValueError(f"solver must be one of {_SOLVERS}, got {solver!r}")
-        safety = float(doc.get("safety", 0.5))
-        b_factor = doc.get("B_factor")
-        if b_factor is not None:
-            b_factor = np.asarray(b_factor, dtype=float)
-            if b_factor.ndim != 2 or b_factor.shape[0] != n:
-                raise ValueError(f"B_factor must have {n} rows")
-        # validate the coefficient specs eagerly
-        _spec_callable(c_spec, n, "C")
-        _spec_callable(b_spec, n, "B")
-        if generator is not None:
-            _spec_callable(generator, n, "generator")
-        return cls(dimension=n, horizon=horizon, steps=steps, c_spec=c_spec,
-                   b_spec=b_spec, g=g, generator=generator, propagators=propagators,
-                   tolerances=doc.get("tolerances"), solver=solver, safety=safety,
-                   b_factor=b_factor)
+        return cls(
+            dimension=n, horizon=_field(doc, "horizon", float), steps=steps,
+            c_spec=_field(doc, "C", _spec(n, "C")),
+            b_spec=_field(doc, "B", _spec(n, "B")),
+            g=_field(doc, "G", lambda mat: _as_matrix(mat, n, "G")),
+            generator=generator, propagators=propagators,
+            tolerances=_field(doc, "tolerances", _tolerances, None),
+            solver=solver, safety=_field(doc, "safety", _safety, 0.5),
+            b_factor=_field(doc, "B_factor", lambda mat: _as_matrix(
+                mat, n, "B_factor", cols=np.shape(mat)[-1]), None))
 
     @classmethod
     def from_path(cls, path) -> "ProblemFile":
@@ -262,7 +311,6 @@ def _solution_diagnostics(solution: RiccatiSolution) -> dict:
                 "iterations": c.iterations,
                 "final_update": c.final_update,
                 "sup_iterate_norm": c.sup_iterate_norm,
-                "in_ball": c.in_ball,
                 "rho": c.params.rho,
                 "delta": c.params.delta,
                 "contraction_lhs": c.params.contraction_lhs,
@@ -272,59 +320,43 @@ def _solution_diagnostics(solution: RiccatiSolution) -> dict:
     return diag
 
 
+def _settings(pfile: ProblemFile, **overrides) -> dict:
+    """Solver settings: explicit overrides, else the document, else defaults."""
+    settings = {"tol_abs": 1e-10, "tol_rel": 1e-8, "max_iter": 50,
+                **(pfile.tolerances or {}), "safety": pfile.safety}
+    settings.update((key, value) for key, value in overrides.items() if value is not None)
+    return settings
+
+
+def _run_solver(solver: str, problem: RiccatiProblem,
+                generator: Optional[OperatorFunction], tol_abs: float,
+                tol_rel: float, max_iter: int, safety: float) -> RiccatiSolution:
+    """The one dispatch over the monotone, Picard and oracle solvers."""
+    if solver == "monotone":
+        return solve_monotone(problem, tol_abs=tol_abs, tol_rel=tol_rel,
+                              max_iter=max_iter)
+    if solver == "picard":
+        return solve_picard_stepped(problem, tol_abs=tol_abs, tol_rel=tol_rel,
+                                    safety=safety)
+    if generator is None:
+        raise ValueError("the oracle solver needs a generator-driven problem")
+    p_oracle = solve_differential_riccati(generator, problem.B, problem.C,
+                                          problem.G, problem.grid).P_oracle
+    return RiccatiSolution(P=p_oracle, iterations=0, sup_differences=[],
+                           residual=riccati_residual(p_oracle, problem))
+
+
 def cmd_solve(problem_path, out_dir, tol_abs: Optional[float] = None,
               tol_rel: Optional[float] = None, max_iter: Optional[int] = None,
               safety: Optional[float] = None, solver: Optional[str] = None) -> int:
     """Solve the problem file and write CSV + JSON outputs into out_dir."""
-    try:
-        pfile = ProblemFile.from_path(problem_path)
-        problem, generator = pfile.build()
-    except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
-    tols = pfile.tolerances or {}
-    eff_tol_abs = tol_abs if tol_abs is not None else float(tols.get("tol_abs", 1e-10))
-    eff_tol_rel = tol_rel if tol_rel is not None else float(tols.get("tol_rel", 1e-8))
-    eff_max_iter = max_iter if max_iter is not None else int(tols.get("max_iter", 50))
-    eff_safety = safety if safety is not None else pfile.safety
+    pfile = ProblemFile.from_path(problem_path)
+    problem, generator = pfile.build()
+    settings = _settings(pfile, tol_abs=tol_abs, tol_rel=tol_rel, max_iter=max_iter,
+                         safety=safety)
     chosen = solver if solver is not None else pfile.solver
-
     start = time.perf_counter()
-    try:
-        if chosen == "monotone":
-            solution = solve_monotone(problem, tol_abs=eff_tol_abs,
-                                      tol_rel=eff_tol_rel, max_iter=eff_max_iter)
-        elif chosen == "picard":
-            solution = solve_picard_stepped(problem, tol_abs=eff_tol_abs,
-                                            tol_rel=eff_tol_rel, safety=eff_safety)
-        elif chosen == "oracle":
-            if generator is None:
-                print("error: the oracle solver needs a generator-driven problem",
-                      file=sys.stderr)
-                return EXIT_INVALID
-            report = solve_differential_riccati(generator, problem.B, problem.C,
-                                                problem.G, problem.grid)
-            solution = RiccatiSolution(
-                P=report.P_oracle, iterations=0, sup_differences=[],
-                residual=riccati_residual(report.P_oracle, problem))
-        else:
-            print(f"error: unknown solver {chosen!r}", file=sys.stderr)
-            return EXIT_INVALID
-    except HypothesisViolation as exc:
-        kind, node = exc.kind, exc.node
-        if kind == "mode":
-            report = check_hypotheses(problem)
-            if report.first_violation is not None:
-                kind, node = report.first_violation
-        print(f"error: hypothesis violation ({kind} at node {node})",
-              file=sys.stderr)
-        return EXIT_HYPOTHESIS
-    except ConvergenceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NO_CONVERGENCE
-    except RuntimeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NO_CONVERGENCE
+    solution = _run_solver(chosen, problem, generator, **settings)
     wall = time.perf_counter() - start
 
     out = Path(out_dir)
@@ -341,8 +373,7 @@ def cmd_solve(problem_path, out_dir, tol_abs: Optional[float] = None,
         "symmetric_mode": problem.symmetric_mode,
         "dimension": pfile.dimension,
         "grid": {"horizon": problem.grid.horizon, "steps": problem.grid.steps},
-        "tolerances": {"tol_abs": eff_tol_abs, "tol_rel": eff_tol_rel,
-                       "max_iter": eff_max_iter, "safety": eff_safety},
+        "tolerances": settings,
         "outputs": {"solution_csv": str(csv_path)},
         "diagnostics": _solution_diagnostics(solution),
     }
@@ -356,13 +387,9 @@ def cmd_solve(problem_path, out_dir, tol_abs: Optional[float] = None,
 def cmd_check(problem_path, solution_path, threshold: Optional[float] = None,
               flow_pairs: int = 100) -> int:
     """Residual checks of a stored solution against its problem file."""
-    try:
-        pfile = ProblemFile.from_path(problem_path)
-        problem, _ = pfile.build()
-        p_fun = read_solution_csv(solution_path, problem.grid, pfile.dimension)
-    except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
+    pfile = ProblemFile.from_path(problem_path)
+    problem, _ = pfile.build()
+    p_fun = read_solution_csv(solution_path, problem.grid, pfile.dimension)
     h = problem.grid.h
     sup_p = p_fun.sup_norm()
     default_threshold = max(1e-9, 25.0 * h * h * (1.0 + sup_p))
@@ -393,49 +420,31 @@ def cmd_check(problem_path, solution_path, threshold: Optional[float] = None,
 
 def cmd_study(problem_path, grids: List[int], solver: Optional[str] = None) -> int:
     """Refinement study: solver error against the finest-grid oracle."""
-    try:
-        pfile = ProblemFile.from_path(problem_path)
-        if len(grids) < 3:
-            raise ValueError("a study needs at least 3 grid sizes")
-        grids = sorted(set(int(g) for g in grids))
-        finest = grids[-1]
-        for g in grids:
-            if finest % g != 0:
-                raise ValueError(f"grid size {g} must divide the finest size {finest}")
-        if pfile.generator is None:
-            raise ValueError("studies need a generator-driven problem (oracle reference)")
-    except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
+    pfile = ProblemFile.from_path(problem_path)
+    grids = sorted(set(int(g) for g in grids))
+    if len(grids) < 3:
+        raise ValueError("a study needs at least 3 distinct grid sizes")
+    finest = grids[-1]
+    for g in grids:
+        if finest % g != 0:
+            raise ValueError(f"grid size {g} must divide the finest size {finest}")
+    if pfile.generator is None:
+        raise ValueError("studies need a generator-driven problem (oracle reference)")
 
     chosen = solver if solver is not None else pfile.solver
-    try:
-        problem_f, generator_f = pfile.build(steps=finest)
-        reference = solve_differential_riccati(
-            generator_f, problem_f.B, problem_f.C, problem_f.G, problem_f.grid
-        ).P_oracle
-        rows = []
-        for n_steps in grids:
-            problem, generator = pfile.build(steps=n_steps)
-            if chosen == "monotone":
-                values = solve_monotone(problem).P.values
-            elif chosen == "picard":
-                values = solve_picard_stepped(problem, safety=pfile.safety).P.values
-            else:
-                values = solve_differential_riccati(
-                    generator, problem.B, problem.C, problem.G, problem.grid
-                ).P_oracle.values
-            stride = finest // n_steps
-            diff = values - reference.values[::stride]
-            err = float(np.linalg.svd(diff, compute_uv=False).max())
-            rows.append((n_steps, problem.grid.h, err))
-    except HypothesisViolation as exc:
-        print(f"error: hypothesis violation ({exc.kind} at node {exc.node})",
-              file=sys.stderr)
-        return EXIT_HYPOTHESIS
-    except (ConvergenceError, RuntimeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NO_CONVERGENCE
+    settings = _settings(pfile)
+    problem_f, generator_f = pfile.build(steps=finest)
+    reference = solve_differential_riccati(
+        generator_f, problem_f.B, problem_f.C, problem_f.G, problem_f.grid
+    ).P_oracle
+    rows = []
+    for n_steps in grids:
+        problem, generator = pfile.build(steps=n_steps)
+        values = _run_solver(chosen, problem, generator, **settings).P.values
+        stride = finest // n_steps
+        diff = values - reference.values[::stride]
+        err = float(np.linalg.svd(diff, compute_uv=False).max())
+        rows.append((n_steps, problem.grid.h, err))
 
     print(f"{'N':>8} {'h':>12} {'sup_error':>14}")
     for n_steps, h, err in rows:
@@ -445,11 +454,6 @@ def cmd_study(problem_path, grids: List[int], solver: Optional[str] = None) -> i
     order = float(np.polyfit(np.log(hs), np.log(errs), 1)[0]) if len(errs) >= 2 else float("nan")
     print(f"fitted order: {order:.3f}")
     return EXIT_OK
-
-
-def _eval_stages(fn_nodes, fn_mids, i):
-    """(later node, midpoint, earlier node) samples of one grid interval."""
-    return fn_nodes[i], fn_mids[i], fn_nodes[i + 1]
 
 
 def _simulate_lqr(generator: OperatorFunction, c_fun: OperatorFunction,
@@ -506,38 +510,25 @@ def cmd_lqr_demo(problem_path, x0: List[float], tol: Optional[float] = None,
                  perturbations: int = 10) -> int:
     """Closed-loop cost check: realized cost matches <P(0) x0, x0> and no
     sampled perturbed control does better."""
-    try:
-        pfile = ProblemFile.from_path(problem_path)
-        if pfile.b_factor is None:
-            raise ValueError("lqr-demo needs a B_factor with B = B_factor @ B_factor^T")
-        problem, generator = pfile.build()
-        if generator is None:
-            raise ValueError("lqr-demo needs a generator-driven problem")
-        if not problem.symmetric_mode:
-            raise ValueError("lqr-demo needs a problem satisfying the symmetric hypotheses")
-        bu = pfile.b_factor
-        mismatch = float(np.abs(problem.B.values - (bu @ bu.T)[None]).max())
-        if mismatch > 1e-10 * (1.0 + float(np.abs(problem.B.values).max())):
-            raise ValueError(
-                f"B_factor does not factor B(t) on the grid (defect {mismatch:.3e}); "
-                "the demo needs a constant factored B")
-        x_init = np.asarray(x0, dtype=float)
-        if x_init.shape != (pfile.dimension,):
-            raise ValueError(f"x0 must have length {pfile.dimension}")
-    except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
+    pfile = ProblemFile.from_path(problem_path)
+    if pfile.b_factor is None:
+        raise ValueError("lqr-demo needs a B_factor with B = B_factor @ B_factor^T")
+    problem, generator = pfile.build()
+    if generator is None:
+        raise ValueError("lqr-demo needs a generator-driven problem")
+    if not problem.symmetric_mode:
+        raise ValueError("lqr-demo needs a problem satisfying the symmetric hypotheses")
+    bu = pfile.b_factor
+    mismatch = float(np.abs(problem.B.values - (bu @ bu.T)[None]).max())
+    if mismatch > 1e-10 * (1.0 + float(np.abs(problem.B.values).max())):
+        raise ValueError(
+            f"B_factor does not factor B(t) on the grid (defect {mismatch:.3e}); "
+            "the demo needs a constant factored B")
+    x_init = np.asarray(x0, dtype=float)
+    if x_init.shape != (pfile.dimension,):
+        raise ValueError(f"x0 must have length {pfile.dimension}")
 
-    try:
-        solution = solve_monotone(problem)
-    except HypothesisViolation as exc:
-        print(f"error: hypothesis violation ({exc.kind} at node {exc.node})",
-              file=sys.stderr)
-        return EXIT_HYPOTHESIS
-    except ConvergenceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NO_CONVERGENCE
-
+    solution = solve_monotone(problem)
     predicted = quadratic_form(solution.P.values[0], x_init)
     cost, states, controls = _simulate_lqr(generator, problem.C, problem.G, bu,
                                            problem.grid, x_init,
@@ -594,8 +585,25 @@ def cmd_lqr_demo(problem_path, x0: List[float], tol: Optional[float] = None,
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """Argument errors raise ValueError, so ``main`` maps them like any input."""
+
+    def error(self, message):
+        raise ValueError(message)
+
+
+def _option(parse):
+    """argparse type that keeps the message of the parser's ValueError."""
+    def convert(text):
+        try:
+            return parse(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+    return convert
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="riccatint",
         description="Backward Riccati integral equation solver toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -609,12 +617,16 @@ def _build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("--tol-abs", type=float, default=None)
     p_solve.add_argument("--tol-rel", type=float, default=None)
     p_solve.add_argument("--max-iter", type=int, default=None)
-    p_solve.add_argument("--safety", type=float, default=None)
+    p_solve.add_argument("--safety", type=_option(_safety), default=None)
     p_solve.add_argument("--solver", choices=_SOLVERS, default=None)
+    p_solve.set_defaults(run=lambda a: cmd_solve(
+        a.problem, a.out, tol_abs=a.tol_abs, tol_rel=a.tol_rel,
+        max_iter=a.max_iter, safety=a.safety, solver=a.solver))
 
     p_oracle = sub.add_parser("oracle", help="run the ODE oracle on a problem file")
     add_common(p_oracle)
     p_oracle.add_argument("--out", default=".", help="output directory")
+    p_oracle.set_defaults(run=lambda a: cmd_solve(a.problem, a.out, solver="oracle"))
 
     p_check = sub.add_parser("check", help="verify a stored solution")
     add_common(p_check)
@@ -622,47 +634,39 @@ def _build_parser() -> argparse.ArgumentParser:
     p_check.add_argument("--threshold", type=float, default=None,
                          help="residual threshold (default: 25 h^2 (1 + sup||P||))")
     p_check.add_argument("--flow-pairs", type=int, default=100)
+    p_check.set_defaults(run=lambda a: cmd_check(
+        a.problem, a.solution, threshold=a.threshold, flow_pairs=a.flow_pairs))
 
     p_study = sub.add_parser("study", help="grid refinement study")
     add_common(p_study)
-    p_study.add_argument("--grids", required=True,
+    p_study.add_argument("--grids", required=True, type=_option(_grids),
                          help="comma-separated grid sizes, e.g. 250,500,1000,2000")
     p_study.add_argument("--solver", choices=_SOLVERS, default=None)
+    p_study.set_defaults(run=lambda a: cmd_study(a.problem, a.grids, solver=a.solver))
 
     p_demo = sub.add_parser("lqr-demo", help="closed-loop quadratic cost check")
     add_common(p_demo)
-    p_demo.add_argument("--x0", required=True, help="comma-separated initial state")
+    p_demo.add_argument("--x0", required=True, type=_option(_reals),
+                        help="comma-separated initial state")
     p_demo.add_argument("--tol", type=float, default=None)
+    p_demo.set_defaults(run=lambda a: cmd_lqr_demo(a.problem, a.x0, tol=a.tol))
     return parser
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
-    if args.command == "solve":
-        return cmd_solve(args.problem, args.out, tol_abs=args.tol_abs,
-                         tol_rel=args.tol_rel, max_iter=args.max_iter,
-                         safety=args.safety, solver=args.solver)
-    if args.command == "oracle":
-        return cmd_solve(args.problem, args.out, solver="oracle")
-    if args.command == "check":
-        return cmd_check(args.problem, args.solution, threshold=args.threshold,
-                         flow_pairs=args.flow_pairs)
-    if args.command == "study":
-        try:
-            grids = [int(g) for g in args.grids.split(",") if g.strip()]
-        except ValueError:
-            print("error: --grids must be comma-separated integers", file=sys.stderr)
-            return EXIT_INVALID
-        return cmd_study(args.problem, grids, solver=args.solver)
-    if args.command == "lqr-demo":
-        try:
-            x0 = [float(v) for v in args.x0.split(",") if v.strip()]
-        except ValueError:
-            print("error: --x0 must be comma-separated reals", file=sys.stderr)
-            return EXIT_INVALID
-        return cmd_lqr_demo(args.problem, x0, tol=args.tol)
-    print(f"error: unknown command {args.command!r}", file=sys.stderr)
-    return EXIT_INVALID
+    """Run one command; the only place where exceptions become exit codes."""
+    try:
+        args = _build_parser().parse_args(argv)
+        return args.run(args)
+    except HypothesisViolation as exc:       # a ValueError, so it comes first
+        code, message = EXIT_HYPOTHESIS, \
+            f"hypothesis violation ({exc.kind} at node {exc.node})"
+    except RuntimeError as exc:              # ConvergenceError included
+        code, message = EXIT_NO_CONVERGENCE, str(exc)
+    except (OSError, ValueError) as exc:     # json.JSONDecodeError included
+        code, message = EXIT_INVALID, str(exc)
+    print("error: " + " ".join(message.split()), file=sys.stderr)
+    return code
 
 
 def console_main() -> None:

@@ -27,7 +27,6 @@ __all__ = [
     "propagate_step",
     "build_forward_family",
     "adjoint_backward_family",
-    "family_value",
     "check_semigroup",
 ]
 
@@ -281,22 +280,15 @@ def adjoint_backward_family(forward: EvolutionFamily) -> EvolutionFamily:
     return EvolutionFamily(forward.grid, "backward", steps, bound=forward.bound)
 
 
-def family_value(family: EvolutionFamily, i: int, j: int) -> np.ndarray:
-    """Value U_{t_i, t_j} of the family (orientation checked)."""
-    return family.value(i, j)
-
-
-def check_semigroup(family: EvolutionFamily, tol: float = 0.0, *,
+def check_semigroup(family: EvolutionFamily, *,
                     value_fn: Optional[Callable[[int, int], np.ndarray]] = None,
                     max_points: int = 12) -> float:
     """Max composition residual ||U_{t,s} - U_{t,r} U_{r,s}|| over sampled triples.
 
     For a family built from step propagators this is floating-point roundoff;
     a genuinely positive residual can only come from externally supplied
-    values (pass them via ``value_fn``).  ``tol`` is informational and not
-    enforced here.
+    values (pass them via ``value_fn``).
     """
-    del tol
     value = value_fn if value_fn is not None else family.value
     n = family.grid.steps
     if n == 0:

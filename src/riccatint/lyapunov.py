@@ -22,13 +22,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import List, Optional
 
 import numpy as np
 
 from .evolution import EvolutionFamily, OperatorFunction
 
 __all__ = [
+    "ConvergenceError",
     "LinearIntegralProblem",
     "solve_right_perturbed",
     "solve_left_perturbed",
@@ -37,39 +38,41 @@ __all__ = [
 ]
 
 
-def _march_explicit(left_steps: np.ndarray, right_steps: np.ndarray,
-                    kernel: np.ndarray, terminal: np.ndarray, h: float) -> np.ndarray:
-    """Trapezoidal transport-integral with a known kernel.
+class ConvergenceError(RuntimeError):
+    """An iteration did not converge; carries the update history."""
 
-    Computes, for every node i of the (sub)grid,
+    def __init__(self, message: str, history: Optional[List[float]] = None):
+        super().__init__(message)
+        self.history = list(history) if history is not None else []
 
-        R_i = V(i,m) T U(m,i) + h * sum'' over r in [i, m] of V(i,r) K_r U(r,i)
 
-    by the backward recursion R_i = B_i R_{i+1} S_i + (h/2)(K_i + B_i K_{i+1} S_i),
-    which unrolls to exactly the composite trapezoidal sum at every node.
-    """
-    m = left_steps.shape[0]
-    out = np.empty((m + 1,) + terminal.shape)
-    out[m] = terminal
-    if m == 0:
-        return out
-    folded = left_steps @ kernel[1:] @ right_steps
-    half_h = 0.5 * h
-    for i in range(m - 1, -1, -1):
-        out[i] = left_steps[i] @ out[i + 1] @ right_steps[i] \
-            + half_h * (kernel[i] + folded[i])
+def _coupling(x: np.ndarray, q1: Optional[np.ndarray], q2: Optional[np.ndarray],
+              i: int):
+    """x Q1_i + Q2_i x, with an absent coefficient contributing nothing."""
+    out = 0.0
+    if q1 is not None:
+        out = x @ q1[i]
+    if q2 is not None:
+        out = out + q2[i] @ x
     return out
 
 
-def _march_implicit(left_steps: np.ndarray, right_steps: np.ndarray,
-                    kernel: np.ndarray, terminal: np.ndarray, h: float,
-                    q1: Optional[np.ndarray] = None,
-                    q2: Optional[np.ndarray] = None) -> np.ndarray:
-    """Exact solution of the discrete linear equation with coefficients Q1/Q2.
+def _march(left_steps: np.ndarray, right_steps: np.ndarray, kernel: np.ndarray,
+           terminal: np.ndarray, h: float, q1: Optional[np.ndarray] = None,
+           q2: Optional[np.ndarray] = None) -> np.ndarray:
+    """Backward trapezoidal march of the discrete linear equation.
 
-    At each node the trapezoidal endpoint term couples P_i to itself through
-    P_i Q1_i + Q2_i P_i; the small affine system is solved by a rapidly
-    convergent fixed-point sweep (contraction factor ~ h * ||Q||).
+    Without coefficients this evaluates, for every node i of the (sub)grid,
+
+        R_i = V(i,m) T U(m,i) + h * sum'' over r in [i, m] of V(i,r) K_r U(r,i)
+
+    by the recursion R_i = B_i R_{i+1} S_i + (h/2)(K_i + B_i K_{i+1} S_i),
+    which unrolls to exactly the composite trapezoidal sum at every node.
+
+    With Q1/Q2 the kernel gains -(P Q1 + Q2 P), and the endpoint term couples
+    P_i to itself; the small affine system is solved by a rapidly convergent
+    fixed-point sweep (contraction factor ~ h * ||Q||).  A sweep that stalls
+    above roundoff raises :class:`ConvergenceError`.
     """
     m = left_steps.shape[0]
     out = np.empty((m + 1,) + terminal.shape)
@@ -78,25 +81,20 @@ def _march_implicit(left_steps: np.ndarray, right_steps: np.ndarray,
         return out
     folded = left_steps @ kernel[1:] @ right_steps
     alpha = 0.5 * h
+    if q1 is None and q2 is None:
+        for i in range(m - 1, -1, -1):
+            out[i] = left_steps[i] @ out[i + 1] @ right_steps[i] \
+                + alpha * (kernel[i] + folded[i])
+        return out
     for i in range(m - 1, -1, -1):
         nxt = out[i + 1]
-        corr = 0.0
-        if q1 is not None:
-            corr = nxt @ q1[i + 1]
-        if q2 is not None:
-            corr = corr + q2[i + 1] @ nxt
-        rhs = left_steps[i] @ (nxt - alpha * corr) @ right_steps[i] \
-            + alpha * (kernel[i] + folded[i])
+        rhs = left_steps[i] @ (nxt - alpha * _coupling(nxt, q1, q2, i + 1)) \
+            @ right_steps[i] + alpha * (kernel[i] + folded[i])
         scale = 1.0 + float(np.abs(rhs).max())
         x = rhs
         prev = math.inf
         for _ in range(64):
-            delta = 0.0
-            if q1 is not None:
-                delta = x @ q1[i]
-            if q2 is not None:
-                delta = delta + q2[i] @ x
-            x_new = rhs - alpha * delta
+            x_new = rhs - alpha * _coupling(x, q1, q2, i)
             diff = float(np.abs(x_new - x).max())
             x = x_new
             if diff <= 1e-15 * scale:
@@ -105,14 +103,12 @@ def _march_implicit(left_steps: np.ndarray, right_steps: np.ndarray,
                 # contraction has reached the roundoff floor (ulp limit cycle)
                 if diff <= 1e-12 * scale:
                     break
-                raise ValueError(
-                    "implicit endpoint solve is diverging; h * ||Q|| is too large"
-                )
+                raise ConvergenceError(
+                    "implicit endpoint solve is diverging; h * ||Q|| is too large")
             prev = diff
         else:
-            raise ValueError(
-                "implicit endpoint solve did not converge; h * ||Q|| is too large"
-            )
+            raise ConvergenceError(
+                "implicit endpoint solve did not converge; h * ||Q|| is too large")
         out[i] = x
     return out
 
@@ -162,10 +158,8 @@ class LinearIntegralProblem:
 
 def _solve(problem: LinearIntegralProblem, q1: Optional[np.ndarray],
            q2: Optional[np.ndarray]) -> OperatorFunction:
-    values = _march_implicit(
-        problem.U_backward.steps, problem.U_forward.steps,
-        problem.Q12.values, problem.G, problem.grid.h, q1=q1, q2=q2,
-    )
+    values = _march(problem.U_backward.steps, problem.U_forward.steps,
+                    problem.Q12.values, problem.G, problem.grid.h, q1=q1, q2=q2)
     return OperatorFunction(problem.grid, values)
 
 
@@ -213,10 +207,11 @@ def solve_linear_picard(problem: LinearIntegralProblem, tol: float = 1e-12,
             kernel = kernel - cur @ q1
         if q2 is not None:
             kernel = kernel - q2 @ cur
-        new = _march_explicit(problem.U_backward.steps, problem.U_forward.steps,
-                              kernel, problem.G, grid.h)
+        new = _march(problem.U_backward.steps, problem.U_forward.steps,
+                     kernel, problem.G, grid.h)
         gap = float(np.abs(new - cur).max())
         cur = new
         if gap <= tol * (1.0 + float(np.abs(cur).max())):
             return OperatorFunction(grid, cur)
-    raise ValueError(f"Picard iteration did not reach tol={tol} in {max_iter} sweeps")
+    raise ConvergenceError(
+        f"Picard iteration did not reach tol={tol} in {max_iter} sweeps")

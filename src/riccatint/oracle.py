@@ -31,7 +31,6 @@ class OdeSolveReport:
     """Result of the fixed-step backward integration."""
 
     P_oracle: OperatorFunction
-    max_step_rejections: int
     terminal_check: float
 
 
@@ -90,8 +89,7 @@ def solve_differential_riccati(generator: OperatorFunction, B: OperatorFunction,
             values[i] = symmetrize(step) if symmetric else step
     p_fn = OperatorFunction(grid, values)
     terminal_check = float(np.linalg.norm(values[grid.steps] - g, 2))
-    return OdeSolveReport(P_oracle=p_fn, max_step_rejections=0,
-                          terminal_check=terminal_check)
+    return OdeSolveReport(P_oracle=p_fn, terminal_check=terminal_check)
 
 
 def compare(P: OperatorFunction, report: OdeSolveReport) -> float:

@@ -30,7 +30,7 @@ import numpy as np
 
 from .evolution import EvolutionFamily, OperatorFunction, adjoint_backward_family
 from .linops import symmetrize
-from .lyapunov import _march_explicit, _march_implicit
+from .lyapunov import ConvergenceError, _march
 from .volterra import PerturbationSpec, perturb_backward, perturb_forward
 
 __all__ = [
@@ -61,14 +61,6 @@ class HypothesisViolation(ValueError):
         super().__init__(message)
         self.kind = kind
         self.node = node
-
-
-class ConvergenceError(RuntimeError):
-    """An iteration did not converge; carries the update history."""
-
-    def __init__(self, message: str, history: Optional[List[float]] = None):
-        super().__init__(message)
-        self.history = list(history) if history is not None else []
 
 
 def _max_opnorm(values: np.ndarray) -> float:
@@ -214,9 +206,8 @@ def riccati_residual(P: OperatorFunction, problem: RiccatiProblem) -> float:
     """Max node residual of the integral equation under trapezoidal quadrature."""
     if P.grid != problem.grid:
         raise ValueError("P must be sampled on the problem grid")
-    transported = _march_explicit(problem.U_backward.steps, problem.U_forward.steps,
-                                  problem.kernel(P.values), problem.G,
-                                  problem.grid.h)
+    transported = _march(problem.U_backward.steps, problem.U_forward.steps,
+                         problem.kernel(P.values), problem.G, problem.grid.h)
     return _max_opnorm(P.values - transported)
 
 
@@ -236,7 +227,7 @@ def flow_consistency(P: OperatorFunction, problem: RiccatiProblem,
     window = slice(t_index, tau_index + 1)
     p_vals = P.values[window]
     kernel = problem.C.values[window] - p_vals @ problem.B.values[window] @ p_vals
-    transported = _march_explicit(
+    transported = _march(
         problem.U_backward.steps[t_index:tau_index],
         problem.U_forward.steps[t_index:tau_index],
         kernel, P.values[tau_index], problem.grid.h,
@@ -266,8 +257,8 @@ def representation_check_one_sided(P: OperatorFunction, problem: RiccatiProblem)
     if P.grid != problem.grid:
         raise ValueError("P must be sampled on the problem grid")
     psi = _psi_forward(problem, P.values)
-    transported = _march_explicit(problem.U_backward.steps, psi.steps,
-                                  problem.C.values, problem.G, problem.grid.h)
+    transported = _march(problem.U_backward.steps, psi.steps,
+                         problem.C.values, problem.G, problem.grid.h)
     return _max_opnorm(P.values - transported)
 
 
@@ -278,9 +269,19 @@ def representation_check_two_sided(P: OperatorFunction, problem: RiccatiProblem)
     psi_fwd = _psi_forward(problem, P.values)
     psi_bwd = _psi_backward(problem, P.values)
     kernel = problem.C.values + P.values @ problem.B.values @ P.values
-    transported = _march_explicit(psi_bwd.steps, psi_fwd.steps, kernel,
-                                  problem.G, problem.grid.h)
+    transported = _march(psi_bwd.steps, psi_fwd.steps, kernel,
+                         problem.G, problem.grid.h)
     return _max_opnorm(P.values - transported)
+
+
+def _require_hypotheses(problem: RiccatiProblem, tol: float = 1e-10) -> None:
+    """Raise the first failing hypothesis; "mode" only when all of them pass."""
+    report = check_hypotheses(problem, tol)
+    if not report.passed:
+        kind, node = report.first_violation
+        raise HypothesisViolation(kind, node, f"hypothesis {kind} fails at node {node}")
+    if not problem.symmetric_mode:
+        raise HypothesisViolation("mode", -1, "monotone iteration needs symmetric_mode")
 
 
 def _monotone_step_core(p_values: np.ndarray, problem: RiccatiProblem
@@ -289,8 +290,8 @@ def _monotone_step_core(p_values: np.ndarray, problem: RiccatiProblem
     q1 = problem.B.values @ p_values            # acts on the domain space
     q2 = p_values @ problem.B.values            # acts on the codomain space
     kernel = problem.C.values + p_values @ problem.B.values @ p_values
-    raw = _march_implicit(problem.U_backward.steps, problem.U_forward.steps,
-                          kernel, problem.G, problem.grid.h, q1=q1, q2=q2)
+    raw = _march(problem.U_backward.steps, problem.U_forward.steps,
+                 kernel, problem.G, problem.grid.h, q1=q1, q2=q2)
     defect = _max_opnorm(raw - np.swapaxes(raw, -1, -2))
     return symmetrize(raw), defect
 
@@ -305,12 +306,7 @@ def monotone_step(P_n: OperatorFunction, problem: RiccatiProblem,
     preserves symmetry and nonnegativity of the iterates and, from the second
     iterate on, the nonincreasing Loewner chain.
     """
-    if not problem.symmetric_mode:
-        raise HypothesisViolation("mode", -1, "monotone iteration needs symmetric_mode")
-    report = check_hypotheses(problem, tol)
-    if not report.passed:
-        kind, node = report.first_violation
-        raise HypothesisViolation(kind, node, f"hypothesis {kind} fails at node {node}")
+    _require_hypotheses(problem, tol)
     if P_n.grid != problem.grid:
         raise ValueError("P_n must be sampled on the problem grid")
     asym, _, norms = _sym_stats(P_n.values)
@@ -389,7 +385,6 @@ class IntervalCertificate:
     iterations: int
     final_update: float
     sup_iterate_norm: float
-    in_ball: bool
 
 
 @dataclass(frozen=True)
@@ -442,12 +437,7 @@ def solve_monotone(problem: RiccatiProblem, tol_abs: float = 1e-10,
     defect, the smallest eigenvalue, and (from the second iterate on) the
     smallest eigenvalue of P_n - P_{n+1} and the node-wise norm decrease.
     """
-    if not problem.symmetric_mode:
-        raise HypothesisViolation("mode", -1, "monotone iteration needs symmetric_mode")
-    report = check_hypotheses(problem)
-    if not report.passed:
-        kind, node = report.first_violation
-        raise HypothesisViolation(kind, node, f"hypothesis {kind} fails at node {node}")
+    _require_hypotheses(problem)
 
     grid = problem.grid
     if grid.steps == 0:
@@ -531,12 +521,12 @@ def _picard_window(problem: RiccatiProblem, terminal: np.ndarray, idx: int,
     b_sub = problem.B.values[lo:idx + 1]
     ball_slack = 1e-9 * (1.0 + params.rho)
 
-    cur = _march_explicit(left, right, ker_c, terminal, h)
+    cur = _march(left, right, ker_c, terminal, h)
     sup_norm = _max_opnorm(cur)
     updates: List[float] = []
     for k in range(max_inner):
         kernel = ker_c - cur @ b_sub @ cur
-        new = _march_explicit(left, right, kernel, terminal, h)
+        new = _march(left, right, kernel, terminal, h)
         update = _max_opnorm(new - cur)
         cur = new
         norm = _max_opnorm(cur)
@@ -548,7 +538,7 @@ def _picard_window(problem: RiccatiProblem, terminal: np.ndarray, idx: int,
             cert = IntervalCertificate(
                 start_index=lo, end_index=idx, params=params,
                 iterations=k + 1, final_update=update,
-                sup_iterate_norm=sup_norm, in_ball=True,
+                sup_iterate_norm=sup_norm,
             )
             return lo, cur, cert, updates
     raise ConvergenceError(

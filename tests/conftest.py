@@ -1,5 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import settings
+
+# Property tests run a fixed, derandomized set of examples: the same inputs and
+# the same run time on every run.
+settings.register_profile("riccatint", max_examples=60, derandomize=True,
+                          deadline=None, database=None)
+settings.load_profile("riccatint")
 
 
 @pytest.fixture

@@ -135,7 +135,9 @@ def test_criterion_4_cross_solver_uniqueness(suite):
                                   compute_uv=False).max())
         worst = max(worst, gap)
         certified = certified and all(
-            c.params.contraction_lhs < 1.0 and c.in_ball for c in pic.intervals)
+            c.params.contraction_lhs < 1.0
+            and c.sup_iterate_norm <= c.params.rho * (1.0 + 1e-9) + 1e-9
+            for c in pic.intervals)
     passed = worst <= 1e-6 and certified and ran == len(suite["entries"])
     _report("4 uniqueness/cross-solver", passed,
             f"max sup gap={worst:.2e} (<=1e-6) on {ran}/{len(suite['entries'])} "

@@ -1,13 +1,18 @@
+import contextlib
+import copy
+import io
 import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from riccatint.cli import (EXIT_CHECK_FAILED, EXIT_HYPOTHESIS, EXIT_INVALID,
-                           EXIT_OK, ProblemFile, cmd_check, cmd_lqr_demo,
-                           cmd_solve, cmd_study, main, read_solution_csv,
-                           write_solution_csv)
+                           EXIT_NO_CONVERGENCE, EXIT_OK, ProblemFile, cmd_check,
+                           cmd_lqr_demo, cmd_solve, cmd_study, main,
+                           read_solution_csv, write_solution_csv)
 
 
 def tanh_doc(steps=2000, **overrides):
@@ -101,17 +106,17 @@ def test_cmd_solve_hypothesis_gate(tmp_path):
         "solver": "monotone",
     }
     path = write_doc(tmp_path / "bad.json", doc)
-    assert cmd_solve(path, tmp_path / "out") == EXIT_HYPOTHESIS
+    assert main(["solve", path, "--out", str(tmp_path / "out")]) == EXIT_HYPOTHESIS
     # the general solver still accepts it
     assert cmd_solve(path, tmp_path / "out2", solver="picard") == EXIT_OK
 
 
 def test_cmd_solve_invalid_input(tmp_path):
     missing = tmp_path / "nope.json"
-    assert cmd_solve(str(missing), tmp_path) == EXIT_INVALID
+    assert main(["solve", str(missing), "--out", str(tmp_path)]) == EXIT_INVALID
     garbled = tmp_path / "garbled.json"
     garbled.write_text("{not json", encoding="utf-8")
-    assert cmd_solve(str(garbled), tmp_path) == EXIT_INVALID
+    assert main(["solve", str(garbled), "--out", str(tmp_path)]) == EXIT_INVALID
 
 
 def test_cmd_solve_deterministic(tmp_path):
@@ -171,8 +176,8 @@ def test_cmd_study(tmp_path, capsys):
     assert cmd_study(path_lin, [250, 500, 1000]) == EXIT_OK
     order_lin = float(capsys.readouterr().out.strip().splitlines()[-1].split(":")[1])
     assert order_lin >= 1.8
-    assert cmd_study(path, [250, 500]) == EXIT_INVALID   # needs >= 3 grids
-    assert cmd_study(path, [300, 500, 1000]) == EXIT_INVALID  # not nested
+    assert main(["study", path, "--grids", "250,500"]) == EXIT_INVALID   # needs >= 3 grids
+    assert main(["study", path, "--grids", "300,500,1000"]) == EXIT_INVALID  # not nested
 
 
 def test_cmd_lqr_demo(tmp_path, capsys):
@@ -194,7 +199,7 @@ def test_cmd_lqr_demo(tmp_path, capsys):
     nofac = tanh_doc()
     del nofac["B_factor"]
     path_nf = write_doc(tmp_path / "nofac.json", nofac)
-    assert cmd_lqr_demo(path_nf, [1.0]) == EXIT_INVALID
+    assert main(["lqr-demo", path_nf, "--x0", "1.0"]) == EXIT_INVALID
 
 
 def test_propagator_table_problem(tmp_path):
@@ -213,7 +218,7 @@ def test_propagator_table_problem(tmp_path):
     out = tmp_path / "out"
     assert cmd_solve(path, out) == EXIT_OK
     # no generator: the study (oracle reference) must refuse
-    assert cmd_study(path, [10, 20, 40]) == EXIT_INVALID
+    assert main(["study", path, "--grids", "10,20,40"]) == EXIT_INVALID
     assert main(["solve", path, "--out", str(out), "--solver", "oracle"]) == EXIT_INVALID
 
 
@@ -224,3 +229,94 @@ def test_main_dispatch(tmp_path):
     assert main(["check", path, str(out / "tanh_P.csv")]) == EXIT_OK
     assert main(["study", path, "--grids", "nope"]) == EXIT_INVALID
     assert main(["lqr-demo", path, "--x0", "oops"]) == EXIT_INVALID
+    assert main(["lqr-demo", path, "--x0", "nan"]) == EXIT_INVALID
+
+
+def _without_generator(**overrides):
+    doc = tanh_doc(**overrides)
+    del doc["generator"]
+    return doc
+
+
+BOUNDARY_CASES = {
+    "stiff-implicit-endpoint": (
+        "solve", tanh_doc(steps=4, B={"kind": "constant", "matrix": [[400.0]]},
+                          C={"kind": "constant", "matrix": [[400.0]]}, G=[[50.0]]),
+        [], EXIT_NO_CONVERGENCE),
+    "safety-out-of-range": ("solve", tanh_doc(steps=20),
+                            ["--solver", "picard", "--safety", "1.5"], EXIT_INVALID),
+    "zero-grid-size": ("study", tanh_doc(steps=20), ["--grids", "0,2,4"], EXIT_INVALID),
+    "null-horizon": ("solve", tanh_doc(steps=20, horizon=None), [], EXIT_INVALID),
+    "top-level-array": ("solve", [tanh_doc(steps=20)], [], EXIT_INVALID),
+    "non-numeric-tolerance": ("solve", tanh_doc(steps=20, tolerances={"tol_abs": "x"}),
+                              [], EXIT_INVALID),
+    "non-object-propagators": ("solve", _without_generator(steps=20, propagators=[1]),
+                               [], EXIT_INVALID),
+}
+
+
+@pytest.mark.parametrize("command, doc, extra, expected", BOUNDARY_CASES.values(),
+                         ids=BOUNDARY_CASES.keys())
+def test_error_boundary_one_line(tmp_path, capsys, command, doc, extra, expected):
+    path = write_doc(tmp_path / "problem.json", doc)
+    if command == "solve":
+        extra = extra + ["--out", str(tmp_path / "out")]
+    assert main([command, path] + extra) == expected
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("error:")
+    assert "Traceback" not in err
+
+
+_DROP = object()
+_MUTABLE_PATHS = [
+    ("dimension",), ("horizon",), ("steps",), ("generator",), ("generator", "kind"),
+    ("C",), ("C", "matrix"), ("C", "matrix", 0, 0), ("B", "matrix", 0, 0),
+    ("G",), ("G", 0, 0), ("solver",), ("B_factor",), ("B_factor", 0, 0),
+    ("tolerances",), ("tolerances", "tol_abs"), ("tolerances", "max_iter"),
+    ("safety",),
+]
+_BAD_VALUES = st.sampled_from([
+    _DROP,                                                  # drop the field
+    "x", None, [], {}, True, [[1.0, 2.0]], {"kind": "zero"},  # swap the type
+    math.inf, -math.inf, math.nan, -1, -1.0, -2.5,          # non-finite or negative
+])
+
+
+def _mutated(mutations):
+    doc = tanh_doc(steps=20, safety=0.5,
+                   tolerances={"tol_abs": 1e-10, "tol_rel": 1e-8, "max_iter": 50})
+    for path, value in mutations:
+        try:
+            parent = doc
+            for key in path[:-1]:
+                parent = parent[key]
+            if value is _DROP:
+                del parent[path[-1]]
+            else:
+                parent[path[-1]] = copy.deepcopy(value)
+        except (KeyError, IndexError, TypeError):
+            pass        # an earlier mutation removed the path
+    return doc
+
+
+@pytest.fixture(scope="module")
+def mutation_dir(tmp_path_factory):
+    """A scratch directory holding the solution of the unmutated document."""
+    root = tmp_path_factory.mktemp("mutations")
+    path = write_doc(root / "valid.json", _mutated([]))
+    assert main(["solve", path, "--out", str(root)]) == EXIT_OK
+    return root
+
+
+@given(st.lists(st.tuples(st.sampled_from(_MUTABLE_PATHS), _BAD_VALUES),
+                min_size=1, max_size=2))
+def test_mutated_documents_end_in_documented_codes(mutation_dir, mutations):
+    path = write_doc(mutation_dir / "mutated.json", _mutated(mutations))
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        solved = main(["solve", path, "--out", str(mutation_dir / "out")])
+        checked = main(["check", path, str(mutation_dir / "valid_P.csv")])
+    assert solved in (EXIT_OK, EXIT_INVALID, EXIT_NO_CONVERGENCE, EXIT_HYPOTHESIS)
+    assert checked in (EXIT_OK, EXIT_CHECK_FAILED, EXIT_INVALID, EXIT_NO_CONVERGENCE,
+                       EXIT_HYPOTHESIS)
+    assert "Traceback" not in err.getvalue()

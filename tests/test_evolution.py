@@ -7,7 +7,7 @@ from numpy.testing import assert_allclose
 
 from riccatint.evolution import (EvolutionFamily, OperatorFunction, TimeGrid,
                                  adjoint_backward_family, build_forward_family,
-                                 check_semigroup, family_value, propagate_step)
+                                 check_semigroup, propagate_step)
 
 
 def test_time_grid_nodes():
@@ -166,7 +166,7 @@ def test_explicit_step_table_family():
     grid = TimeGrid(1.0, 3)
     steps = np.stack([np.eye(2) + 0.1 * k * np.ones((2, 2)) for k in range(3)])
     fam = EvolutionFamily(grid, "forward", steps)
-    assert_allclose(family_value(fam, 3, 0), steps[2] @ steps[1] @ steps[0])
+    assert_allclose(fam.value(3, 0), steps[2] @ steps[1] @ steps[0])
     with pytest.raises(ValueError):
         EvolutionFamily(grid, "sideways", steps)
     with pytest.raises(ValueError):

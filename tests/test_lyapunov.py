@@ -4,7 +4,7 @@ from numpy.testing import assert_allclose
 
 from riccatint.evolution import (OperatorFunction, TimeGrid,
                                  adjoint_backward_family, build_forward_family)
-from riccatint.lyapunov import (LinearIntegralProblem, _march_explicit,
+from riccatint.lyapunov import (ConvergenceError, LinearIntegralProblem, _march,
                                 solve_both_perturbed, solve_left_perturbed,
                                 solve_linear_picard, solve_right_perturbed)
 from riccatint.volterra import PerturbationSpec, perturb_forward
@@ -100,6 +100,8 @@ def test_matrix_case_against_picard(rng):
     problem = LinearIntegralProblem(fwd, bwd, q12, g, Q1=q1, Q2=q2)
     assert np.abs(solve_both_perturbed(problem).values
                   - solve_linear_picard(problem).values).max() <= 1e-9
+    with pytest.raises(ConvergenceError, match="did not reach"):
+        solve_linear_picard(problem, max_iter=1)
 
 
 def test_omega_representation_equivalence():
@@ -111,7 +113,7 @@ def test_omega_representation_equivalence():
     problem = LinearIntegralProblem(fwd, bwd, q12, g, Q1=q1)
     sol = solve_right_perturbed(problem)
     omega = perturb_forward(PerturbationSpec(fwd, q1, -1, "second"))
-    rep = _march_explicit(bwd.steps, omega.steps, q12.values, g, grid.h)
+    rep = _march(bwd.steps, omega.steps, q12.values, g, grid.h)
     assert np.abs(sol.values - rep).max() <= 5.0 * grid.h ** 2
 
 

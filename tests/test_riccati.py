@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from riccatint import riccati
 from riccatint.evolution import (OperatorFunction, TimeGrid,
                                  adjoint_backward_family, build_forward_family)
 from riccatint.lyapunov import LinearIntegralProblem, solve_both_perturbed
@@ -97,8 +98,18 @@ def test_monotone_requires_symmetric_mode():
     problem, _ = tanh_problem(20)
     general = RiccatiProblem(problem.U_forward, problem.U_backward, problem.C,
                              problem.B, problem.G, symmetric_mode=False)
-    with pytest.raises(HypothesisViolation):
+    with pytest.raises(HypothesisViolation) as err:
         solve_monotone(general)
+    assert err.value.kind == "mode"      # every hypothesis holds; only the mode is off
+    # a failing hypothesis is named, not the mode
+    indefinite = RiccatiProblem(problem.U_forward, problem.U_backward,
+                                OperatorFunction.constant(problem.grid, [[-1.0]]),
+                                problem.B, problem.G, symmetric_mode=False)
+    for run in (lambda: solve_monotone(indefinite),
+                lambda: monotone_step(OperatorFunction.zero(problem.grid, 1), indefinite)):
+        with pytest.raises(HypothesisViolation) as err:
+            run()
+        assert (err.value.kind, err.value.node) == ("C-nonnegativity", 0)
 
 
 # ---------------------------------------------------------------- residuals
@@ -299,7 +310,6 @@ def test_picard_certificates():
         assert lo[1] == hi[0]
     for cert in sol.intervals:
         assert cert.params.contraction_lhs < 1.0
-        assert cert.in_ball
         assert cert.sup_iterate_norm <= cert.params.rho + 1e-6
 
 
@@ -358,6 +368,29 @@ def test_picard_window_ball_escape_and_retry(monkeypatch):
     sol = rmod.solve_picard_stepped(problem)
     assert calls["count"] >= 2
     assert np.abs(sol.P.values - reference.P.values).max() <= 1e-8
+
+
+def test_picard_ball_escape_raises_after_one_retry(monkeypatch):
+    """An iterate leaving the certified ball gets one retry with an inflated
+    norm cap; leaving it again is a ConvergenceError, never a window."""
+    grid = TimeGrid(1.0, 20)
+    fwd = build_forward_family(OperatorFunction.zero(grid, 1))
+    problem = RiccatiProblem.symmetric(fwd,
+                                       OperatorFunction.constant(grid, [[1.0]]),
+                                       OperatorFunction.constant(grid, [[1e-3]]),
+                                       np.array([[1.0]]))
+    march = riccati._march
+    marches = []
+
+    def growing_march(*args, **kwargs):
+        # every sweep's iterate is ten times the last one's scale
+        marches.append(None)
+        return march(*args, **kwargs) * 10.0 ** len(marches)
+
+    monkeypatch.setattr(riccati, "_march", growing_march)
+    with pytest.raises(ConvergenceError, match="escaped the certified ball twice"):
+        solve_picard_stepped(problem)
+    assert len(marches) == 4    # two sweeps in the first window, two in the retry
 
 
 def test_picard_refuses_too_coarse_grid():
