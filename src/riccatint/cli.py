@@ -94,6 +94,20 @@ def _grids(text: str) -> List[int]:
     return grids
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise ValueError(f"expected a positive integer, got {text!r}")
+    return value
+
+
+def _threshold(text: str) -> float:
+    value = float(text)
+    if not (math.isfinite(value) and value >= 0.0):
+        raise ValueError(f"expected a finite threshold >= 0, got {text!r}")
+    return value
+
+
 def _reals(text: str) -> List[float]:
     values = [float(v) for v in text.split(",") if v.strip()]
     if not all(map(math.isfinite, values)):
@@ -259,10 +273,12 @@ class ProblemFile:
         return problem, generator
 
 
+def _csv_header(n_rows: int, n_cols: int) -> str:
+    return "t," + ",".join(f"p{r}_{c}" for r in range(n_rows) for c in range(n_cols))
+
+
 def write_solution_csv(path, grid: TimeGrid, values: np.ndarray) -> None:
-    n_rows, n_cols = values.shape[1], values.shape[2]
-    header = "t," + ",".join(f"p{r}_{c}" for r in range(n_rows) for c in range(n_cols))
-    lines = [header]
+    lines = [_csv_header(values.shape[1], values.shape[2])]
     nodes = grid.nodes()
     for i in range(grid.num_nodes):
         flat = values[i].reshape(-1)
@@ -272,6 +288,11 @@ def write_solution_csv(path, grid: TimeGrid, values: np.ndarray) -> None:
 
 def read_solution_csv(path, grid: TimeGrid, n: int) -> OperatorFunction:
     text = Path(path).read_text(encoding="utf-8").strip().splitlines()
+    if not text:
+        raise ValueError("solution file is empty")
+    if text[0] != _csv_header(n, n):
+        raise ValueError(f"solution header does not match the {n}x{n} header "
+                         "'t,p0_0,...' that solve writes")
     if len(text) != grid.num_nodes + 1:
         raise ValueError(
             f"solution has {len(text) - 1} rows, expected {grid.num_nodes}")
@@ -395,17 +416,13 @@ def cmd_check(problem_path, solution_path, threshold: Optional[float] = None,
     default_threshold = max(1e-9, 25.0 * h * h * (1.0 + sup_p))
     limit = threshold if threshold is not None else default_threshold
 
-    rng = np.random.default_rng(20240)
-    n_nodes = problem.grid.num_nodes
-    pairs = rng.integers(0, n_nodes, size=(max(1, flow_pairs), 2))
-    flow_max = 0.0
-    for a, b in pairs:
-        lo, hi = (int(a), int(b)) if a <= b else (int(b), int(a))
-        flow_max = max(flow_max, flow_consistency(p_fun, problem, lo, hi))
+    pairs = np.random.default_rng(20240).integers(
+        0, problem.grid.num_nodes, size=(flow_pairs, 2))
+    flow = flow_consistency(p_fun, problem, pairs.min(axis=1), pairs.max(axis=1))
 
     checks = {
         "riccati_residual": riccati_residual(p_fun, problem),
-        "flow_consistency_max": flow_max,
+        "flow_consistency_max": float(flow.max()),
         "representation_one_sided": representation_check_one_sided(p_fun, problem),
         "representation_two_sided": representation_check_two_sided(p_fun, problem),
     }
@@ -631,9 +648,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p_check = sub.add_parser("check", help="verify a stored solution")
     add_common(p_check)
     p_check.add_argument("solution", help="path to the solution CSV")
-    p_check.add_argument("--threshold", type=float, default=None,
+    p_check.add_argument("--threshold", type=_option(_threshold), default=None,
                          help="residual threshold (default: 25 h^2 (1 + sup||P||))")
-    p_check.add_argument("--flow-pairs", type=int, default=100)
+    p_check.add_argument("--flow-pairs", type=_option(_positive_int), default=100)
     p_check.set_defaults(run=lambda a: cmd_check(
         a.problem, a.solution, threshold=a.threshold, flow_pairs=a.flow_pairs))
 

@@ -113,6 +113,35 @@ def _march(left_steps: np.ndarray, right_steps: np.ndarray, kernel: np.ndarray,
     return out
 
 
+def _window_defects(left_steps: np.ndarray, right_steps: np.ndarray,
+                    kernel: np.ndarray, values: np.ndarray, h: float,
+                    t_index: np.ndarray, tau_index: np.ndarray,
+                    chunk: int) -> np.ndarray:
+    """2-norm defect of ``values`` on many windows [t_a, tau_a] of one grid.
+
+    Window a starts from values[tau_a] and is carried back to node t_a by the
+    explicit recursion of :func:`_march`; its defect is the spectral norm of
+    values[t_a] minus that transport.  All windows of a chunk of at most
+    ``chunk`` pairs share one backward sweep: at node i every window with
+    t_a <= i < tau_a is advanced by one stacked product.  The per-node
+    arithmetic is that of ``_march``, so each transport is bitwise equal to
+    ``_march(left_steps[t:tau], right_steps[t:tau], kernel[t:tau + 1],
+    values[tau], h)[0]``.
+    """
+    folded = left_steps @ kernel[1:] @ right_steps
+    alpha = 0.5 * h
+    defects = np.empty(len(t_index))
+    for start in range(0, len(t_index), chunk):
+        t, tau = t_index[start:start + chunk], tau_index[start:start + chunk]
+        cur = values[tau]
+        for i in range(int(tau.max()) - 1, int(t.min()) - 1, -1):
+            active = (t <= i) & (i < tau)
+            cur[active] = left_steps[i] @ cur[active] @ right_steps[i] \
+                + alpha * (kernel[i] + folded[i])
+        defects[start:start + chunk] = np.linalg.norm(values[t] - cur, 2, axis=(1, 2))
+    return defects
+
+
 @dataclass(frozen=True)
 class LinearIntegralProblem:
     """Datum of the linear integral equation.

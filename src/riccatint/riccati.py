@@ -24,13 +24,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import List, Optional, Union
 
 import numpy as np
 
 from .evolution import EvolutionFamily, OperatorFunction, adjoint_backward_family
 from .linops import symmetrize
-from .lyapunov import ConvergenceError, _march
+from .lyapunov import ConvergenceError, _march, _window_defects
 from .volterra import PerturbationSpec, perturb_backward, perturb_forward
 
 __all__ = [
@@ -212,27 +212,36 @@ def riccati_residual(P: OperatorFunction, problem: RiccatiProblem) -> float:
 
 
 def flow_consistency(P: OperatorFunction, problem: RiccatiProblem,
-                     t_index: int, tau_index: int) -> float:
+                     t_index: Union[int, np.ndarray],
+                     tau_index: Union[int, np.ndarray]) -> Union[float, np.ndarray]:
     """Residual of the flow identity between two nodes t <= tau.
 
     A solution transported from its own value at tau must reproduce the value
-    at t; for tau = T this reduces to the equation residual at t.
+    at t; for tau = T this reduces to the equation residual at t.  Scalar
+    indices give a ``float``; equal-length integer arrays give one residual
+    per pair, all pairs sharing one backward sweep in chunks of at most
+    ``num_nodes`` pairs, so their state is at most one extra P-sized stack.
     """
     if P.grid != problem.grid:
         raise ValueError("P must be sampled on the problem grid")
+    scalar = np.ndim(t_index) == 0
+    t_arr, tau_arr = np.atleast_1d(t_index), np.atleast_1d(tau_index)
+    if (t_arr.shape != tau_arr.shape or t_arr.ndim > 1
+            or t_arr.dtype.kind not in "iu" or tau_arr.dtype.kind not in "iu"):
+        raise ValueError("t_index and tau_index must be integers or 1-D integer arrays "
+                         f"of one length, got {t_arr.dtype} {t_arr.shape} and "
+                         f"{tau_arr.dtype} {tau_arr.shape}")
     n_nodes = problem.grid.num_nodes
-    if not (0 <= t_index <= tau_index < n_nodes):
+    bad = np.flatnonzero((t_arr < 0) | (t_arr > tau_arr) | (tau_arr >= n_nodes))
+    if bad.size:
+        a = bad[0]
+        where = "" if scalar else f" at pair {a}"
         raise ValueError(f"need 0 <= t_index <= tau_index < {n_nodes}, "
-                         f"got ({t_index}, {tau_index})")
-    window = slice(t_index, tau_index + 1)
-    p_vals = P.values[window]
-    kernel = problem.C.values[window] - p_vals @ problem.B.values[window] @ p_vals
-    transported = _march(
-        problem.U_backward.steps[t_index:tau_index],
-        problem.U_forward.steps[t_index:tau_index],
-        kernel, P.values[tau_index], problem.grid.h,
-    )
-    return float(np.linalg.norm(P.values[t_index] - transported[0], 2))
+                         f"got ({t_arr[a]}, {tau_arr[a]}){where}")
+    residuals = _window_defects(problem.U_backward.steps, problem.U_forward.steps,
+                                problem.kernel(P.values), P.values, problem.grid.h,
+                                t_arr, tau_arr, chunk=n_nodes)
+    return float(residuals[0]) if scalar else residuals
 
 
 def _psi_forward(problem: RiccatiProblem, p_values: np.ndarray) -> EvolutionFamily:

@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
+from riccatint.lyapunov import _march
+
 # Property tests run a fixed, derandomized set of examples: the same inputs and
 # the same run time on every run.
 settings.register_profile("riccatint", max_examples=60, derandomize=True,
@@ -27,3 +29,14 @@ def brute_force_matmul(a, b):
                 acc += a[i, r] * b[r, j]
             out[i, j] = acc
     return out
+
+
+def flow_consistency_per_window(P, problem, t_index, tau_index):
+    """Flow residual of one pair by its own window march (the pre-sweep code)."""
+    window = slice(t_index, tau_index + 1)
+    p_vals = P.values[window]
+    kernel = problem.C.values[window] - p_vals @ problem.B.values[window] @ p_vals
+    transported = _march(problem.U_backward.steps[t_index:tau_index],
+                         problem.U_forward.steps[t_index:tau_index],
+                         kernel, P.values[tau_index], problem.grid.h)
+    return float(np.linalg.norm(P.values[t_index] - transported[0], 2))

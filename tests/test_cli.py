@@ -13,6 +13,9 @@ from riccatint.cli import (EXIT_CHECK_FAILED, EXIT_HYPOTHESIS, EXIT_INVALID,
                            EXIT_NO_CONVERGENCE, EXIT_OK, ProblemFile, cmd_check,
                            cmd_lqr_demo, cmd_solve, cmd_study, main,
                            read_solution_csv, write_solution_csv)
+from riccatint.evolution import TimeGrid
+
+from conftest import flow_consistency_per_window
 
 
 def tanh_doc(steps=2000, **overrides):
@@ -128,12 +131,18 @@ def test_cmd_solve_deterministic(tmp_path):
 
 
 def test_csv_round_trip(tmp_path):
-    from riccatint.evolution import TimeGrid
     grid = TimeGrid(1.0, 7)
     values = np.random.default_rng(5).standard_normal((8, 2, 2))
     write_solution_csv(tmp_path / "p.csv", grid, values)
     back = read_solution_csv(tmp_path / "p.csv", grid, 2)
     assert np.array_equal(back.values, values)
+    text = (tmp_path / "p.csv").read_text(encoding="utf-8")
+    (tmp_path / "p.csv").write_text(text.replace("p1_0", "p1_x", 1), encoding="utf-8")
+    with pytest.raises(ValueError, match="header"):
+        read_solution_csv(tmp_path / "p.csv", grid, 2)
+    (tmp_path / "p.csv").write_text(" \n", encoding="utf-8")
+    with pytest.raises(ValueError, match="empty"):
+        read_solution_csv(tmp_path / "p.csv", grid, 2)
 
 
 def test_cmd_check_self_and_mismatch(tmp_path):
@@ -145,10 +154,27 @@ def test_cmd_check_self_and_mismatch(tmp_path):
     # zero solution against a problem with G != 0 fails the residual gate
     doc_g = tanh_doc(steps=500, C={"kind": "zero"}, G=[[1.0]])
     path_g = write_doc(tmp_path / "terminal.json", doc_g)
-    from riccatint.evolution import TimeGrid
     write_solution_csv(tmp_path / "zeros.csv", TimeGrid(1.0, 500),
                        np.zeros((501, 1, 1)))
     assert cmd_check(path_g, tmp_path / "zeros.csv") == EXIT_CHECK_FAILED
+
+
+def test_cmd_check_flow_max_equals_per_window_loop(tmp_path, capsys):
+    path = write_doc(tmp_path / "lin.json", tanh_doc(
+        steps=300, generator={"kind": "constant", "matrix": [[0.3]]}))
+    out = tmp_path / "out"
+    assert cmd_solve(path, out) == EXIT_OK
+    capsys.readouterr()
+    assert cmd_check(path, out / "lin_P.csv") == EXIT_OK
+    printed = capsys.readouterr().out.splitlines()[1].split()
+    assert printed[0] == "flow_consistency_max"
+
+    problem, _ = ProblemFile.from_path(path).build()
+    p_fun = read_solution_csv(out / "lin_P.csv", problem.grid, 1)
+    pairs = np.random.default_rng(20240).integers(0, problem.grid.num_nodes, size=(100, 2))
+    want = max(flow_consistency_per_window(p_fun, problem, min(a, b), max(a, b))
+               for a, b in pairs)
+    assert printed[1] == f"{want:.6e}"
 
 
 def test_cmd_check_oracle_output(tmp_path):
@@ -238,6 +264,9 @@ def _without_generator(**overrides):
     return doc
 
 
+# a well-formed CSV of P = 0 on the 20-step grid: `check` fails its gates on it (exit 1)
+_ZERO_CSV = "t,p0_0\n" + "".join(f"{t},0\n" for t in TimeGrid(1.0, 20).nodes().tolist())
+
 BOUNDARY_CASES = {
     "stiff-implicit-endpoint": (
         "solve", tanh_doc(steps=4, B={"kind": "constant", "matrix": [[400.0]]},
@@ -252,6 +281,20 @@ BOUNDARY_CASES = {
                               [], EXIT_INVALID),
     "non-object-propagators": ("solve", _without_generator(steps=20, propagators=[1]),
                                [], EXIT_INVALID),
+    # `check` reads the text of its solution CSV from the first extra item
+    "flow-pairs-zero": ("check", tanh_doc(steps=20), [_ZERO_CSV, "--flow-pairs", "0"],
+                        EXIT_INVALID),
+    "flow-pairs-negative": ("check", tanh_doc(steps=20),
+                            [_ZERO_CSV, "--flow-pairs", "-5"], EXIT_INVALID),
+    "threshold-nan": ("check", tanh_doc(steps=20), [_ZERO_CSV, "--threshold", "nan"],
+                      EXIT_INVALID),
+    "threshold-negative": ("check", tanh_doc(steps=20), [_ZERO_CSV, "--threshold", "-1"],
+                           EXIT_INVALID),
+    "threshold-inf": ("check", tanh_doc(steps=20), [_ZERO_CSV, "--threshold", "inf"],
+                      EXIT_INVALID),
+    "empty-csv": ("check", tanh_doc(steps=20), [""], EXIT_INVALID),
+    "garbage-csv-header": ("check", tanh_doc(steps=20),
+                           [_ZERO_CSV.replace("t,p0_0", "garbage", 1)], EXIT_INVALID),
 }
 
 
@@ -259,12 +302,18 @@ BOUNDARY_CASES = {
                          ids=BOUNDARY_CASES.keys())
 def test_error_boundary_one_line(tmp_path, capsys, command, doc, extra, expected):
     path = write_doc(tmp_path / "problem.json", doc)
+    option = extra[-2] if len(extra) >= 2 and extra[-2].startswith("--") else None
     if command == "solve":
         extra = extra + ["--out", str(tmp_path / "out")]
+    if command == "check":
+        solution = tmp_path / "P.csv"
+        solution.write_text(extra[0], encoding="utf-8")
+        extra = [str(solution)] + extra[1:]
     assert main([command, path] + extra) == expected
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1 and err.startswith("error:")
     assert "Traceback" not in err
+    assert option is None or option in err      # an option out of range is named
 
 
 _DROP = object()

@@ -19,6 +19,8 @@ from riccatint.riccati import (ContractionParams, ConvergenceError,
 from riccatint.testing import (inverse_linear_problem, random_symmetric_problem,
                                tanh_problem)
 
+from conftest import flow_consistency_per_window
+
 
 def _exact_tanh(problem):
     values = np.tanh(problem.grid.horizon - problem.grid.nodes())[:, None, None]
@@ -165,6 +167,70 @@ def test_flow_consistency_index_validation():
     sol = solve_monotone(problem)
     with pytest.raises(ValueError):
         flow_consistency(sol.P, problem, 5, 3)
+    with pytest.raises(ValueError, match=r"got \(5, 3\) at pair 1"):
+        flow_consistency(sol.P, problem, np.array([0, 5, 2]), np.array([4, 3, 1]))
+    with pytest.raises(ValueError, match=r"got \(2, 11\) at pair 1"):
+        flow_consistency(sol.P, problem, np.array([0, 2]), np.array([10, 11]))
+    with pytest.raises(ValueError, match=r"got \(-1, 4\) at pair 0"):
+        flow_consistency(sol.P, problem, np.array([-1, 2]), np.array([4, 3]))
+    for t_bad, tau_bad in [([0, 1], [4]), ([[0, 1]], [[4, 5]]), ([0.0], [4.0]), (0, 4.0)]:
+        with pytest.raises(ValueError, match="1-D integer arrays of one length"):
+            flow_consistency(sol.P, problem, np.array(t_bad), np.array(tau_bad))
+
+
+def _nonsymmetric_problem(steps, n=3, seed=4):
+    """Distinct families on each side, non-symmetric C, B and G, random P."""
+    rng = np.random.default_rng(seed)
+    grid = TimeGrid(1.0, steps)
+
+    def constant():
+        return OperatorFunction.constant(grid, rng.standard_normal((n, n)))
+
+    fwd, other = build_forward_family(constant()), build_forward_family(constant())
+    problem = RiccatiProblem(fwd, adjoint_backward_family(other), constant(), constant(),
+                             rng.standard_normal((n, n)))
+    return problem, OperatorFunction(grid, rng.standard_normal((steps + 1, n, n)))
+
+
+def _assert_sweep_equals_per_window(P, problem, t_index, tau_index):
+    got = flow_consistency(P, problem, np.asarray(t_index), np.asarray(tau_index))
+    want = [flow_consistency_per_window(P, problem, a, b)
+            for a, b in zip(t_index, tau_index)]
+    assert got.shape == (len(want),) and np.array_equal(got, want)
+    unsigned = flow_consistency(P, problem, np.asarray(t_index, dtype=np.uint32),
+                                np.asarray(tau_index, dtype=np.uint32))
+    assert np.array_equal(unsigned, want)
+    assert flow_consistency(P, problem, t_index[0], tau_index[0]) == want[0]
+
+
+def _edge_pairs(n_steps, rng, extra):
+    """t == tau, (0, N), adjacent nodes, duplicates, then `extra` random pairs."""
+    pairs = [(7, 7), (0, n_steps), (0, 0), (n_steps, n_steps), (3, 4),
+             (n_steps - 1, n_steps), (0, n_steps), (3, 4), (7, 7)]
+    pairs += [tuple(sorted(p)) for p in rng.integers(0, n_steps + 1, size=(extra, 2))]
+    return [p[0] for p in pairs], [p[1] for p in pairs]
+
+
+@pytest.mark.parametrize("kind", ["symmetric", "nonsymmetric"])
+def test_flow_sweep_bitwise_equals_per_window_march(kind):
+    n_steps = 60
+    if kind == "symmetric":
+        problem, _ = random_symmetric_problem(seed=2, n=3, steps=n_steps)
+        P = solve_monotone(problem).P
+    else:
+        problem, P = _nonsymmetric_problem(n_steps)
+    rng = np.random.default_rng(9)
+    _assert_sweep_equals_per_window(P, problem, *_edge_pairs(n_steps, rng, 30))
+    # more pairs than nodes: the sweep crosses two chunk boundaries
+    t_many, tau_many = _edge_pairs(n_steps, rng, 2 * (n_steps + 1))
+    assert len(t_many) > 2 * problem.grid.num_nodes
+    _assert_sweep_equals_per_window(P, problem, t_many, tau_many)
+
+
+def test_flow_sweep_zero_step_grid():
+    problem, _ = tanh_problem(0, horizon=0.0)
+    P = OperatorFunction(problem.grid, np.full((1, 1, 1), 0.7))
+    _assert_sweep_equals_per_window(P, problem, [0, 0], [0, 0])
 
 
 # ---------------------------------------------------------------- representations
