@@ -46,10 +46,6 @@ _SPEC_KINDS = ("zero", "constant", "polynomial", "piecewise")
 _SOLVERS = ("monotone", "picard", "oracle")
 
 
-def _fmt(x: float) -> str:
-    return repr(float(x))
-
-
 def _as_matrix(data, n: int, name: str, cols: Optional[int] = None) -> np.ndarray:
     mat = np.asarray(data, dtype=float)
     cols = n if cols is None else cols
@@ -115,28 +111,28 @@ def _reals(text: str) -> List[float]:
     return values
 
 
-def _spec_callable(spec: dict, n: int, name: str):
+def _spec_sampler(spec: dict, n: int, name: str):
+    """Validate a coefficient spec; return ``sample(ts)``, one n x n matrix per time."""
     if not isinstance(spec, dict) or "kind" not in spec:
         raise ValueError(f"{name} spec must be an object with a 'kind' field")
     kind = spec["kind"]
     if kind == "zero":
-        zero = np.zeros((n, n))
-        return lambda t: zero
+        return lambda ts: np.zeros((len(ts), n, n))
     if kind == "constant":
         mat = _as_matrix(spec.get("matrix"), n, f"{name}.matrix")
-        return lambda t: mat
+        return lambda ts: np.broadcast_to(mat, (len(ts), n, n))
     if kind == "polynomial":
         coeffs = [_as_matrix(c, n, f"{name}.coefficients[{k}]")
                   for k, c in enumerate(spec.get("coefficients", []))]
         if not coeffs:
             raise ValueError(f"{name} polynomial needs at least one coefficient")
 
-        def poly(t, coeffs=coeffs):
-            acc = np.zeros_like(coeffs[0])
-            tk = 1.0
+        def poly(ts, coeffs=coeffs):
+            acc = np.zeros((len(ts), n, n))
+            tk = np.ones(len(ts))
             for c in coeffs:      # lowest degree first
-                acc = acc + tk * c
-                tk *= t
+                acc += tk[:, None, None] * c
+                tk = tk * ts
             return acc
 
         return poly
@@ -149,9 +145,9 @@ def _spec_callable(spec: dict, n: int, name: str):
         if times[0] != 0.0 or np.any(np.diff(times) <= 0):
             raise ValueError(f"{name} piecewise times must start at 0 and increase")
 
-        def piecewise(t, times=times, mats=mats):
-            j = int(np.searchsorted(times, t, side="right")) - 1
-            return mats[max(0, min(j, len(mats) - 1))]
+        def piecewise(ts, times=times, mats=np.stack(mats)):
+            j = np.searchsorted(times, ts, side="right") - 1
+            return mats[np.clip(j, 0, len(mats) - 1)]
 
         return piecewise
     raise ValueError(f"{name} spec kind must be one of {_SPEC_KINDS}, got {kind!r}")
@@ -160,7 +156,7 @@ def _spec_callable(spec: dict, n: int, name: str):
 def _spec(n: int, name: str):
     """Field parser that validates a coefficient spec and keeps it as given."""
     def parse(spec):
-        _spec_callable(spec, n, name)
+        _spec_sampler(spec, n, name)
         return spec
     return parse
 
@@ -251,15 +247,19 @@ class ProblemFile:
 
     def build(self, steps: Optional[int] = None
               ) -> tuple[RiccatiProblem, Optional[OperatorFunction]]:
-        """Instantiate the problem, optionally overriding the grid resolution."""
+        """Instantiate the problem, optionally overriding the grid resolution.
+
+        The problem is not in symmetric mode; the commands that need the
+        hypothesis check run it themselves (``_with_symmetric_mode``).
+        """
         grid = TimeGrid(self.horizon, self.steps if steps is None else steps)
         n = self.dimension
-        c_fun = OperatorFunction.from_callable(grid, _spec_callable(self.c_spec, n, "C"))
-        b_fun = OperatorFunction.from_callable(grid, _spec_callable(self.b_spec, n, "B"))
+        c_fun = OperatorFunction.from_sampler(grid, _spec_sampler(self.c_spec, n, "C"))
+        b_fun = OperatorFunction.from_sampler(grid, _spec_sampler(self.b_spec, n, "B"))
         generator = None
         if self.generator is not None:
-            generator = OperatorFunction.from_callable(
-                grid, _spec_callable(self.generator, n, "generator"))
+            generator = OperatorFunction.from_sampler(
+                grid, _spec_sampler(self.generator, n, "generator"))
             u_fwd = build_forward_family(generator)
         else:
             if steps is not None and steps != self.steps:
@@ -267,10 +267,14 @@ class ProblemFile:
             u_fwd = EvolutionFamily(grid, "forward", self.propagators)
         problem = RiccatiProblem(u_fwd, adjoint_backward_family(u_fwd),
                                  c_fun, b_fun, self.g)
-        symmetric = check_hypotheses(problem).passed
-        if symmetric:
-            problem = dataclasses.replace(problem, symmetric_mode=True)
         return problem, generator
+
+
+def _with_symmetric_mode(problem: RiccatiProblem) -> RiccatiProblem:
+    """The problem in symmetric mode when it passes the hypothesis check."""
+    if check_hypotheses(problem).passed:
+        return dataclasses.replace(problem, symmetric_mode=True)
+    return problem
 
 
 def _csv_header(n_rows: int, n_cols: int) -> str:
@@ -278,12 +282,11 @@ def _csv_header(n_rows: int, n_cols: int) -> str:
 
 
 def write_solution_csv(path, grid: TimeGrid, values: np.ndarray) -> None:
-    lines = [_csv_header(values.shape[1], values.shape[2])]
-    nodes = grid.nodes()
-    for i in range(grid.num_nodes):
-        flat = values[i].reshape(-1)
-        lines.append(",".join([_fmt(nodes[i])] + [_fmt(v) for v in flat]))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    table = np.column_stack([grid.nodes(), values.reshape(grid.num_nodes, -1)])
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(_csv_header(values.shape[1], values.shape[2]) + "\n")
+        for row in table:       # row by row: the text of the whole table is never held
+            fh.write(",".join(map(repr, row.tolist())) + "\n")
 
 
 def read_solution_csv(path, grid: TimeGrid, n: int) -> OperatorFunction:
@@ -296,7 +299,7 @@ def read_solution_csv(path, grid: TimeGrid, n: int) -> OperatorFunction:
     if len(text) != grid.num_nodes + 1:
         raise ValueError(
             f"solution has {len(text) - 1} rows, expected {grid.num_nodes}")
-    values = np.empty((grid.num_nodes, n, n))
+    values = np.empty((grid.num_nodes, n * n))
     nodes = grid.nodes()
     for i, line in enumerate(text[1:]):
         parts = line.split(",")
@@ -305,8 +308,8 @@ def read_solution_csv(path, grid: TimeGrid, n: int) -> OperatorFunction:
         t = float(parts[0])
         if abs(t - nodes[i]) > 1e-12 * (1.0 + abs(nodes[i])):
             raise ValueError(f"row {i} has t={t}, expected {nodes[i]}")
-        values[i] = np.asarray([float(p) for p in parts[1:]]).reshape(n, n)
-    return OperatorFunction(grid, values)
+        values[i] = list(map(float, parts[1:]))
+    return OperatorFunction(grid, values.reshape(-1, n, n))
 
 
 def _sha256(path) -> str:
@@ -373,6 +376,7 @@ def cmd_solve(problem_path, out_dir, tol_abs: Optional[float] = None,
     """Solve the problem file and write CSV + JSON outputs into out_dir."""
     pfile = ProblemFile.from_path(problem_path)
     problem, generator = pfile.build()
+    problem = _with_symmetric_mode(problem)
     settings = _settings(pfile, tol_abs=tol_abs, tol_rel=tol_rel, max_iter=max_iter,
                          safety=safety)
     chosen = solver if solver is not None else pfile.solver
@@ -457,6 +461,7 @@ def cmd_study(problem_path, grids: List[int], solver: Optional[str] = None) -> i
     rows = []
     for n_steps in grids:
         problem, generator = pfile.build(steps=n_steps)
+        problem = _with_symmetric_mode(problem)
         values = _run_solver(chosen, problem, generator, **settings).P.values
         stride = finest // n_steps
         diff = values - reference.values[::stride]
@@ -533,6 +538,7 @@ def cmd_lqr_demo(problem_path, x0: List[float], tol: Optional[float] = None,
     problem, generator = pfile.build()
     if generator is None:
         raise ValueError("lqr-demo needs a generator-driven problem")
+    problem = _with_symmetric_mode(problem)
     if not problem.symmetric_mode:
         raise ValueError("lqr-demo needs a problem satisfying the symmetric hypotheses")
     bu = pfile.b_factor

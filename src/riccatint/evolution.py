@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
@@ -118,6 +119,13 @@ class OperatorFunction:
         return cls(grid, values, mids)
 
     @classmethod
+    def from_sampler(cls, grid: TimeGrid,
+                     sample: Callable[[np.ndarray], np.ndarray]) -> "OperatorFunction":
+        """Sample from whole time arrays: ``sample(ts)`` returns one matrix per
+        time, so the nodes and the midpoints cost one call each."""
+        return cls(grid, sample(grid.nodes()), sample(grid.midpoints()))
+
+    @classmethod
     def constant(cls, grid: TimeGrid, mat, midpoints: bool = True) -> "OperatorFunction":
         mat = np.atleast_2d(np.asarray(mat, dtype=float))
         values = np.broadcast_to(mat, (grid.num_nodes,) + mat.shape)
@@ -155,16 +163,16 @@ class OperatorFunction:
         return float(np.linalg.svd(diff, compute_uv=False).max(initial=0.0))
 
 
-def _certified_product_bound(steps: np.ndarray) -> float:
-    """Upper bound on sup over grid pairs of ||U_{t,s}||.
+def _certified_product_bound(step_norms: np.ndarray) -> float:
+    """Upper bound on sup over grid pairs of ||U_{t,s}||, from the step norms.
 
     Uses submultiplicativity: ||S_{i-1} ... S_j|| <= prod ||S_k||, maximised
     over contiguous index runs (empty run included, giving the identity's
     norm 1).  This dominates every actual pair norm.
     """
-    if steps.shape[0] == 0:
+    if step_norms.shape[0] == 0:
         return 1.0
-    lognorms = np.log(np.maximum(np.linalg.svd(steps, compute_uv=False).max(axis=1), 1e-300))
+    lognorms = np.log(np.maximum(step_norms, 1e-300))
     best = 0.0
     cur = 0.0
     for v in lognorms:
@@ -178,14 +186,17 @@ class EvolutionFamily:
     """Two-parameter family of matrices stored by one-step propagators.
 
     For a forward family ``steps[i]`` maps node i to node i+1; for a backward
-    family it maps node i+1 to node i.  ``bound`` is a certified upper bound
-    on the spectral norm over all grid pairs (always >= 1).
+    family it maps node i+1 to node i.  ``step_norms`` (the spectral norm of
+    each step) and ``bound`` (a certified upper bound on the spectral norm
+    over all grid pairs, always >= 1) are computed on first use.  An adjoint
+    dual (``adjoint_of`` set) takes both from its forward family, whose
+    transposed steps have the same norms.
     """
 
     grid: TimeGrid
     direction: str
     steps: np.ndarray
-    bound: float = field(default=None)  # type: ignore[assignment]
+    adjoint_of: Optional["EvolutionFamily"] = field(default=None, repr=False)
 
     def __post_init__(self):
         if self.direction not in ("forward", "backward"):
@@ -200,10 +211,20 @@ class EvolutionFamily:
         if not np.all(np.isfinite(steps)):
             raise ValueError("step propagators contain non-finite entries")
         object.__setattr__(self, "steps", _freeze(steps))
-        if self.bound is None:
-            object.__setattr__(self, "bound", _certified_product_bound(steps))
-        elif self.bound < 1.0:
-            raise ValueError("family bound must be >= 1")
+
+    @cached_property
+    def step_norms(self) -> np.ndarray:
+        if self.adjoint_of is not None:
+            return self.adjoint_of.step_norms
+        if self.steps.shape[0] == 0:
+            return _freeze(np.zeros(0))
+        return _freeze(np.linalg.svd(self.steps, compute_uv=False).max(axis=1))
+
+    @cached_property
+    def bound(self) -> float:
+        if self.adjoint_of is not None:
+            return self.adjoint_of.bound
+        return _certified_product_bound(self.step_norms)
 
     @property
     def dim(self) -> int:
@@ -277,7 +298,7 @@ def adjoint_backward_family(forward: EvolutionFamily) -> EvolutionFamily:
     if forward.direction != "forward":
         raise ValueError("adjoint duality is defined on forward families")
     steps = np.swapaxes(forward.steps, -1, -2)
-    return EvolutionFamily(forward.grid, "backward", steps, bound=forward.bound)
+    return EvolutionFamily(forward.grid, "backward", steps, adjoint_of=forward)
 
 
 def check_semigroup(family: EvolutionFamily, *,

@@ -171,7 +171,7 @@ def check_hypotheses(problem: RiccatiProblem, tol: float = 1e-10) -> HypothesisR
     g_asym, g_min, g_norm = _sym_stats(problem.G[None, :, :])
 
     first = None
-    step_scale = 1.0 + _node_opnorms(problem.U_forward.steps)
+    step_scale = 1.0 + problem.U_forward.step_norms
     bad = np.nonzero(duality_per_step > tol * step_scale)[0]
     if bad.size:
         first = ("duality", int(bad[0]))

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import settings
@@ -40,3 +42,61 @@ def flow_consistency_per_window(P, problem, t_index, tau_index):
                          problem.U_forward.steps[t_index:tau_index],
                          kernel, P.values[tau_index], problem.grid.h)
     return float(np.linalg.norm(P.values[t_index] - transported[0], 2))
+
+
+# Per-time builders and the one-SVD family bound, kept as references: the
+# whole-grid sampler and the cached step norms must reproduce them bitwise.
+
+def spec_callable_reference(spec, n):
+    """Scalar coefficient spec ``fn(t)``, one call per time."""
+    kind = spec["kind"]
+    if kind == "zero":
+        zero = np.zeros((n, n))
+        return lambda t: zero
+    if kind == "constant":
+        mat = np.asarray(spec["matrix"], dtype=float)
+        return lambda t: mat
+    if kind == "polynomial":
+        coeffs = [np.asarray(c, dtype=float) for c in spec["coefficients"]]
+
+        def poly(t):
+            acc = np.zeros_like(coeffs[0])
+            tk = 1.0
+            for c in coeffs:
+                acc = acc + tk * c
+                tk *= t
+            return acc
+
+        return poly
+    times = np.asarray(spec["times"], dtype=float)
+    mats = [np.asarray(m, dtype=float) for m in spec["matrices"]]
+
+    def piecewise(t):
+        j = int(np.searchsorted(times, t, side="right")) - 1
+        return mats[max(0, min(j, len(mats) - 1))]
+
+    return piecewise
+
+
+def sample_per_time(grid, fn):
+    """Node and midpoint samples of ``fn(t)``, one call per time."""
+    values = np.stack([np.atleast_2d(np.asarray(fn(t), dtype=float)) for t in grid.nodes()])
+    if grid.steps > 0:
+        mids = np.stack([np.atleast_2d(np.asarray(fn(t), dtype=float))
+                         for t in grid.midpoints()])
+    else:
+        mids = np.zeros((0,) + values.shape[1:])
+    return values, mids
+
+
+def certified_product_bound_reference(steps):
+    """Family bound from one SVD of the step stack."""
+    if steps.shape[0] == 0:
+        return 1.0
+    lognorms = np.log(np.maximum(np.linalg.svd(steps, compute_uv=False).max(axis=1), 1e-300))
+    best = 0.0
+    cur = 0.0
+    for v in lognorms:
+        cur = max(v, cur + v)
+        best = max(best, cur)
+    return float(math.exp(best))

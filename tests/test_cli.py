@@ -9,13 +9,16 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import riccatint.cli
+import riccatint.riccati
 from riccatint.cli import (EXIT_CHECK_FAILED, EXIT_HYPOTHESIS, EXIT_INVALID,
-                           EXIT_NO_CONVERGENCE, EXIT_OK, ProblemFile, cmd_check,
-                           cmd_lqr_demo, cmd_solve, cmd_study, main,
+                           EXIT_NO_CONVERGENCE, EXIT_OK, ProblemFile, _spec_sampler,
+                           cmd_check, cmd_lqr_demo, cmd_solve, cmd_study, main,
                            read_solution_csv, write_solution_csv)
-from riccatint.evolution import TimeGrid
+from riccatint.evolution import OperatorFunction, TimeGrid
 
-from conftest import flow_consistency_per_window
+from conftest import (flow_consistency_per_window, sample_per_time,
+                      spec_callable_reference)
 
 
 def tanh_doc(steps=2000, **overrides):
@@ -71,6 +74,31 @@ def test_coefficient_spec_kinds():
     problem, gen = ProblemFile.from_dict(doc).build()
     assert np.allclose(gen.values[:, 0, 0], [0.0, 0.25, 0.5, 0.75, 1.0])  # A(t) = t
     assert np.allclose(problem.C.values[:, 0, 0], [1.0, 1.0, 2.0, 2.0, 2.0])
+
+
+def _random_specs(n, rng):
+    mats = [rng.standard_normal((n, n)).tolist() for _ in range(4)]
+    return [
+        {"kind": "zero"},
+        {"kind": "constant", "matrix": mats[0]},
+        {"kind": "polynomial", "coefficients": mats},
+        {"kind": "piecewise", "times": [0.0, 0.25, 0.5, 0.875], "matrices": mats},
+    ]
+
+
+@pytest.mark.parametrize("n", [1, 3])
+@pytest.mark.parametrize("grid", [TimeGrid(1.0, 8), TimeGrid(2.7, 41), TimeGrid(0.0, 0)],
+                         ids=["breakpoint-nodes", "past-last-time", "zero-horizon"])
+def test_spec_sampler_equals_per_time_calls(n, grid):
+    for spec in _random_specs(n, np.random.default_rng(n)):
+        fun = OperatorFunction.from_sampler(grid, _spec_sampler(spec, n, "C"))
+        values, mids = sample_per_time(grid, spec_callable_reference(spec, n))
+        assert np.array_equal(fun.values, values)
+        assert np.array_equal(fun.midpoint_values, mids)
+        # on the piecewise breakpoints themselves, before 0 and past the last time
+        ts = np.array([-0.5, 0.0, 0.25, 0.5, 0.875, 0.9, 3.0])
+        ref = spec_callable_reference(spec, n)
+        assert np.array_equal(_spec_sampler(spec, n, "C")(ts), np.stack([ref(t) for t in ts]))
 
 
 def test_cmd_solve_tanh(tmp_path):
@@ -144,6 +172,23 @@ def test_csv_round_trip(tmp_path):
     with pytest.raises(ValueError, match="empty"):
         read_solution_csv(tmp_path / "p.csv", grid, 2)
 
+    # the first fault in row order is the one reported; in a row, the time first
+    rows = text.splitlines()
+    faults = [
+        ({3: "0.5,0,0,0,0", 6: "1,2"}, r"row 2 has t=0.5, expected 0.2857"),
+        ({3: "0.5,0,0,0,0", 7: "y,0,0,0,0"}, r"row 2 has t=0.5, expected 0.2857"),
+        ({3: "0.5,x,0,0,0"}, r"row 2 has t=0.5, expected 0.2857"),
+        ({4: "0.4285714285714285,x,0,0,0", 6: "0.5,0,0,0,0"}, "could not convert"),
+        ({6: "1,2"}, "row 5 has 2 columns, expected 5"),
+        ({7: "y,0,0,0,0"}, "could not convert"),
+        ({8: "2.0,0,0,0,0"}, r"row 7 has t=2.0, expected 1.0"),
+    ]
+    for edits, message in faults:
+        bad = [edits.get(k, row) for k, row in enumerate(rows)]
+        (tmp_path / "p.csv").write_text("\n".join(bad) + "\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=message):
+            read_solution_csv(tmp_path / "p.csv", grid, 2)
+
 
 def test_cmd_check_self_and_mismatch(tmp_path):
     path = write_doc(tmp_path / "tanh.json", tanh_doc(steps=500))
@@ -175,6 +220,70 @@ def test_cmd_check_flow_max_equals_per_window_loop(tmp_path, capsys):
     want = max(flow_consistency_per_window(p_fun, problem, min(a, b), max(a, b))
                for a, b in pairs)
     assert printed[1] == f"{want:.6e}"
+
+
+def _indefinite_doc(steps=20):
+    """A problem that violates C-nonnegativity; only the Picard solver takes it."""
+    return {
+        "dimension": 2, "horizon": 1.0, "steps": steps, "generator": {"kind": "zero"},
+        "C": {"kind": "constant", "matrix": [[1.0, 2.0], [2.0, 1.0]]},
+        "B": {"kind": "constant", "matrix": [[1.0, 0.0], [0.0, 1.0]]},
+        "G": [[0.0, 0.0], [0.0, 0.0]], "solver": "picard",
+    }
+
+
+def test_cmd_check_runs_no_hypothesis_check_or_family_svd(tmp_path, monkeypatch):
+    path = write_doc(tmp_path / "lin.json", tanh_doc(
+        steps=200, generator={"kind": "constant", "matrix": [[0.3]]}))
+    out = tmp_path / "out"
+    assert main(["solve", path, "--out", str(out)]) == EXIT_OK
+
+    hypothesis_calls = []
+    perturbed, svd_args = [], []
+    real_check, real_svd = riccatint.cli.check_hypotheses, np.linalg.svd
+
+    def record_family(perturb):
+        def wrapper(spec):
+            perturbed.append(perturb(spec))
+            return perturbed[-1]
+        return wrapper
+
+    def counted_check(*args, **kwargs):
+        hypothesis_calls.append(args)
+        return real_check(*args, **kwargs)
+
+    def recorded_svd(a, *args, **kwargs):
+        svd_args.append(a)
+        return real_svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(riccatint.cli, "check_hypotheses", counted_check)
+    monkeypatch.setattr(riccatint.riccati, "check_hypotheses", counted_check)
+    for name in ("perturb_forward", "perturb_backward"):
+        monkeypatch.setattr(riccatint.riccati, name,
+                            record_family(getattr(riccatint.riccati, name)))
+    monkeypatch.setattr(np.linalg, "svd", recorded_svd)
+    assert main(["check", path, str(out / "lin_P.csv")]) == EXIT_OK
+    assert hypothesis_calls == []
+    assert len(perturbed) == 3      # one-sided: -BP forward; two-sided: both
+    assert not any(a.shape == fam.steps.shape and np.array_equal(a, fam.steps)
+                   for fam in perturbed for a in svd_args)
+
+
+def test_symmetric_mode_recorded_by_solve_and_oracle(tmp_path):
+    for doc, symmetric in ((tanh_doc(steps=100), True), (_indefinite_doc(), False)):
+        path = write_doc(tmp_path / "problem.json", doc)
+        for command in ("solve", "oracle"):
+            out = tmp_path / f"{command}-{symmetric}"
+            assert main([command, path, "--out", str(out)]) == EXIT_OK
+            record = json.loads((out / "problem_run.json").read_text())
+            assert record["symmetric_mode"] is symmetric
+
+
+def test_cmd_check_of_hypothesis_violating_problem(tmp_path):
+    path = write_doc(tmp_path / "bad.json", _indefinite_doc())
+    out = tmp_path / "out"
+    assert main(["solve", path, "--out", str(out)]) == EXIT_OK
+    assert main(["check", path, str(out / "bad_P.csv")]) == EXIT_OK
 
 
 def test_cmd_check_oracle_output(tmp_path):

@@ -9,6 +9,8 @@ from riccatint.evolution import (EvolutionFamily, OperatorFunction, TimeGrid,
                                  adjoint_backward_family, build_forward_family,
                                  check_semigroup, propagate_step)
 
+from conftest import certified_product_bound_reference
+
 
 def test_time_grid_nodes():
     grid = TimeGrid(2.0, 4)
@@ -179,3 +181,37 @@ def test_zero_horizon_family():
     assert np.array_equal(fam.value(0, 0), np.eye(2))
     assert fam.bound == 1.0
     assert check_semigroup(fam) == 0.0
+
+
+def _reference_generators():
+    """Generators covering n = 1, n > 1, some zero midpoints and a zero horizon."""
+    rng = np.random.default_rng(7)
+    a3 = rng.standard_normal((3, 3))
+    grid = TimeGrid(1.3, 40)
+    yield OperatorFunction.from_callable(grid, lambda t: (1.0 + t) * a3)
+    yield OperatorFunction.from_callable(grid, lambda t: [[np.sin(5.0 * t)]])
+    yield OperatorFunction.from_callable(grid, lambda t: (t > 0.6) * a3)    # zero, then not
+    yield OperatorFunction.from_callable(grid, lambda t: [[(t < 0.4) * -0.7]])
+    yield OperatorFunction.zero(grid, 2)
+    yield OperatorFunction.zero(TimeGrid(0.0, 0), 3)
+    yield OperatorFunction.constant(TimeGrid(0.0, 0), [[2.0]])
+
+
+def test_step_norms_and_bound_equal_one_svd_of_the_steps():
+    for gen in _reference_generators():
+        fam = build_forward_family(gen)
+        want = (np.linalg.svd(fam.steps, compute_uv=False).max(axis=1)
+                if gen.grid.steps else np.zeros(0))
+        assert np.array_equal(fam.step_norms, want)
+        assert fam.bound == certified_product_bound_reference(fam.steps)
+
+
+def test_step_norms_are_computed_on_first_use():
+    gen = next(_reference_generators())
+    fwd = build_forward_family(gen)
+    bwd = adjoint_backward_family(fwd)
+    # cached_property keeps its value in the instance dict once computed
+    assert not {"step_norms", "bound"} & (fwd.__dict__.keys() | bwd.__dict__.keys())
+    assert bwd.bound == fwd.bound
+    assert bwd.step_norms is fwd.step_norms
+    assert {"step_norms", "bound"} <= fwd.__dict__.keys()
