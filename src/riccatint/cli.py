@@ -28,7 +28,7 @@ import numpy as np
 from . import __version__
 from .evolution import (EvolutionFamily, OperatorFunction, TimeGrid,
                         adjoint_backward_family, build_forward_family)
-from .linops import quadratic_form
+from .linops import quadratic_form, sup_opnorm
 from .oracle import solve_differential_riccati
 from .riccati import (HypothesisViolation, RiccatiProblem, RiccatiSolution,
                       check_hypotheses, flow_consistency,
@@ -271,10 +271,9 @@ class ProblemFile:
 
 
 def _with_symmetric_mode(problem: RiccatiProblem) -> RiccatiProblem:
-    """The problem in symmetric mode when it passes the hypothesis check."""
-    if check_hypotheses(problem).passed:
-        return dataclasses.replace(problem, symmetric_mode=True)
-    return problem
+    """The problem in symmetric mode when it passes the hypothesis check.  The
+    report goes with it, so the monotone solver does not run the check again."""
+    return problem.with_hypotheses(check_hypotheses(problem))
 
 
 def _csv_header(n_rows: int, n_cols: int) -> str:
@@ -464,8 +463,7 @@ def cmd_study(problem_path, grids: List[int], solver: Optional[str] = None) -> i
         problem = _with_symmetric_mode(problem)
         values = _run_solver(chosen, problem, generator, **settings).P.values
         stride = finest // n_steps
-        diff = values - reference.values[::stride]
-        err = float(np.linalg.svd(diff, compute_uv=False).max())
+        err = sup_opnorm(values - reference.values[::stride])
         rows.append((n_steps, problem.grid.h, err))
 
     print(f"{'N':>8} {'h':>12} {'sup_error':>14}")

@@ -21,6 +21,8 @@ from typing import Callable, Optional
 import numpy as np
 import scipy.linalg
 
+from .linops import node_opnorms, sup_opnorm
+
 __all__ = [
     "TimeGrid",
     "OperatorFunction",
@@ -152,15 +154,13 @@ class OperatorFunction:
 
     def sup_norm(self) -> float:
         """max over nodes of the spectral norm."""
-        svals = np.linalg.svd(self.values, compute_uv=False)
-        return float(svals.max(initial=0.0))
+        return sup_opnorm(self.values)
 
     def symmetry_defect(self) -> float:
         """max over nodes of ||V - V^T|| (spectral norm); requires square samples."""
         if self.shape[0] != self.shape[1]:
             raise ValueError("symmetry defect needs square samples")
-        diff = self.values - np.swapaxes(self.values, -1, -2)
-        return float(np.linalg.svd(diff, compute_uv=False).max(initial=0.0))
+        return sup_opnorm(self.values - np.swapaxes(self.values, -1, -2))
 
 
 def _certified_product_bound(step_norms: np.ndarray) -> float:
@@ -216,9 +216,7 @@ class EvolutionFamily:
     def step_norms(self) -> np.ndarray:
         if self.adjoint_of is not None:
             return self.adjoint_of.step_norms
-        if self.steps.shape[0] == 0:
-            return _freeze(np.zeros(0))
-        return _freeze(np.linalg.svd(self.steps, compute_uv=False).max(axis=1))
+        return _freeze(node_opnorms(self.steps))
 
     @cached_property
     def bound(self) -> float:

@@ -5,10 +5,13 @@ adjoint is the transpose.  Symmetry and nonnegativity predicates use the
 relative tolerance tol * (1 + ||M||) so that they behave uniformly on badly
 scaled inputs, and eigenvalue queries always go through the symmetrized part
 (M + M^T)/2 to avoid being poisoned by roundoff asymmetry.
+
+:func:`sup_opnorm` and :func:`node_opnorms` are the only SVDs of the package.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,7 +27,9 @@ __all__ = [
     "symmetry_report",
     "symmetrize",
     "min_eigenvalue",
+    "node_opnorms",
     "require_matrix",
+    "sup_opnorm",
 ]
 
 
@@ -53,6 +58,50 @@ def adjoint(mat) -> np.ndarray:
 def op_norm(mat) -> float:
     """Spectral norm (largest singular value)."""
     return float(np.linalg.norm(require_matrix(mat), 2))
+
+
+def node_opnorms(values: np.ndarray) -> np.ndarray:
+    """Spectral norm of every matrix of a stack (zeros(0) for an empty stack)."""
+    if values.shape[0] == 0:
+        return np.zeros(0)
+    return np.linalg.svd(values, compute_uv=False).max(axis=1)
+
+
+def _opnorm_bounds(stack: np.ndarray) -> np.ndarray:
+    """||(A^T A)^2||_F^(1/4) = (sum sigma^8)^(1/8) >= sigma_max(A) for every A of a stack."""
+    gram = np.swapaxes(stack, -1, -2) @ stack
+    square = gram @ gram
+    return np.einsum("nij,nij->n", square, square) ** 0.125
+
+
+def sup_opnorm(values) -> float:
+    """Max over a stack of matrices of the spectral norm; 0.0 for an empty stack.
+
+    Bitwise equal to ``float(np.linalg.svd(values, compute_uv=False).max(initial=0.0))``,
+    but only the nodes whose bound reaches the norm of the node with the largest
+    bound are decomposed; LAPACK runs on each matrix on its own, so a node's
+    norm is the same in any batch.  Bounds are taken on the stack scaled by a
+    power of two (exact, free of under- and overflow), an eighth at a time to
+    keep their temporaries small.  Non-finite entries take the full SVD.
+    """
+    values = np.asarray(values, dtype=float)
+    if values.size == 0:
+        return 0.0
+    stack = values.reshape((-1,) + values.shape[-2:])
+    top = float(max(stack.max(), -stack.min()))
+    if not math.isfinite(top):
+        return float(np.linalg.svd(stack, compute_uv=False).max(initial=0.0))
+    if top == 0.0:
+        return 0.0
+    exponent = math.frexp(top)[1]               # scaled entries in (-1, 1)
+    bounds = np.concatenate([_opnorm_bounds(np.ldexp(part, -exponent))
+                             for part in np.array_split(stack, 8)])
+    k = int(np.argmax(bounds))
+    floor = float(np.linalg.svd(stack[k], compute_uv=False).max())
+    candidates = bounds * (1.0 + 1e-8) >= math.ldexp(floor, -exponent)
+    candidates[k] = False
+    rest = np.linalg.svd(stack[candidates], compute_uv=False).max(initial=0.0)
+    return max(floor, float(rest))
 
 
 def symmetrize(values: np.ndarray) -> np.ndarray:

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .evolution import OperatorFunction, TimeGrid
-from .linops import symmetrize
+from .linops import sup_opnorm, symmetrize
 
 __all__ = ["OdeSolveReport", "solve_differential_riccati", "compare"]
 
@@ -99,5 +99,4 @@ def compare(P: OperatorFunction, report: OdeSolveReport) -> float:
         raise ValueError("grids do not match")
     if P.shape != oracle_p.shape:
         raise ValueError("shapes do not match")
-    diff = P.values - oracle_p.values
-    return float(np.linalg.svd(diff, compute_uv=False).max(initial=0.0))
+    return sup_opnorm(P.values - oracle_p.values)

@@ -23,13 +23,14 @@ equation and its perturbed-family representations.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import List, Optional, Union
 
 import numpy as np
 
 from .evolution import EvolutionFamily, OperatorFunction, adjoint_backward_family
-from .linops import symmetrize
+from .linops import node_opnorms, sup_opnorm, symmetrize
 from .lyapunov import ConvergenceError, _march, _window_defects
 from .volterra import PerturbationSpec, perturb_backward, perturb_forward
 
@@ -54,6 +55,9 @@ __all__ = [
 ]
 
 
+_HYPOTHESIS_TOL = 1e-10
+
+
 class HypothesisViolation(ValueError):
     """A hypothesis of the symmetric setting (symmetry, nonnegativity, duality) failed."""
 
@@ -61,18 +65,6 @@ class HypothesisViolation(ValueError):
         super().__init__(message)
         self.kind = kind
         self.node = node
-
-
-def _max_opnorm(values: np.ndarray) -> float:
-    if values.size == 0:
-        return 0.0
-    return float(np.linalg.svd(values, compute_uv=False).max())
-
-
-def _node_opnorms(values: np.ndarray) -> np.ndarray:
-    if values.shape[0] == 0:
-        return np.zeros(0)
-    return np.linalg.svd(values, compute_uv=False).max(axis=1)
 
 
 @dataclass(frozen=True)
@@ -124,6 +116,20 @@ class RiccatiProblem:
     def grid(self):
         return self.U_forward.grid
 
+    @cached_property
+    def hypotheses(self) -> "HypothesisReport":
+        """``check_hypotheses(self)`` at the default tolerance: run on first use,
+        or handed in by :meth:`with_hypotheses`."""
+        return check_hypotheses(self)
+
+    def with_hypotheses(self, report: "HypothesisReport") -> "RiccatiProblem":
+        """A copy in symmetric mode when ``report`` passed, keeping ``report`` as
+        its ``hypotheses``.  ``report`` must be ``check_hypotheses(self)``; the
+        check does not read ``symmetric_mode``, so it holds for the copy too."""
+        checked = replace(self, symmetric_mode=self.symmetric_mode or report.passed)
+        checked.__dict__["hypotheses"] = report
+        return checked
+
     def kernel(self, p_values: np.ndarray) -> np.ndarray:
         """C - P B P sampled on the nodes."""
         return self.C.values - p_values @ self.B.values @ p_values
@@ -146,12 +152,12 @@ class HypothesisReport:
 
 def _sym_stats(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per-node (asymmetry, min eigenvalue of symmetric part, norm)."""
-    asym = _node_opnorms(values - np.swapaxes(values, -1, -2))
+    asym = node_opnorms(values - np.swapaxes(values, -1, -2))
     eigs = np.linalg.eigvalsh(symmetrize(values))
     return asym, eigs[:, 0], np.abs(eigs).max(axis=1)
 
 
-def check_hypotheses(problem: RiccatiProblem, tol: float = 1e-10) -> HypothesisReport:
+def check_hypotheses(problem: RiccatiProblem, tol: float = _HYPOTHESIS_TOL) -> HypothesisReport:
     """Verify adjoint duality of the families and symmetry/PSD of C, B, G.
 
     Duality is checked step by step: equality of every backward step with the
@@ -163,7 +169,7 @@ def check_hypotheses(problem: RiccatiProblem, tol: float = 1e-10) -> HypothesisR
                                 -math.inf, math.inf, -math.inf,
                                 first_violation=("dimension", -1))
     duality = problem.U_backward.steps - np.swapaxes(problem.U_forward.steps, -1, -2)
-    duality_per_step = _node_opnorms(duality)
+    duality_per_step = node_opnorms(duality)
     duality_defect = float(duality_per_step.max(initial=0.0))
 
     c_asym, c_min, c_norm = _sym_stats(problem.C.values)
@@ -208,7 +214,7 @@ def riccati_residual(P: OperatorFunction, problem: RiccatiProblem) -> float:
         raise ValueError("P must be sampled on the problem grid")
     transported = _march(problem.U_backward.steps, problem.U_forward.steps,
                          problem.kernel(P.values), problem.G, problem.grid.h)
-    return _max_opnorm(P.values - transported)
+    return sup_opnorm(P.values - transported)
 
 
 def flow_consistency(P: OperatorFunction, problem: RiccatiProblem,
@@ -268,7 +274,7 @@ def representation_check_one_sided(P: OperatorFunction, problem: RiccatiProblem)
     psi = _psi_forward(problem, P.values)
     transported = _march(problem.U_backward.steps, psi.steps,
                          problem.C.values, problem.G, problem.grid.h)
-    return _max_opnorm(P.values - transported)
+    return sup_opnorm(P.values - transported)
 
 
 def representation_check_two_sided(P: OperatorFunction, problem: RiccatiProblem) -> float:
@@ -280,12 +286,14 @@ def representation_check_two_sided(P: OperatorFunction, problem: RiccatiProblem)
     kernel = problem.C.values + P.values @ problem.B.values @ P.values
     transported = _march(psi_bwd.steps, psi_fwd.steps, kernel,
                          problem.G, problem.grid.h)
-    return _max_opnorm(P.values - transported)
+    return sup_opnorm(P.values - transported)
 
 
-def _require_hypotheses(problem: RiccatiProblem, tol: float = 1e-10) -> None:
-    """Raise the first failing hypothesis; "mode" only when all of them pass."""
-    report = check_hypotheses(problem, tol)
+def _require_hypotheses(problem: RiccatiProblem, tol: float = _HYPOTHESIS_TOL) -> None:
+    """Raise the first failing hypothesis; "mode" only when all of them pass.
+    At the default tolerance the problem's cached ``hypotheses`` are read."""
+    report = (problem.hypotheses if tol == _HYPOTHESIS_TOL
+              else check_hypotheses(problem, tol))
     if not report.passed:
         kind, node = report.first_violation
         raise HypothesisViolation(kind, node, f"hypothesis {kind} fails at node {node}")
@@ -301,12 +309,12 @@ def _monotone_step_core(p_values: np.ndarray, problem: RiccatiProblem
     kernel = problem.C.values + p_values @ problem.B.values @ p_values
     raw = _march(problem.U_backward.steps, problem.U_forward.steps,
                  kernel, problem.G, problem.grid.h, q1=q1, q2=q2)
-    defect = _max_opnorm(raw - np.swapaxes(raw, -1, -2))
+    defect = sup_opnorm(raw - np.swapaxes(raw, -1, -2))
     return symmetrize(raw), defect
 
 
 def monotone_step(P_n: OperatorFunction, problem: RiccatiProblem,
-                  tol: float = 1e-10) -> OperatorFunction:
+                  tol: float = _HYPOTHESIS_TOL) -> OperatorFunction:
     """One step of the monotone scheme: solve the equation linearized at P_n.
 
     The quadratic kernel is replaced by its linearization
@@ -531,14 +539,14 @@ def _picard_window(problem: RiccatiProblem, terminal: np.ndarray, idx: int,
     ball_slack = 1e-9 * (1.0 + params.rho)
 
     cur = _march(left, right, ker_c, terminal, h)
-    sup_norm = _max_opnorm(cur)
+    sup_norm = sup_opnorm(cur)
     updates: List[float] = []
     for k in range(max_inner):
         kernel = ker_c - cur @ b_sub @ cur
         new = _march(left, right, kernel, terminal, h)
-        update = _max_opnorm(new - cur)
+        update = sup_opnorm(new - cur)
         cur = new
-        norm = _max_opnorm(cur)
+        norm = sup_opnorm(cur)
         sup_norm = max(sup_norm, norm)
         updates.append(update)
         if norm > params.rho + ball_slack:
@@ -573,8 +581,8 @@ def solve_picard_stepped(problem: RiccatiProblem, tol_abs: float = 1e-10,
         return RiccatiSolution(P=p_final, iterations=0, sup_differences=[],
                                residual=riccati_residual(p_final, problem),
                                intervals=[])
-    r_c = _max_opnorm(problem.C.values)
-    r_b = _max_opnorm(problem.B.values)
+    r_c = sup_opnorm(problem.C.values)
+    r_b = sup_opnorm(problem.B.values)
     values = np.empty((grid.num_nodes, problem.U_backward.dim, problem.U_forward.dim))
     values[grid.steps] = problem.G
     certificates: List[IntervalCertificate] = []

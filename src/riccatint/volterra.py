@@ -236,8 +236,7 @@ def continuous_dependence_gap(base: EvolutionFamily, Q_seq: Sequence[OperatorFun
     limit_vectors = _family_apply_sweep(limit_family, s_index, vec)
 
     m_u = base.bound
-    norms = [float(np.linalg.svd(q.values, compute_uv=False).max(initial=0.0))
-             for q in list(Q_seq) + [Q_limit]]
+    norms = [q.sup_norm() for q in list(Q_seq) + [Q_limit]]
     m_q = max(norms) if norms else 0.0
     bound = GronwallBound(M_U=max(1.0, m_u), M_Q=m_q)
 

@@ -100,3 +100,9 @@ def certified_product_bound_reference(steps):
         cur = max(v, cur + v)
         best = max(best, cur)
     return float(math.exp(best))
+
+
+def sup_opnorm_reference(values):
+    """Max over a stack of the spectral norm from one SVD of the whole stack
+    (the code each call site of ``linops.sup_opnorm`` had)."""
+    return float(np.linalg.svd(values, compute_uv=False).max(initial=0.0))

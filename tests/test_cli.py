@@ -269,6 +269,28 @@ def test_cmd_check_runs_no_hypothesis_check_or_family_svd(tmp_path, monkeypatch)
                    for fam in perturbed for a in svd_args)
 
 
+def test_cmd_solve_monotone_runs_one_hypothesis_check(tmp_path, monkeypatch):
+    calls = []
+    real_check = riccatint.riccati.check_hypotheses
+
+    def counted_check(*args, **kwargs):
+        calls.append(args)
+        return real_check(*args, **kwargs)
+
+    monkeypatch.setattr(riccatint.cli, "check_hypotheses", counted_check)
+    monkeypatch.setattr(riccatint.riccati, "check_hypotheses", counted_check)
+    good = write_doc(tmp_path / "tanh.json", tanh_doc(steps=100))
+    bad = write_doc(tmp_path / "bad.json", _indefinite_doc())
+    out = str(tmp_path / "out")
+    runs = ((["solve", good, "--solver", "monotone", "--out", out], EXIT_OK),
+            (["solve", bad, "--solver", "monotone", "--out", out], EXIT_HYPOTHESIS),
+            (["lqr-demo", good, "--x0", "1.0"], EXIT_OK))
+    for argv, code in runs:
+        calls.clear()
+        assert main(argv) == code
+        assert len(calls) == 1, argv
+
+
 def test_symmetric_mode_recorded_by_solve_and_oracle(tmp_path):
     for doc, symmetric in ((tanh_doc(steps=100), True), (_indefinite_doc(), False)):
         path = write_doc(tmp_path / "problem.json", doc)

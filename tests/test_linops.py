@@ -1,12 +1,19 @@
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from riccatint.linops import (adjoint, is_nonnegative, is_self_adjoint,
                               loewner_leq, min_eigenvalue, op_norm,
-                              quadratic_form, symmetry_report)
+                              quadratic_form, sup_opnorm, symmetry_report)
 
-from conftest import brute_force_matmul
+from conftest import brute_force_matmul, sup_opnorm_reference
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "riccatint"
 
 
 def test_adjoint_transposes():
@@ -156,3 +163,86 @@ def test_symmetry_report():
     assert_allclose(rep.min_eigenvalue, -1.0, atol=1e-12)
     rep2 = symmetry_report(np.array([[0.0, 1.0], [0.0, 0.0]]))
     assert not rep2.symmetric
+
+
+# ---------------------------------------------------------------- sup norm of a stack
+
+_SHAPES = [(n, n) for n in (1, 2, 3, 8, 32)] + [(1, 4), (4, 1), (2, 5), (8, 3), (3, 32)]
+_KINDS = ("random", "zero", "identical", "dominant", "rank-one", "near-tie",
+          "rank-one-near-tie", "permuted", "rank-one-permuted", "flat-and-spike")
+
+
+def _stack(kind, nodes, shape, seed):
+    """A stack of ``nodes`` matrices of one structure, with entries of order 1.
+
+    Near ties (factors within 1e-12 of 1) and signed row and column
+    permutations of one matrix (equal norms, each computed its own way) test
+    the margin of the bound; flat spectra next to a slightly larger rank-one
+    spike, whose bound is smaller, test the power of the bound.
+    """
+    rng = np.random.default_rng(seed)
+    rows, cols = shape
+    if kind == "zero" or nodes == 0:
+        return np.zeros((nodes, rows, cols))
+    if kind == "flat-and-spike":
+        stack = np.linalg.qr(rng.standard_normal((nodes, max(shape), min(shape))))[0]
+        stack = stack if rows >= cols else np.swapaxes(stack, -1, -2)
+        for i in range(1, nodes, 2):
+            stack[i] = 0.0
+            stack[i, rng.integers(rows), rng.integers(cols)] = 1.0 + 0.05 * rng.random()
+        return stack
+    if kind.startswith("rank-one"):
+        base = rng.standard_normal((nodes, rows, 1)) @ rng.standard_normal((nodes, 1, cols))
+    else:
+        base = rng.standard_normal((nodes, rows, cols))
+    if kind == "identical":
+        return np.repeat(base[:1], nodes, axis=0)
+    if kind == "dominant":
+        base *= 1e-3
+        base[rng.integers(nodes)] *= 1e3
+    if kind.endswith("near-tie"):
+        return base[:1] * (1.0 + 1e-12 * rng.uniform(-1.0, 1.0, (nodes, 1, 1)))
+    if kind.endswith("permuted"):
+        signs = rng.choice([-1.0, 1.0], (nodes, rows, 1))
+        return np.stack([(sign * base[0][rng.permutation(rows)])[:, rng.permutation(cols)]
+                         for sign in signs])
+    return base
+
+
+@settings(max_examples=400)
+@given(nodes=st.integers(0, 40), shape=st.sampled_from(_SHAPES),
+       kind=st.sampled_from(_KINDS),
+       exponent=st.one_of(st.integers(-150, 150), st.just(200)),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_sup_opnorm_bitwise_equals_full_svd(nodes, shape, kind, exponent, seed):
+    stack = _stack(kind, nodes, shape, seed) * 10.0 ** exponent
+    assert sup_opnorm(stack) == sup_opnorm_reference(stack)
+
+
+def test_sup_opnorm_small_and_single_stacks(rng):
+    for stack in (np.zeros((0, 3, 3)), np.zeros((0, 2, 5)), np.zeros((4, 3, 3)),
+                  rng.standard_normal((1, 3, 3)), rng.standard_normal((3, 4)),
+                  np.full((2, 2, 2), 1e200), rng.standard_normal((2, 3, 2, 2))):
+        assert sup_opnorm(stack) == sup_opnorm_reference(stack)
+    assert sup_opnorm(np.zeros((0, 3, 3))) == 0.0
+
+
+def test_sup_opnorm_non_finite_entries_behave_as_full_svd(rng):
+    stack = rng.standard_normal((5, 3, 3))
+    stack[2, 1, 0] = np.nan
+    for norm in (sup_opnorm_reference, sup_opnorm):
+        with pytest.raises(np.linalg.LinAlgError):
+            norm(stack)
+    for bad in (np.inf, -np.inf):
+        stack[2, 1, 0] = bad
+        assert np.isnan(sup_opnorm_reference(stack))
+        assert np.isnan(sup_opnorm(stack))
+
+
+def test_only_linops_calls_the_svd():
+    """One norm helper: every SVD of the package goes through linops."""
+    offenders = [f"{path.name}:{number}: {line.strip()}"
+                 for path in sorted(SRC.glob("*.py")) if path.name != "linops.py"
+                 for number, line in enumerate(path.read_text().splitlines(), 1)
+                 if re.search(r"\bsvd\b", line)]
+    assert offenders == []

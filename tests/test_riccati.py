@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -19,7 +20,7 @@ from riccatint.riccati import (ContractionParams, ConvergenceError,
 from riccatint.testing import (inverse_linear_problem, random_symmetric_problem,
                                tanh_problem)
 
-from conftest import flow_consistency_per_window
+from conftest import flow_consistency_per_window, sup_opnorm_reference
 
 
 def _exact_tanh(problem):
@@ -112,6 +113,82 @@ def test_monotone_requires_symmetric_mode():
         with pytest.raises(HypothesisViolation) as err:
             run()
         assert (err.value.kind, err.value.node) == ("C-nonnegativity", 0)
+
+
+def test_hypothesis_check_runs_once_per_problem(monkeypatch):
+    problem, _ = tanh_problem(20)
+    indefinite = RiccatiProblem(problem.U_forward, problem.U_backward,
+                                OperatorFunction.constant(problem.grid, [[-1.0]]),
+                                problem.B, problem.G, symmetric_mode=False)
+    expected = {}
+    for name, prob in (("tanh", problem), ("indefinite", indefinite)):
+        with pytest.raises(HypothesisViolation) as err:
+            solve_monotone(dataclasses.replace(prob, symmetric_mode=False))
+        expected[name] = (err.value.kind, err.value.node)
+    assert expected == {"tanh": ("mode", -1), "indefinite": ("C-nonnegativity", 0)}
+
+    calls = []
+    real_check = riccati.check_hypotheses
+
+    def counted_check(*args, **kwargs):
+        calls.append(args)
+        return real_check(*args, **kwargs)
+
+    monkeypatch.setattr(riccati, "check_hypotheses", counted_check)
+    # the report handed in by with_hypotheses is the one the solver reads
+    checked = indefinite.with_hypotheses(riccati.check_hypotheses(indefinite))
+    assert not checked.symmetric_mode and len(calls) == 1
+    zero = OperatorFunction.zero(problem.grid, 1)
+    for run in (lambda: solve_monotone(checked), lambda: monotone_step(zero, checked),
+                lambda: monotone_step(zero, checked)):
+        with pytest.raises(HypothesisViolation) as err:
+            run()
+        assert (err.value.kind, err.value.node) == expected["indefinite"]
+    assert len(calls) == 1
+    # a problem checks itself once, however often it is solved or stepped
+    fresh = dataclasses.replace(problem)
+    solve_monotone(fresh)
+    monotone_step(zero, fresh)
+    assert len(calls) == 2
+    # another tolerance runs its own check
+    monotone_step(zero, fresh, tol=1e-8)
+    assert len(calls) == 3
+    symmetric = problem.with_hypotheses(riccati.check_hypotheses(problem))
+    assert symmetric.symmetric_mode and symmetric.hypotheses.passed
+
+
+@pytest.mark.parametrize("solver", ["picard", "monotone"])
+def test_solvers_bitwise_unchanged_by_the_candidate_svd(solver, monkeypatch):
+    """linops.sup_opnorm equals one SVD of the whole stack, so a solve gives the
+    same solution, records and counts with either."""
+    sym, _ = random_symmetric_problem(5, 3, 300)
+    if solver == "picard":
+        other, _ = random_symmetric_problem(6, 3, 300)
+        problem = RiccatiProblem(sym.U_forward, adjoint_backward_family(other.U_forward),
+                                 other.C, sym.B, sym.G)
+        run = solve_picard_stepped
+    else:
+        problem, run = sym, solve_monotone
+    fast = run(problem)
+    reference_calls = []
+
+    def reference(values):
+        reference_calls.append(values.shape)
+        return sup_opnorm_reference(values)
+
+    monkeypatch.setattr(riccati, "sup_opnorm", reference)
+    slow = run(problem)
+    assert reference_calls
+    assert np.array_equal(fast.P.values, slow.P.values)
+    assert fast.sup_differences == slow.sup_differences
+    assert fast.residual == slow.residual
+    assert fast.iterations == slow.iterations
+    assert fast.invariant_report == slow.invariant_report
+    if solver == "picard":
+        assert len(fast.intervals) > 1
+        assert fast.intervals == slow.intervals   # windows, sweeps, updates, norms
+    else:
+        assert len(fast.invariant_report) > 1
 
 
 # ---------------------------------------------------------------- residuals
