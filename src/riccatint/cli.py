@@ -17,6 +17,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import operator
 import sys
 import time
 from dataclasses import dataclass
@@ -31,7 +32,7 @@ from .evolution import (EvolutionFamily, OperatorFunction, TimeGrid,
 from .linops import quadratic_form, sup_opnorm
 from .oracle import solve_differential_riccati
 from .riccati import (HypothesisViolation, RiccatiProblem, RiccatiSolution,
-                      check_hypotheses, flow_consistency,
+                      _require_hypotheses, check_hypotheses, flow_consistency,
                       representation_check_one_sided,
                       representation_check_two_sided, riccati_residual,
                       solve_monotone, solve_picard_stepped)
@@ -97,10 +98,10 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _threshold(text: str) -> float:
+def _nonnegative(text: str) -> float:
     value = float(text)
     if not (math.isfinite(value) and value >= 0.0):
-        raise ValueError(f"expected a finite threshold >= 0, got {text!r}")
+        raise ValueError(f"expected a finite value >= 0, got {text!r}")
     return value
 
 
@@ -172,7 +173,8 @@ def _propagator_table(table, steps: int, n: int) -> np.ndarray:
 def _tolerances(table) -> dict:
     table = _as_object(table, "tolerances")
     return {key: _field(table, key, kind)
-            for key, kind in (("tol_abs", float), ("tol_rel", float), ("max_iter", int))
+            for key, kind in (("tol_abs", _nonnegative), ("tol_rel", _nonnegative),
+                              ("max_iter", _positive_int))
             if key in table}
 
 
@@ -280,15 +282,44 @@ def _csv_header(n_rows: int, n_cols: int) -> str:
     return "t," + ",".join(f"p{r}_{c}" for r in range(n_rows) for c in range(n_cols))
 
 
+def _mirror_columns(n: int) -> tuple[list, list]:
+    """For a CSV row of ``t`` and an n x n block in row-major order: the
+    columns of ``t`` and the block's upper triangle (diagonal included), and
+    for every column of the row the position in that list of the column that
+    holds the same entry when the block is symmetric."""
+    upper = [0] + [1 + i * n + j for i in range(n) for j in range(i, n)]
+    slot = {col: k for k, col in enumerate(upper)}
+    return upper, [0] + [slot[1 + min(i, j) * n + max(i, j)]
+                         for i in range(n) for j in range(n)]
+
+
 def write_solution_csv(path, grid: TimeGrid, values: np.ndarray) -> None:
+    """Row-major CSV of ``values`` at ``repr`` precision.  A node whose block
+    is bitwise symmetric formats its upper triangle only and copies the text
+    to the mirrored entries: the same bytes for half the ``repr`` calls."""
     table = np.column_stack([grid.nodes(), values.reshape(grid.num_nodes, -1)])
+    n_rows, n_cols = values.shape[1], values.shape[2]
+    symmetric = np.zeros(grid.num_nodes, dtype=bool)
+    if n_rows == n_cols > 1:
+        # bits, not floats: -0.0 against 0.0 or two NaN payloads are unequal
+        bits = np.asarray(values, dtype=float).view(np.int64)
+        symmetric = (bits == np.swapaxes(bits, 1, 2)).all(axis=(1, 2))
+        upper, mirror = _mirror_columns(n_rows)
+        mirrored = operator.itemgetter(*mirror)
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(_csv_header(values.shape[1], values.shape[2]) + "\n")
-        for row in table:       # row by row: the text of the whole table is never held
-            fh.write(",".join(map(repr, row.tolist())) + "\n")
+        fh.write(_csv_header(n_rows, n_cols) + "\n")
+        for row, sym in zip(table, symmetric):    # the whole text is never held
+            if sym:
+                fh.write(",".join(mirrored(list(map(repr, row[upper].tolist())))) + "\n")
+            else:
+                fh.write(",".join(map(repr, row.tolist())) + "\n")
 
 
 def read_solution_csv(path, grid: TimeGrid, n: int) -> OperatorFunction:
+    """Parse a CSV that ``write_solution_csv`` wrote.  A row whose mirrored
+    tokens are equal strings parses its upper triangle only.  The first bad
+    token of such a row in row-major order lies there, so the errors and
+    their order are those of parsing every token."""
     text = Path(path).read_text(encoding="utf-8").strip().splitlines()
     if not text:
         raise ValueError("solution file is empty")
@@ -299,6 +330,10 @@ def read_solution_csv(path, grid: TimeGrid, n: int) -> OperatorFunction:
         raise ValueError(
             f"solution has {len(text) - 1} rows, expected {grid.num_nodes}")
     values = np.empty((grid.num_nodes, n * n))
+    upper, mirror = _mirror_columns(n)
+    upper_tokens, mirrored = operator.itemgetter(*upper), operator.itemgetter(*mirror)
+    half = np.empty((grid.num_nodes, len(upper)))
+    symmetric = np.zeros(grid.num_nodes, dtype=bool)
     nodes = grid.nodes()
     for i, line in enumerate(text[1:]):
         parts = line.split(",")
@@ -307,7 +342,14 @@ def read_solution_csv(path, grid: TimeGrid, n: int) -> OperatorFunction:
         t = float(parts[0])
         if abs(t - nodes[i]) > 1e-12 * (1.0 + abs(nodes[i])):
             raise ValueError(f"row {i} has t={t}, expected {nodes[i]}")
-        values[i] = list(map(float, parts[1:]))
+        # p0_1 against p1_0 first: a non-symmetric row is told at once
+        if n > 1 and parts[2] == parts[n + 1] and \
+                mirrored(upper_tokens(parts)) == tuple(parts):
+            symmetric[i] = True
+            half[i] = list(map(float, upper_tokens(parts)))
+        else:
+            values[i] = list(map(float, parts[1:]))
+    values[symmetric] = half[symmetric][:, mirror[1:]]
     return OperatorFunction(grid, values.reshape(-1, n, n))
 
 
@@ -537,8 +579,7 @@ def cmd_lqr_demo(problem_path, x0: List[float], tol: Optional[float] = None,
     if generator is None:
         raise ValueError("lqr-demo needs a generator-driven problem")
     problem = _with_symmetric_mode(problem)
-    if not problem.symmetric_mode:
-        raise ValueError("lqr-demo needs a problem satisfying the symmetric hypotheses")
+    _require_hypotheses(problem)
     bu = pfile.b_factor
     mismatch = float(np.abs(problem.B.values - (bu @ bu.T)[None]).max())
     if mismatch > 1e-10 * (1.0 + float(np.abs(problem.B.values).max())):
@@ -635,9 +676,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p_solve = sub.add_parser("solve", help="solve a problem file")
     add_common(p_solve)
     p_solve.add_argument("--out", default=".", help="output directory")
-    p_solve.add_argument("--tol-abs", type=float, default=None)
-    p_solve.add_argument("--tol-rel", type=float, default=None)
-    p_solve.add_argument("--max-iter", type=int, default=None)
+    p_solve.add_argument("--tol-abs", type=_option(_nonnegative), default=None)
+    p_solve.add_argument("--tol-rel", type=_option(_nonnegative), default=None)
+    p_solve.add_argument("--max-iter", type=_option(_positive_int), default=None)
     p_solve.add_argument("--safety", type=_option(_safety), default=None)
     p_solve.add_argument("--solver", choices=_SOLVERS, default=None)
     p_solve.set_defaults(run=lambda a: cmd_solve(
@@ -652,7 +693,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_check = sub.add_parser("check", help="verify a stored solution")
     add_common(p_check)
     p_check.add_argument("solution", help="path to the solution CSV")
-    p_check.add_argument("--threshold", type=_option(_threshold), default=None,
+    p_check.add_argument("--threshold", type=_option(_nonnegative), default=None,
                          help="residual threshold (default: 25 h^2 (1 + sup||P||))")
     p_check.add_argument("--flow-pairs", type=_option(_positive_int), default=100)
     p_check.set_defaults(run=lambda a: cmd_check(

@@ -269,7 +269,10 @@ def propagate_step(generator_samples: OperatorFunction, i: int) -> np.ndarray:
     if not np.any(mid):
         return np.eye(rows)
     if rows == 1:
-        return np.array([[math.exp(h * mid[0, 0])]])
+        try:
+            return np.array([[math.exp(h * mid[0, 0])]])
+        except OverflowError:       # the overflow expm gives in higher dimensions
+            return np.array([[math.inf]])
     return scipy.linalg.expm(h * mid)
 
 
@@ -282,8 +285,11 @@ def build_forward_family(generator_samples: OperatorFunction) -> EvolutionFamily
         raise ValueError("generator-driven construction needs midpoint samples")
     grid = generator_samples.grid
     steps = np.empty((grid.steps, rows, rows))
-    for i in range(grid.steps):
-        steps[i] = propagate_step(generator_samples, i)
+    with np.errstate(over="ignore", invalid="ignore"):  # reported once, below
+        for i in range(grid.steps):
+            steps[i] = propagate_step(generator_samples, i)
+    if not np.all(np.isfinite(steps)):
+        raise ValueError("a step propagator exp(h A) overflows; refine the grid")
     return EvolutionFamily(grid, "forward", steps)
 
 

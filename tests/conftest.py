@@ -1,9 +1,12 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import settings
 
+from riccatint.cli import _csv_header
+from riccatint.evolution import OperatorFunction
 from riccatint.lyapunov import _march
 
 # Property tests run a fixed, derandomized set of examples: the same inputs and
@@ -106,3 +109,38 @@ def sup_opnorm_reference(values):
     """Max over a stack of the spectral norm from one SVD of the whole stack
     (the code each call site of ``linops.sup_opnorm`` had)."""
     return float(np.linalg.svd(values, compute_uv=False).max(initial=0.0))
+
+
+# Row-by-row solution CSV writer and reader, kept as references: the versions
+# that format and parse a symmetric row's upper triangle only must give the
+# same bytes, the same bits and the same errors.
+
+def write_solution_csv_reference(path, grid, values):
+    table = np.column_stack([grid.nodes(), values.reshape(grid.num_nodes, -1)])
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(_csv_header(values.shape[1], values.shape[2]) + "\n")
+        for row in table:
+            fh.write(",".join(map(repr, row.tolist())) + "\n")
+
+
+def read_solution_csv_reference(path, grid, n):
+    text = Path(path).read_text(encoding="utf-8").strip().splitlines()
+    if not text:
+        raise ValueError("solution file is empty")
+    if text[0] != _csv_header(n, n):
+        raise ValueError(f"solution header does not match the {n}x{n} header "
+                         "'t,p0_0,...' that solve writes")
+    if len(text) != grid.num_nodes + 1:
+        raise ValueError(
+            f"solution has {len(text) - 1} rows, expected {grid.num_nodes}")
+    values = np.empty((grid.num_nodes, n * n))
+    nodes = grid.nodes()
+    for i, line in enumerate(text[1:]):
+        parts = line.split(",")
+        if len(parts) != 1 + n * n:
+            raise ValueError(f"row {i} has {len(parts)} columns, expected {1 + n * n}")
+        t = float(parts[0])
+        if abs(t - nodes[i]) > 1e-12 * (1.0 + abs(nodes[i])):
+            raise ValueError(f"row {i} has t={t}, expected {nodes[i]}")
+        values[i] = list(map(float, parts[1:]))
+    return OperatorFunction(grid, values.reshape(-1, n, n))

@@ -3,6 +3,7 @@ import copy
 import io
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -17,8 +18,9 @@ from riccatint.cli import (EXIT_CHECK_FAILED, EXIT_HYPOTHESIS, EXIT_INVALID,
                            read_solution_csv, write_solution_csv)
 from riccatint.evolution import OperatorFunction, TimeGrid
 
-from conftest import (flow_consistency_per_window, sample_per_time,
-                      spec_callable_reference)
+from conftest import (flow_consistency_per_window, read_solution_csv_reference,
+                      sample_per_time, spec_callable_reference,
+                      write_solution_csv_reference)
 
 
 def tanh_doc(steps=2000, **overrides):
@@ -182,12 +184,94 @@ def test_csv_round_trip(tmp_path):
         ({6: "1,2"}, "row 5 has 2 columns, expected 5"),
         ({7: "y,0,0,0,0"}, "could not convert"),
         ({8: "2.0,0,0,0,0"}, r"row 7 has t=2.0, expected 1.0"),
+        # a bad token in the lower triangle only, in both mirrors, and in the
+        # lower triangle of the row after a symmetric one
+        ({4: "0.4285714285714285,1,2,x,3"}, "could not convert string to float: 'x'"),
+        ({4: "0.4285714285714285,1,x,x,3"}, "could not convert string to float: 'x'"),
+        ({4: "0.4285714285714285,1,2,2,3", 5: "0.5714285714285714,1,2,z,3"},
+         "could not convert string to float: 'z'"),
+        ({4: "0.4285714285714285,1,2,2,3", 5: "0.5714285714285714,1,2,2"},
+         "row 4 has 4 columns, expected 5"),
     ]
     for edits, message in faults:
         bad = [edits.get(k, row) for k, row in enumerate(rows)]
         (tmp_path / "p.csv").write_text("\n".join(bad) + "\n", encoding="utf-8")
-        with pytest.raises(ValueError, match=message):
+        with pytest.raises(ValueError, match=message) as got:
             read_solution_csv(tmp_path / "p.csv", grid, 2)
+        with pytest.raises(ValueError) as want:
+            read_solution_csv_reference(tmp_path / "p.csv", grid, 2)
+        assert str(got.value) == str(want.value)
+
+    # two bad tokens in a string-symmetric 3x3 row: the first in row-major
+    # order (p0_2 = a, before p1_1 = b) is the one reported
+    header = "t," + ",".join(f"p{r}_{c}" for r in range(3) for c in range(3))
+    (tmp_path / "p.csv").write_text(f"{header}\n0.0,1,2,a,2,b,3,a,3,4\n", encoding="utf-8")
+    with pytest.raises(ValueError, match="could not convert string to float: 'a'"):
+        read_solution_csv(tmp_path / "p.csv", TimeGrid(0.0, 0), 3)
+
+
+_CSV_SPECIALS = (0.0, -0.0, 1.0, -2.5e-300, 1e300, math.nan, math.inf, -math.inf)
+
+
+@st.composite
+def _solution_stacks(draw):
+    """Node stacks mixing bitwise symmetric blocks (special values mirrored),
+    non-symmetric ones, and symmetric ones but for one mirrored pair of 0.0
+    and -0.0 or of two NaN payloads."""
+    n = draw(st.sampled_from([1, 2, 3, 8, 32]))
+    steps = draw(st.integers(0, 4 if n == 32 else 12))
+    kinds = draw(st.lists(st.sampled_from(["symmetric", "general", "signed-zero",
+                                           "nan-payload"]),
+                          min_size=steps + 1, max_size=steps + 1))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    share = draw(st.sampled_from([0.0, 0.1, 0.5]))
+    pool = _CSV_SPECIALS[:draw(st.sampled_from([2, 5, 8]))]   # finite ones first
+    scales = 10.0 ** rng.integers(-5, 6, (steps + 1, 1, 1))
+    values = rng.standard_normal((steps + 1, n, n)) * scales
+    specials = rng.random(values.shape) < share
+    values[specials] = rng.choice(pool, size=int(specials.sum()))
+    upper = np.triu_indices(n, 1)
+    for node, kind in zip(values, kinds):
+        if kind != "general":
+            node[upper[1], upper[0]] = node[upper]      # bitwise mirror
+        if kind in ("signed-zero", "nan-payload") and n > 1:
+            i, j = sorted(rng.choice(n, size=2, replace=False))
+            pair = (0.0, -0.0) if kind == "signed-zero" else \
+                np.array([0x7FF8000000000000, 0x7FF8000000000001]).view(float)
+            node[i, j], node[j, i] = pair[::rng.choice([1, -1])]
+    respell = draw(st.booleans())
+    return TimeGrid(float(steps) / 4.0, steps), values, respell
+
+
+@given(_solution_stacks())
+def test_solution_csv_matches_row_by_row_reference(tmp_path_factory, stack):
+    grid, values, respell = stack
+    root = tmp_path_factory.mktemp("csv")
+    n = values.shape[1]
+    write_solution_csv(root / "new.csv", grid, values)
+    write_solution_csv_reference(root / "ref.csv", grid, values)
+    text = (root / "ref.csv").read_text(encoding="utf-8")
+    assert (root / "new.csv").read_text(encoding="utf-8") == text
+    if respell:     # one lower token of every row spelled another way, same float
+        lines = text.splitlines()
+        col = 1 + (n - 1) * n
+        for k in range(1, len(lines)):
+            parts = lines[k].split(",")
+            parts[col] = f" {parts[col]}"
+            lines[k] = ",".join(parts)
+        text = "\n".join(lines) + "\n"
+    path = root / "p.csv"
+    path.write_text(text, encoding="utf-8")
+    if np.isfinite(values).all():
+        got = read_solution_csv(path, grid, n).values
+        want = read_solution_csv_reference(path, grid, n).values
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    else:           # a solution holds finite samples only: the same error
+        with pytest.raises(ValueError) as got:
+            read_solution_csv(path, grid, n)
+        with pytest.raises(ValueError) as want:
+            read_solution_csv_reference(path, grid, n)
+        assert str(got.value) == str(want.value)
 
 
 def test_cmd_check_self_and_mismatch(tmp_path):
@@ -358,6 +442,14 @@ def test_cmd_lqr_demo(tmp_path, capsys):
     path_nf = write_doc(tmp_path / "nofac.json", nofac)
     assert main(["lqr-demo", path_nf, "--x0", "1.0"]) == EXIT_INVALID
 
+    # a hypothesis violation is named with its node and exits as `solve` does
+    capsys.readouterr()
+    path_bad = write_doc(tmp_path / "bad.json",
+                         dict(_indefinite_doc(), B_factor=[[1.0, 0.0], [0.0, 1.0]]))
+    assert main(["lqr-demo", path_bad, "--x0", "1.0,0.0"]) == EXIT_HYPOTHESIS
+    assert capsys.readouterr().err == \
+        "error: hypothesis violation (C-nonnegativity at node 0)\n"
+
 
 def test_propagator_table_problem(tmp_path):
     steps = 40
@@ -395,6 +487,15 @@ def _without_generator(**overrides):
     return doc
 
 
+def _overflow_doc(n):
+    """A generator so large that exp(h A) overflows on the 50-step grid."""
+    eye = np.eye(n).tolist()
+    return {"dimension": n, "horizon": 1.0, "steps": 50,
+            "generator": {"kind": "constant", "matrix": (1e5 * np.eye(n)).tolist()},
+            "C": {"kind": "constant", "matrix": eye}, "B": {"kind": "constant", "matrix": eye},
+            "G": np.zeros((n, n)).tolist()}
+
+
 # a well-formed CSV of P = 0 on the 20-step grid: `check` fails its gates on it (exit 1)
 _ZERO_CSV = "t,p0_0\n" + "".join(f"{t},0\n" for t in TimeGrid(1.0, 20).nodes().tolist())
 
@@ -426,6 +527,17 @@ BOUNDARY_CASES = {
     "empty-csv": ("check", tanh_doc(steps=20), [""], EXIT_INVALID),
     "garbage-csv-header": ("check", tanh_doc(steps=20),
                            [_ZERO_CSV.replace("t,p0_0", "garbage", 1)], EXIT_INVALID),
+    "step-overflow-1d-solve": ("solve", _overflow_doc(1), [], EXIT_INVALID),
+    "step-overflow-1d-oracle": ("oracle", _overflow_doc(1), [], EXIT_INVALID),
+    "step-overflow-2d-solve": ("solve", _overflow_doc(2), [], EXIT_INVALID),
+    "tol-rel-inf": ("solve", tanh_doc(steps=20), ["--tol-rel", "inf"], EXIT_INVALID),
+    "tol-abs-nan": ("solve", tanh_doc(steps=20), ["--tol-abs", "nan"], EXIT_INVALID),
+    "tol-abs-negative": ("solve", tanh_doc(steps=20), ["--tol-abs", "-1"], EXIT_INVALID),
+    "max-iter-negative": ("solve", tanh_doc(steps=20), ["--max-iter", "-3"], EXIT_INVALID),
+    "document-tol-rel-inf": ("solve", tanh_doc(steps=20, tolerances={"tol_rel": math.inf}),
+                             [], EXIT_INVALID),
+    "document-max-iter-zero": ("solve", tanh_doc(steps=20, tolerances={"max_iter": 0}),
+                               [], EXIT_INVALID),
 }
 
 
@@ -434,17 +546,26 @@ BOUNDARY_CASES = {
 def test_error_boundary_one_line(tmp_path, capsys, command, doc, extra, expected):
     path = write_doc(tmp_path / "problem.json", doc)
     option = extra[-2] if len(extra) >= 2 and extra[-2].startswith("--") else None
-    if command == "solve":
+    if command in ("solve", "oracle"):
         extra = extra + ["--out", str(tmp_path / "out")]
     if command == "check":
         solution = tmp_path / "P.csv"
         solution.write_text(extra[0], encoding="utf-8")
         extra = [str(solution)] + extra[1:]
-    assert main([command, path] + extra) == expected
+    with warnings.catch_warnings(record=True) as caught:   # they would print too
+        warnings.simplefilter("always")
+        assert main([command, path] + extra) == expected
+    assert [str(w.message) for w in caught] == []
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1 and err.startswith("error:")
     assert "Traceback" not in err
     assert option is None or option in err      # an option out of range is named
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_overflowing_step_exponent_asks_to_refine_the_grid(n):
+    with pytest.raises(ValueError, match="overflows; refine the grid"):
+        ProblemFile.from_dict(_overflow_doc(n)).build()
 
 
 _DROP = object()
