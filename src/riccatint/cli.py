@@ -710,7 +710,7 @@ def _build_parser() -> argparse.ArgumentParser:
     add_common(p_demo)
     p_demo.add_argument("--x0", required=True, type=_option(_reals),
                         help="comma-separated initial state")
-    p_demo.add_argument("--tol", type=float, default=None)
+    p_demo.add_argument("--tol", type=_option(_nonnegative), default=None)
     p_demo.set_defaults(run=lambda a: cmd_lqr_demo(a.problem, a.x0, tol=a.tol))
     return parser
 

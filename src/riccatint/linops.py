@@ -68,10 +68,16 @@ def node_opnorms(values: np.ndarray) -> np.ndarray:
 
 
 def _opnorm_bounds(stack: np.ndarray) -> np.ndarray:
-    """||(A^T A)^2||_F^(1/4) = (sum sigma^8)^(1/8) >= sigma_max(A) for every A of a stack."""
-    gram = np.swapaxes(stack, -1, -2) @ stack
-    square = gram @ gram
-    return np.einsum("nij,nij->n", square, square) ** 0.125
+    """||(A^T A)^8||_F^(1/16) = (sum sigma^32)^(1/32) >= sigma_max(A) for every A of a stack.
+
+    The stack must be scaled into (-1, 1): then nothing overflows for any
+    practical size, and a node whose bound underflows has a norm far below
+    that of the node holding the largest entry.
+    """
+    power = np.swapaxes(stack, -1, -2) @ stack
+    for _ in range(3):
+        power = power @ power
+    return np.einsum("nij,nij->n", power, power) ** (1.0 / 32.0)
 
 
 def sup_opnorm(values) -> float:

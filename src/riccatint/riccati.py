@@ -135,21 +135,6 @@ class RiccatiProblem:
         return self.C.values - p_values @ self.B.values @ p_values
 
 
-@dataclass(frozen=True)
-class HypothesisReport:
-    """Outcome of the symmetric-setting hypothesis check (report, never raises)."""
-
-    passed: bool
-    duality_defect: float
-    c_symmetry_defect: float
-    c_min_eigenvalue: float
-    b_symmetry_defect: float
-    b_min_eigenvalue: float
-    g_symmetry_defect: float
-    g_min_eigenvalue: float
-    first_violation: Optional[tuple] = None  # (kind, node index)
-
-
 def _sym_stats(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per-node (asymmetry, min eigenvalue of symmetric part, norm)."""
     asym = node_opnorms(values - np.swapaxes(values, -1, -2))
@@ -157,55 +142,137 @@ def _sym_stats(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return asym, eigs[:, 0], np.abs(eigs).max(axis=1)
 
 
+def _summary_item(index: int) -> property:
+    return property(lambda report: report._summary[index])
+
+
+@dataclass(frozen=True)
+class HypothesisReport:
+    """Outcome of the symmetric-setting hypothesis check (report, never raises).
+
+    ``passed`` and ``first_violation`` (kind, node index) are what
+    :func:`check_hypotheses` decided.  The seven summary numbers, from
+    ``duality_defect`` to ``g_min_eigenvalue``, decompose every node and are
+    computed from ``data`` (V steps, U steps, C values, B values, G) when one
+    of them is first read.
+    """
+
+    passed: bool
+    first_violation: Optional[tuple]
+    data: tuple = field(repr=False, compare=False)
+
+    @cached_property
+    def _summary(self) -> tuple:
+        backward, forward, c_values, b_values, g = self.data
+        if forward.shape[1] != backward.shape[1]:
+            return (math.inf, math.inf, -math.inf, math.inf, -math.inf, math.inf, -math.inf)
+        duality = node_opnorms(backward - np.swapaxes(forward, -1, -2))
+        summary = [float(duality.max(initial=0.0))]
+        for values in (c_values, b_values, g[None, :, :]):
+            asym, lam, _ = _sym_stats(values)
+            summary += [float(asym.max(initial=0.0)), float(lam.min(initial=0.0))]
+        return tuple(summary)
+
+    duality_defect = _summary_item(0)
+    c_symmetry_defect = _summary_item(1)
+    c_min_eigenvalue = _summary_item(2)
+    b_symmetry_defect = _summary_item(3)
+    b_min_eigenvalue = _summary_item(4)
+    g_symmetry_defect = _summary_item(5)
+    g_min_eigenvalue = _summary_item(6)
+
+
+def _first(nodes: np.ndarray) -> Optional[int]:
+    return int(nodes[0]) if nodes.size else None
+
+
+def _first_asymmetric_node(values: np.ndarray, tol: float) -> Optional[int]:
+    """First node with ||A - A^T|| > tol (1 + ||sym A||), or None.
+
+    A node whose A - A^T is exactly zero passes (for tol >= 0) without LAPACK;
+    only the others are decomposed, each with the result it has in any batch.
+    The first of them goes alone, as a non-symmetric stack usually fails there.
+    """
+    undecided = np.flatnonzero((values != np.swapaxes(values, -1, -2)).any(axis=(1, 2))
+                               | (tol < 0))
+    for part in (undecided[:1], undecided[1:]):
+        if part.size:
+            asym, _, norms = _sym_stats(values[part])
+            node = _first(part[asym > tol * (1.0 + norms)])
+            if node is not None:
+                return node
+    return None
+
+
+def _first_negative_node(values: np.ndarray, tol: float) -> Optional[int]:
+    """First node whose symmetric part S has min eigenvalue < -tol (1 + ||S||),
+    both from ``eigvalsh``, or None.
+
+    One batched Cholesky of M = S + s I, s = tol (1 + d) / 2 with d the largest
+    |diagonal entry| of S (d <= ||S||), decides that no node fails.  If it runs
+    to completion, its computed factor R has R^T R = M + dM with
+    |dM| <= g |R^T| |R|, g = (n+1) u / (1 - (n+1) u), u = eps / 2 (Higham,
+    Accuracy and Stability of Numerical Algorithms, 2nd ed., Thm. 10.5), so
+    ||dM|| <= g trace(R^T R) <= n g (1 + u) (d + s) / (1 - g).  M rounds
+    S + s I on the diagonal only, so lambda_min(S) >= -s - ||dM|| - u (d + s),
+    which with n (n+1) eps <= tol / 4 is at least -(3/4) tol (1 + ||S||).  The
+    remaining quarter covers the backward error of ``eigvalsh`` (of order
+    n eps ||S||) in both the eigenvalue and the norm.  When the Cholesky fails,
+    M is not finite or n (n+1) eps > tol / 4, ``eigvalsh`` decides the whole
+    stack.
+    """
+    sym = symmetrize(values)
+    n = values.shape[-1]
+    if n * (n + 1) * np.finfo(float).eps <= tol / 4:
+        diag = np.arange(n)
+        shift = 0.5 * tol * (1.0 + np.abs(sym[:, diag, diag]).max(axis=1))
+        shifted = sym.copy()
+        shifted[:, diag, diag] += shift[:, None]
+        if np.isfinite(shifted).all():
+            try:
+                np.linalg.cholesky(shifted)
+                return None
+            except np.linalg.LinAlgError:
+                pass
+    eigs = np.linalg.eigvalsh(sym)
+    return _first(np.flatnonzero(eigs[:, 0] < -tol * (1.0 + np.abs(eigs).max(axis=1))))
+
+
+def _first_violation(problem: RiccatiProblem, tol: float) -> Optional[tuple]:
+    duality = problem.U_backward.steps - np.swapaxes(problem.U_forward.steps, -1, -2)
+    steps = np.flatnonzero(duality.any(axis=(1, 2)) | (tol < 0))
+    if steps.size:
+        scale = 1.0 + problem.U_forward.step_norms[steps]
+        node = _first(steps[node_opnorms(duality[steps]) > tol * scale])
+        if node is not None:
+            return "duality", node
+    for name, values in (("C", problem.C.values), ("B", problem.B.values),
+                         ("G", problem.G[None, :, :])):
+        node = _first_asymmetric_node(values, tol)
+        if node is not None:
+            return f"{name}-symmetry", node
+        node = _first_negative_node(values, tol)
+        if node is not None:
+            return f"{name}-nonnegativity", node
+    return None
+
+
 def check_hypotheses(problem: RiccatiProblem, tol: float = _HYPOTHESIS_TOL) -> HypothesisReport:
     """Verify adjoint duality of the families and symmetry/PSD of C, B, G.
 
     Duality is checked step by step: equality of every backward step with the
     transposed forward step extends to all grid pairs exactly, because values
-    at distant pairs are products of steps.
+    at distant pairs are products of steps.  The kinds are tested in the order
+    duality, C-symmetry, C-nonnegativity, B-..., G-..., and the first kind with
+    a failing node is reported at its first such node.  Steps and nodes with an
+    exactly zero defect pass without LAPACK, and nonnegativity is decided by
+    one batched Cholesky where it can be (see ``_first_negative_node``).
     """
-    if problem.U_forward.dim != problem.U_backward.dim:
-        return HypothesisReport(False, math.inf, math.inf, -math.inf, math.inf,
-                                -math.inf, math.inf, -math.inf,
-                                first_violation=("dimension", -1))
-    duality = problem.U_backward.steps - np.swapaxes(problem.U_forward.steps, -1, -2)
-    duality_per_step = node_opnorms(duality)
-    duality_defect = float(duality_per_step.max(initial=0.0))
-
-    c_asym, c_min, c_norm = _sym_stats(problem.C.values)
-    b_asym, b_min, b_norm = _sym_stats(problem.B.values)
-    g_asym, g_min, g_norm = _sym_stats(problem.G[None, :, :])
-
-    first = None
-    step_scale = 1.0 + problem.U_forward.step_norms
-    bad = np.nonzero(duality_per_step > tol * step_scale)[0]
-    if bad.size:
-        first = ("duality", int(bad[0]))
-    checks = [
-        ("C-symmetry", c_asym > tol * (1.0 + c_norm)),
-        ("C-nonnegativity", c_min < -tol * (1.0 + c_norm)),
-        ("B-symmetry", b_asym > tol * (1.0 + b_norm)),
-        ("B-nonnegativity", b_min < -tol * (1.0 + b_norm)),
-        ("G-symmetry", g_asym > tol * (1.0 + g_norm)),
-        ("G-nonnegativity", g_min < -tol * (1.0 + g_norm)),
-    ]
-    for kind, mask in checks:
-        if first is not None:
-            break
-        bad = np.nonzero(mask)[0]
-        if bad.size:
-            first = (kind, int(bad[0]))
-    return HypothesisReport(
-        passed=first is None,
-        duality_defect=duality_defect,
-        c_symmetry_defect=float(c_asym.max(initial=0.0)),
-        c_min_eigenvalue=float(c_min.min(initial=0.0)),
-        b_symmetry_defect=float(b_asym.max(initial=0.0)),
-        b_min_eigenvalue=float(b_min.min(initial=0.0)),
-        g_symmetry_defect=float(g_asym.max(initial=0.0)),
-        g_min_eigenvalue=float(g_min.min(initial=0.0)),
-        first_violation=first,
-    )
+    data = (problem.U_backward.steps, problem.U_forward.steps,
+            problem.C.values, problem.B.values, problem.G)
+    first = (("dimension", -1) if problem.U_forward.dim != problem.U_backward.dim
+             else _first_violation(problem, tol))
+    return HypothesisReport(first is None, first, data)
 
 
 def riccati_residual(P: OperatorFunction, problem: RiccatiProblem) -> float:
@@ -326,11 +393,10 @@ def monotone_step(P_n: OperatorFunction, problem: RiccatiProblem,
     _require_hypotheses(problem, tol)
     if P_n.grid != problem.grid:
         raise ValueError("P_n must be sampled on the problem grid")
-    asym, _, norms = _sym_stats(P_n.values)
-    bad = np.nonzero(asym > tol * (1.0 + norms))[0]
-    if bad.size:
-        raise HypothesisViolation("P-symmetry", int(bad[0]),
-                                  f"iterate is not self-adjoint at node {int(bad[0])}")
+    node = _first_asymmetric_node(P_n.values, tol)
+    if node is not None:
+        raise HypothesisViolation("P-symmetry", node,
+                                  f"iterate is not self-adjoint at node {node}")
     values, _ = _monotone_step_core(P_n.values, problem)
     return OperatorFunction(problem.grid, values)
 

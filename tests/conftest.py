@@ -7,6 +7,7 @@ from hypothesis import settings
 
 from riccatint.cli import _csv_header
 from riccatint.evolution import OperatorFunction
+from riccatint.linops import node_opnorms, symmetrize
 from riccatint.lyapunov import _march
 
 # Property tests run a fixed, derandomized set of examples: the same inputs and
@@ -103,6 +104,49 @@ def certified_product_bound_reference(steps):
         cur = max(v, cur + v)
         best = max(best, cur)
     return float(math.exp(best))
+
+
+def check_hypotheses_reference(problem, tol=1e-10):
+    """``(passed, first_violation, summary)`` of the hypothesis check from an
+    SVD and an ``eigvalsh`` of every node (the code before the exact-zero and
+    Cholesky tests); ``summary`` holds the seven report floats in field order."""
+    if problem.U_forward.dim != problem.U_backward.dim:
+        inf = math.inf
+        return False, ("dimension", -1), (inf, inf, -inf, inf, -inf, inf, -inf)
+
+    def sym_stats(values):
+        asym = node_opnorms(values - np.swapaxes(values, -1, -2))
+        eigs = np.linalg.eigvalsh(symmetrize(values))
+        return asym, eigs[:, 0], np.abs(eigs).max(axis=1)
+
+    duality = problem.U_backward.steps - np.swapaxes(problem.U_forward.steps, -1, -2)
+    duality_per_step = node_opnorms(duality)
+    c_asym, c_min, c_norm = sym_stats(problem.C.values)
+    b_asym, b_min, b_norm = sym_stats(problem.B.values)
+    g_asym, g_min, g_norm = sym_stats(problem.G[None, :, :])
+    first = None
+    bad = np.nonzero(duality_per_step > tol * (1.0 + problem.U_forward.step_norms))[0]
+    if bad.size:
+        first = ("duality", int(bad[0]))
+    checks = [
+        ("C-symmetry", c_asym > tol * (1.0 + c_norm)),
+        ("C-nonnegativity", c_min < -tol * (1.0 + c_norm)),
+        ("B-symmetry", b_asym > tol * (1.0 + b_norm)),
+        ("B-nonnegativity", b_min < -tol * (1.0 + b_norm)),
+        ("G-symmetry", g_asym > tol * (1.0 + g_norm)),
+        ("G-nonnegativity", g_min < -tol * (1.0 + g_norm)),
+    ]
+    for kind, mask in checks:
+        if first is not None:
+            break
+        bad = np.nonzero(mask)[0]
+        if bad.size:
+            first = (kind, int(bad[0]))
+    summary = (float(duality_per_step.max(initial=0.0)),
+               float(c_asym.max(initial=0.0)), float(c_min.min(initial=0.0)),
+               float(b_asym.max(initial=0.0)), float(b_min.min(initial=0.0)),
+               float(g_asym.max(initial=0.0)), float(g_min.min(initial=0.0)))
+    return first is None, first, summary
 
 
 def sup_opnorm_reference(values):

@@ -375,6 +375,38 @@ def test_cmd_solve_monotone_runs_one_hypothesis_check(tmp_path, monkeypatch):
         assert len(calls) == 1, argv
 
 
+def test_cmd_solve_hypothesis_check_decomposes_no_node(tmp_path, monkeypatch):
+    """A symmetric problem with exactly dual families passes the check by exact
+    zeros and one Cholesky per coefficient: no SVD and no eigvalsh."""
+    inside, lapack = [], []
+    real_check = riccatint.riccati.check_hypotheses
+
+    def spied_check(*args, **kwargs):
+        inside.append(True)
+        try:
+            return real_check(*args, **kwargs)
+        finally:
+            inside.pop()
+
+    def spy(name):
+        real = getattr(np.linalg, name)
+
+        def wrapper(*args, **kwargs):
+            if inside:
+                lapack.append(name)
+            return real(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(riccatint.cli, "check_hypotheses", spied_check)
+    monkeypatch.setattr(riccatint.riccati, "check_hypotheses", spied_check)
+    for name in ("svd", "eigvalsh"):
+        monkeypatch.setattr(np.linalg, name, spy(name))
+    path = write_doc(tmp_path / "tanh.json", tanh_doc(steps=100))
+    for solver in ("monotone", "picard", "oracle"):
+        assert main(["solve", path, "--solver", solver, "--out", str(tmp_path)]) == EXIT_OK
+    assert lapack == []
+
+
 def test_symmetric_mode_recorded_by_solve_and_oracle(tmp_path):
     for doc, symmetric in ((tanh_doc(steps=100), True), (_indefinite_doc(), False)):
         path = write_doc(tmp_path / "problem.json", doc)
@@ -534,6 +566,12 @@ BOUNDARY_CASES = {
     "tol-abs-nan": ("solve", tanh_doc(steps=20), ["--tol-abs", "nan"], EXIT_INVALID),
     "tol-abs-negative": ("solve", tanh_doc(steps=20), ["--tol-abs", "-1"], EXIT_INVALID),
     "max-iter-negative": ("solve", tanh_doc(steps=20), ["--max-iter", "-3"], EXIT_INVALID),
+    "lqr-demo-tol-nan": ("lqr-demo", tanh_doc(steps=20), ["--x0", "1", "--tol", "nan"],
+                         EXIT_INVALID),
+    "lqr-demo-tol-inf": ("lqr-demo", tanh_doc(steps=20), ["--x0", "1", "--tol", "inf"],
+                         EXIT_INVALID),
+    "lqr-demo-tol-negative": ("lqr-demo", tanh_doc(steps=20), ["--x0", "1", "--tol", "-1"],
+                              EXIT_INVALID),
     "document-tol-rel-inf": ("solve", tanh_doc(steps=20, tolerances={"tol_rel": math.inf}),
                              [], EXIT_INVALID),
     "document-max-iter-zero": ("solve", tanh_doc(steps=20, tolerances={"max_iter": 0}),

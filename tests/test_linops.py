@@ -3,7 +3,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
@@ -213,9 +213,13 @@ def _stack(kind, nodes, shape, seed):
 @given(nodes=st.integers(0, 40), shape=st.sampled_from(_SHAPES),
        kind=st.sampled_from(_KINDS),
        exponent=st.one_of(st.integers(-150, 150), st.just(200)),
-       seed=st.integers(0, 2 ** 32 - 1))
-def test_sup_opnorm_bitwise_equals_full_svd(nodes, shape, kind, exponent, seed):
+       seed=st.integers(0, 2 ** 32 - 1), mixed=st.booleans())
+def test_sup_opnorm_bitwise_equals_full_svd(nodes, shape, kind, exponent, seed, mixed):
     stack = _stack(kind, nodes, shape, seed) * 10.0 ** exponent
+    if mixed:   # nodes scaled by 2^-600, 1 and 2^600: most bounds underflow
+        assume(exponent <= 100)
+        powers = np.random.default_rng(seed).choice([-600, 0, 600], nodes)
+        stack = np.ldexp(stack, powers[:, None, None])
     assert sup_opnorm(stack) == sup_opnorm_reference(stack)
 
 

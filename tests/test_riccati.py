@@ -3,10 +3,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from riccatint import riccati
-from riccatint.evolution import (OperatorFunction, TimeGrid,
+from riccatint.evolution import (EvolutionFamily, OperatorFunction, TimeGrid,
                                  adjoint_backward_family, build_forward_family)
 from riccatint.lyapunov import LinearIntegralProblem, solve_both_perturbed
 from riccatint.riccati import (ContractionParams, ConvergenceError,
@@ -20,7 +22,8 @@ from riccatint.riccati import (ContractionParams, ConvergenceError,
 from riccatint.testing import (inverse_linear_problem, random_symmetric_problem,
                                tanh_problem)
 
-from conftest import flow_consistency_per_window, sup_opnorm_reference
+from conftest import (check_hypotheses_reference, flow_consistency_per_window,
+                      sup_opnorm_reference)
 
 
 def _exact_tanh(problem):
@@ -378,6 +381,110 @@ def test_check_hypotheses_flags_independent_backward_family():
     assert not report.passed
     assert report.first_violation[0] == "duality"
     assert report.duality_defect > 1e-3
+
+
+# Perturbations at one node, in units of the test's threshold tol (1 + ||A||):
+# just inside and just outside it, and far on either side.
+_NEAR = (0.5, 0.99, 1.01, 2.0)
+_SYMMETRY_DEFECTS = (None, 1e-6) + _NEAR
+_DUALITY_DEFECTS = (None, "independent") + _NEAR
+
+
+def _psd_stack(rng, nodes, n, lam_min=None):
+    """Symmetric matrices Q diag(lam) Q^T with lam in [0, 1] and lam_1 = 1
+    (n >= 2), so ||A|| = 1; ``lam_min`` replaces the last eigenvalue."""
+    q = np.linalg.qr(rng.standard_normal((nodes, n, n)))[0]
+    lam = rng.uniform(0.0, 1.0, (nodes, n))
+    lam[:, 0] = 1.0
+    if lam_min is not None:
+        lam[:, -1] = lam_min
+    stack = (q * lam[:, None, :]) @ np.swapaxes(q, -1, -2)
+    return 0.5 * (stack + np.swapaxes(stack, -1, -2))
+
+
+def _hypothesis_problem(n, steps, seed, duality, perturbations, tol=1e-10):
+    """A problem whose C, B, G and families sit at chosen distances from the
+    hypothesis thresholds; ``perturbations`` maps "C", "B", "G" to a pair
+    (symmetry defect, eigenvalue factor), each None or a multiple of the
+    threshold, applied at one random node."""
+    rng = np.random.default_rng(seed)
+    grid = TimeGrid(1.0 if steps else 0.0, steps)
+    fwd_steps = np.eye(n) + 0.3 * rng.standard_normal((steps, n, n)) / math.sqrt(n)
+    forward = EvolutionFamily(grid, "forward", fwd_steps)
+    if duality is None or steps == 0:
+        backward = adjoint_backward_family(forward)
+    else:
+        other = np.eye(n) + 0.3 * rng.standard_normal((steps, n, n)) / math.sqrt(n)
+        bwd_steps = np.swapaxes(other if duality == "independent" else fwd_steps, -1, -2)
+        if duality != "independent":
+            i, a, b = rng.integers(steps), rng.integers(n), rng.integers(n)
+            bwd_steps[i, a, b] += duality * tol * (1.0 + np.linalg.norm(fwd_steps[i], 2))
+        backward = EvolutionFamily(grid, "backward", bwd_steps)
+    stacks = {"C": _psd_stack(rng, grid.num_nodes, n), "B": _psd_stack(rng, grid.num_nodes, n),
+              "G": _psd_stack(rng, 1, n)}
+    for name, (asym, eig) in perturbations.items():
+        stack = stacks[name]
+        node = rng.integers(stack.shape[0])
+        if eig is not None:     # lambda_min = -eig tol (1 + ||A||)
+            lam = (-eig * tol / (1.0 - eig * tol) if n == 1 else -2.0 * eig * tol)
+            stack[node] = _psd_stack(rng, 1, n, lam)[0]
+        if asym is not None and n > 1:      # ||A - A^T|| = asym tol (1 + ||sym A||)
+            a, b = rng.choice(n, 2, replace=False)
+            sym_norm = np.abs(np.linalg.eigvalsh(stack[node])).max()
+            eps = 0.5 * asym * tol * (1.0 + sym_norm)
+            stack[node, a, b] += eps
+            stack[node, b, a] -= eps
+    return RiccatiProblem(forward, backward, OperatorFunction(grid, stacks["C"]),
+                          OperatorFunction(grid, stacks["B"]), stacks["G"][0])
+
+
+def _assert_report_equals_reference(problem, tol=1e-10):
+    report = check_hypotheses(problem, tol)
+    passed, first, summary = check_hypotheses_reference(problem, tol)
+    assert (report.passed, report.first_violation) == (passed, first)
+    assert (report.duality_defect, report.c_symmetry_defect, report.c_min_eigenvalue,
+            report.b_symmetry_defect, report.b_min_eigenvalue, report.g_symmetry_defect,
+            report.g_min_eigenvalue) == summary
+    return report
+
+
+_PERTURBATION = st.tuples(st.sampled_from(_SYMMETRY_DEFECTS),
+                          st.sampled_from((None,) + _NEAR))
+
+
+@settings(max_examples=200)
+@given(n=st.sampled_from([1, 2, 3, 8, 32]), steps=st.sampled_from([0, 1, 50]),
+       seed=st.integers(0, 2 ** 32 - 1), duality=st.sampled_from(_DUALITY_DEFECTS),
+       perturbations=st.dictionaries(st.sampled_from("CBG"), _PERTURBATION))
+def test_check_hypotheses_equals_full_decomposition(n, steps, seed, duality, perturbations):
+    """The exact-zero tests and the Cholesky give the (kind, node) and the
+    report floats that decomposing every node gives."""
+    _assert_report_equals_reference(
+        _hypothesis_problem(n, steps, seed, duality, perturbations))
+
+
+@pytest.mark.parametrize("tol", [0.0, -1e-10, math.nan, 1e-17, 1e-30, 1e-3])
+def test_check_hypotheses_equals_full_decomposition_at_other_tolerances(tol):
+    """Tolerances where the exact-zero or Cholesky tests do not apply (tol <= 0,
+    NaN, n (n+1) eps > tol / 4) take the full decomposition; a singular node
+    (eigenvalue factor 0) sits at the threshold of tol = 0."""
+    for n, steps, perturbations in (
+            (8, 20, {}), (3, 20, {"C": (None, 1.01)}), (2, 20, {"B": (0.99, None)}),
+            (1, 20, {"G": (None, 2.0)}), (2, 0, {}), (8, 20, {"C": (None, 0.0)}),
+            (32, 20, {"B": (None, 0.0)})):
+        for seed in range(4):
+            _assert_report_equals_reference(
+                _hypothesis_problem(n, steps, seed, None, perturbations), tol)
+
+
+def test_hypothesis_report_for_mismatched_dimensions():
+    grid = TimeGrid(1.0, 4)
+    forward = EvolutionFamily(grid, "forward", np.repeat(np.eye(2)[None], 4, axis=0))
+    backward = EvolutionFamily(grid, "backward", np.repeat(np.eye(3)[None], 4, axis=0))
+    problem = RiccatiProblem(forward, backward, OperatorFunction.zero(grid, 3, 2),
+                             OperatorFunction.zero(grid, 2, 3), np.zeros((3, 2)))
+    report = _assert_report_equals_reference(problem)
+    assert report.first_violation == ("dimension", -1)
 
 
 # ---------------------------------------------------------------- contraction
