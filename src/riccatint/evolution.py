@@ -144,9 +144,6 @@ class OperatorFunction:
     def shape(self) -> tuple[int, int]:
         return self.values.shape[1], self.values.shape[2]
 
-    def node(self, i: int) -> np.ndarray:
-        return self.values[i]
-
     def midpoint(self, i: int) -> np.ndarray:
         if self.midpoint_values is None:
             raise ValueError("operator function carries no midpoint samples")
@@ -228,9 +225,6 @@ class EvolutionFamily:
     def dim(self) -> int:
         return self.steps.shape[1]
 
-    def step(self, i: int) -> np.ndarray:
-        return self.steps[i]
-
     def value(self, i: int, j: int) -> np.ndarray:
         """Ordered product of step propagators between nodes i and j.
 
@@ -257,6 +251,16 @@ class EvolutionFamily:
         return out
 
 
+def _exp_step(h: float, mid: np.ndarray) -> np.ndarray:
+    """exp(h * mid) of one nonzero midpoint sample; a 1-D overflow gives inf, as expm does."""
+    if mid.shape[0] == 1:
+        try:
+            return np.array([[math.exp(h * mid[0, 0])]])
+        except OverflowError:
+            return np.array([[math.inf]])
+    return scipy.linalg.expm(h * mid)
+
+
 def propagate_step(generator_samples: OperatorFunction, i: int) -> np.ndarray:
     """One-step propagator exp(h * A(t_{i+1/2})) for the interval [t_i, t_{i+1}]."""
     rows, cols = generator_samples.shape
@@ -265,15 +269,7 @@ def propagate_step(generator_samples: OperatorFunction, i: int) -> np.ndarray:
     if not (0 <= i < generator_samples.grid.steps):
         raise IndexError(f"interval index {i} out of range")
     mid = generator_samples.midpoint(i)
-    h = generator_samples.grid.h
-    if not np.any(mid):
-        return np.eye(rows)
-    if rows == 1:
-        try:
-            return np.array([[math.exp(h * mid[0, 0])]])
-        except OverflowError:       # the overflow expm gives in higher dimensions
-            return np.array([[math.inf]])
-    return scipy.linalg.expm(h * mid)
+    return _exp_step(generator_samples.grid.h, mid) if np.any(mid) else np.eye(rows)
 
 
 def build_forward_family(generator_samples: OperatorFunction) -> EvolutionFamily:
@@ -281,13 +277,16 @@ def build_forward_family(generator_samples: OperatorFunction) -> EvolutionFamily
     rows, cols = generator_samples.shape
     if rows != cols:
         raise ValueError("generator samples must be square")
-    if generator_samples.midpoint_values is None:
+    mids = generator_samples.midpoint_values
+    if mids is None:
         raise ValueError("generator-driven construction needs midpoint samples")
-    grid = generator_samples.grid
+    grid, h = generator_samples.grid, generator_samples.grid.h
     steps = np.empty((grid.steps, rows, rows))
+    nonzero = mids.any(axis=(1, 2))
+    steps[~nonzero] = np.eye(rows)
     with np.errstate(over="ignore", invalid="ignore"):  # reported once, below
-        for i in range(grid.steps):
-            steps[i] = propagate_step(generator_samples, i)
+        for i in np.flatnonzero(nonzero).tolist():
+            steps[i] = _exp_step(h, mids[i])
     if not np.all(np.isfinite(steps)):
         raise ValueError("a step propagator exp(h A) overflows; refine the grid")
     return EvolutionFamily(grid, "forward", steps)

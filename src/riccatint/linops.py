@@ -87,8 +87,8 @@ def sup_opnorm(values) -> float:
     but only the nodes whose bound reaches the norm of the node with the largest
     bound are decomposed; LAPACK runs on each matrix on its own, so a node's
     norm is the same in any batch.  Bounds are taken on the stack scaled by a
-    power of two (exact, free of under- and overflow), an eighth at a time to
-    keep their temporaries small.  Non-finite entries take the full SVD.
+    power of two (exact, free of under- and overflow), in chunks of at most 512 KiB
+    (one node at least) to keep temporaries small.  Non-finite entries take the full SVD.
     """
     values = np.asarray(values, dtype=float)
     if values.size == 0:
@@ -100,8 +100,9 @@ def sup_opnorm(values) -> float:
     if top == 0.0:
         return 0.0
     exponent = math.frexp(top)[1]               # scaled entries in (-1, 1)
+    chunks = min(len(stack), -(-stack.nbytes // (512 << 10)))
     bounds = np.concatenate([_opnorm_bounds(np.ldexp(part, -exponent))
-                             for part in np.array_split(stack, 8)])
+                             for part in np.array_split(stack, chunks)])
     k = int(np.argmax(bounds))
     floor = float(np.linalg.svd(stack[k], compute_uv=False).max())
     candidates = bounds * (1.0 + 1e-8) >= math.ldexp(floor, -exponent)

@@ -57,6 +57,11 @@ def _coupling(x: np.ndarray, q1: Optional[np.ndarray], q2: Optional[np.ndarray],
     return out
 
 
+def _sources(left_steps, right_steps, kernel, h: float) -> np.ndarray:
+    """(h/2)(K_i + L_i K_{i+1} R_i) for every step i of :func:`_march`, as one stack."""
+    return 0.5 * h * (kernel[:-1] + left_steps @ kernel[1:] @ right_steps)
+
+
 def _march(left_steps: np.ndarray, right_steps: np.ndarray, kernel: np.ndarray,
            terminal: np.ndarray, h: float, q1: Optional[np.ndarray] = None,
            q2: Optional[np.ndarray] = None) -> np.ndarray:
@@ -67,7 +72,8 @@ def _march(left_steps: np.ndarray, right_steps: np.ndarray, kernel: np.ndarray,
         R_i = V(i,m) T U(m,i) + h * sum'' over r in [i, m] of V(i,r) K_r U(r,i)
 
     by the recursion R_i = B_i R_{i+1} S_i + (h/2)(K_i + B_i K_{i+1} S_i),
-    which unrolls to exactly the composite trapezoidal sum at every node.
+    which unrolls to exactly the composite trapezoidal sum at every node.  The
+    source terms (h/2)(...) need no earlier node and come as one stack (:func:`_sources`).
 
     With Q1/Q2 the kernel gains -(P Q1 + Q2 P), and the endpoint term couples
     P_i to itself; the small affine system is solved by a rapidly convergent
@@ -79,17 +85,17 @@ def _march(left_steps: np.ndarray, right_steps: np.ndarray, kernel: np.ndarray,
     out[m] = terminal
     if m == 0:
         return out
-    folded = left_steps @ kernel[1:] @ right_steps
-    alpha = 0.5 * h
+    src = _sources(left_steps, right_steps, kernel, h)
     if q1 is None and q2 is None:
+        cur = out[m]
         for i in range(m - 1, -1, -1):
-            out[i] = left_steps[i] @ out[i + 1] @ right_steps[i] \
-                + alpha * (kernel[i] + folded[i])
+            cur = np.add(left_steps[i] @ cur @ right_steps[i], src[i], out=out[i])
         return out
+    alpha = 0.5 * h
     for i in range(m - 1, -1, -1):
         nxt = out[i + 1]
         rhs = left_steps[i] @ (nxt - alpha * _coupling(nxt, q1, q2, i + 1)) \
-            @ right_steps[i] + alpha * (kernel[i] + folded[i])
+            @ right_steps[i] + src[i]
         scale = 1.0 + float(np.abs(rhs).max())
         x = rhs
         prev = math.inf
@@ -128,16 +134,14 @@ def _window_defects(left_steps: np.ndarray, right_steps: np.ndarray,
     ``_march(left_steps[t:tau], right_steps[t:tau], kernel[t:tau + 1],
     values[tau], h)[0]``.
     """
-    folded = left_steps @ kernel[1:] @ right_steps
-    alpha = 0.5 * h
+    src = _sources(left_steps, right_steps, kernel, h)
     defects = np.empty(len(t_index))
     for start in range(0, len(t_index), chunk):
         t, tau = t_index[start:start + chunk], tau_index[start:start + chunk]
         cur = values[tau]
         for i in range(int(tau.max()) - 1, int(t.min()) - 1, -1):
             active = (t <= i) & (i < tau)
-            cur[active] = left_steps[i] @ cur[active] @ right_steps[i] \
-                + alpha * (kernel[i] + folded[i])
+            cur[active] = left_steps[i] @ cur[active] @ right_steps[i] + src[i]
         defects[start:start + chunk] = np.linalg.norm(values[t] - cur, 2, axis=(1, 2))
     return defects
 

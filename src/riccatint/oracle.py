@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .evolution import OperatorFunction, TimeGrid
-from .linops import sup_opnorm, symmetrize
+from .linops import node_opnorms, sup_opnorm, symmetrize
 
 __all__ = ["OdeSolveReport", "solve_differential_riccati", "compare"]
 
@@ -34,9 +34,13 @@ class OdeSolveReport:
     terminal_check: float
 
 
-def _require_midpoints(name: str, fn: OperatorFunction) -> None:
-    if fn.grid.steps > 0 and fn.midpoint_values is None:
-        raise ValueError(f"{name} needs midpoint samples for the 4th-order stages")
+def _symmetric_stack(values: np.ndarray, tol: float) -> bool:
+    """sup_n ||V_n - V_n^T|| <= tol (1 + max |V|), decomposing only the nodes whose
+    V_n - V_n^T is not exactly zero, the first of them alone."""
+    undecided = np.flatnonzero((values != np.swapaxes(values, -1, -2)).any(axis=(1, 2)))
+    bound = tol * (1.0 + float(np.abs(values).max()))
+    return all((node_opnorms(values[part] - np.swapaxes(values[part], -1, -2)) <= bound).all()
+               for part in (undecided[:1], undecided[1:]))
 
 
 def solve_differential_riccati(generator: OperatorFunction, B: OperatorFunction,
@@ -58,35 +62,42 @@ def solve_differential_riccati(generator: OperatorFunction, B: OperatorFunction,
     if g.shape != (n, n):
         raise ValueError(f"G must have shape {(n, n)}, got {g.shape}")
     for name, fn in (("generator", generator), ("B", B), ("C", C)):
-        _require_midpoints(name, fn)
+        if grid.steps > 0 and fn.midpoint_values is None:
+            raise ValueError(f"{name} needs midpoint samples for the 4th-order stages")
 
     sym_tol = 1e-12
-    symmetric = (
-        float(np.abs(g - g.T).max()) <= sym_tol * (1.0 + float(np.abs(g).max()))
-        and B.symmetry_defect() <= sym_tol * (1.0 + float(np.abs(B.values).max()))
-        and C.symmetry_defect() <= sym_tol * (1.0 + float(np.abs(C.values).max()))
-    )
+    symmetric = (float(np.abs(g - g.T).max()) <= sym_tol * (1.0 + float(np.abs(g).max()))
+                 and _symmetric_stack(B.values, sym_tol) and _symmetric_stack(C.values, sym_tol))
 
-    def rhs(a_t, b_t, c_t, p):
-        return -c_t - a_t.T @ p - p @ a_t + p @ b_t @ p
+    def rhs(a_t, b_t, neg_c_t, p):
+        return neg_c_t - a_t.T @ p - p @ a_t + p @ b_t @ p
 
+    a, b, neg_c = generator.values, B.values, -C.values
+    a_mid, b_mid = generator.midpoint_values, B.midpoint_values
+    neg_c_mid = -C.midpoint_values if grid.steps else None
     values = np.empty((grid.num_nodes, n, n))
     values[grid.steps] = g
     h = -grid.h  # integrating backward in time
+    half, sixth = 0.5 * h, h / 6.0
+
+    def rk4(i):
+        p = values[i + 1]
+        k1 = rhs(a[i + 1], b[i + 1], neg_c[i + 1], p)
+        k2 = rhs(a_mid[i], b_mid[i], neg_c_mid[i], p + half * k1)
+        k3 = rhs(a_mid[i], b_mid[i], neg_c_mid[i], p + half * k2)
+        k4 = rhs(a[i], b[i], neg_c[i], p + h * k3)
+        return p + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
     with np.errstate(over="ignore", invalid="ignore"):  # blow-up is diagnosed below
         for i in range(grid.steps - 1, -1, -1):
-            p = values[i + 1]
-            a_hi, b_hi, c_hi = generator.values[i + 1], B.values[i + 1], C.values[i + 1]
-            a_mid, b_mid, c_mid = generator.midpoint(i), B.midpoint(i), C.midpoint(i)
-            a_lo, b_lo, c_lo = generator.values[i], B.values[i], C.values[i]
-            k1 = rhs(a_hi, b_hi, c_hi, p)
-            k2 = rhs(a_mid, b_mid, c_mid, p + 0.5 * h * k1)
-            k3 = rhs(a_mid, b_mid, c_mid, p + 0.5 * h * k2)
-            k4 = rhs(a_lo, b_lo, c_lo, p + h * k3)
-            step = p + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            if not np.all(np.isfinite(step)):
-                raise RuntimeError(f"backward integration blew up at node {i}")
+            step = rk4(i)
             values[i] = symmetrize(step) if symmetric else step
+        # A non-finite entry stays so in every later step: the loop met the highest
+        # such node first, or the next one if only its symmetrization overflowed.
+        blown = np.flatnonzero(~np.isfinite(values[:grid.steps]).all(axis=(1, 2)))
+        node = int(blown[-1]) - bool(np.isfinite(rk4(blown[-1])).all()) if blown.size else -1
+    if node >= 0:
+        raise RuntimeError(f"backward integration blew up at node {node}")
     p_fn = OperatorFunction(grid, values)
     terminal_check = float(np.linalg.norm(values[grid.steps] - g, 2))
     return OdeSolveReport(P_oracle=p_fn, terminal_check=terminal_check)

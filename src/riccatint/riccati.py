@@ -373,7 +373,7 @@ def _monotone_step_core(p_values: np.ndarray, problem: RiccatiProblem
     """One linearized step; returns the symmetrized iterate and the raw defect."""
     q1 = problem.B.values @ p_values            # acts on the domain space
     q2 = p_values @ problem.B.values            # acts on the codomain space
-    kernel = problem.C.values + p_values @ problem.B.values @ p_values
+    kernel = problem.C.values + q2 @ p_values   # q2 @ P is P @ B @ P, bitwise
     raw = _march(problem.U_backward.steps, problem.U_forward.steps,
                  kernel, problem.G, problem.grid.h, q1=q1, q2=q2)
     defect = sup_opnorm(raw - np.swapaxes(raw, -1, -2))

@@ -3,12 +3,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import settings
 
 from riccatint.cli import _csv_header
 from riccatint.evolution import OperatorFunction
 from riccatint.linops import node_opnorms, symmetrize
-from riccatint.lyapunov import _march
+from riccatint.lyapunov import ConvergenceError, _march
 
 # Property tests run a fixed, derandomized set of examples: the same inputs and
 # the same run time on every run.
@@ -188,3 +189,151 @@ def read_solution_csv_reference(path, grid, n):
             raise ValueError(f"row {i} has t={t}, expected {nodes[i]}")
         values[i] = list(map(float, parts[1:]))
     return OperatorFunction(grid, values.reshape(-1, n, n))
+
+
+# Per-node loops, kept as references: the versions that compute every
+# node-independent term once for the whole stack before the loop must give
+# the same bits, the same errors and the same blow-up node.
+
+def _coupling_reference(x, q1, q2, i):
+    out = 0.0
+    if q1 is not None:
+        out = x @ q1[i]
+    if q2 is not None:
+        out = out + q2[i] @ x
+    return out
+
+
+def march_reference(left_steps, right_steps, kernel, terminal, h, q1=None, q2=None):
+    """``lyapunov._march`` with the source term (h/2)(K_i + L_i K_{i+1} R_i)
+    formed node by node inside the loops."""
+    m = left_steps.shape[0]
+    out = np.empty((m + 1,) + terminal.shape)
+    out[m] = terminal
+    if m == 0:
+        return out
+    folded = left_steps @ kernel[1:] @ right_steps
+    alpha = 0.5 * h
+    if q1 is None and q2 is None:
+        for i in range(m - 1, -1, -1):
+            out[i] = left_steps[i] @ out[i + 1] @ right_steps[i] \
+                + alpha * (kernel[i] + folded[i])
+        return out
+    for i in range(m - 1, -1, -1):
+        nxt = out[i + 1]
+        rhs = left_steps[i] @ (nxt - alpha * _coupling_reference(nxt, q1, q2, i + 1)) \
+            @ right_steps[i] + alpha * (kernel[i] + folded[i])
+        scale = 1.0 + float(np.abs(rhs).max())
+        x = rhs
+        prev = math.inf
+        for _ in range(64):
+            x_new = rhs - alpha * _coupling_reference(x, q1, q2, i)
+            diff = float(np.abs(x_new - x).max())
+            x = x_new
+            if diff <= 1e-15 * scale:
+                break
+            if diff >= prev:
+                if diff <= 1e-12 * scale:
+                    break
+                raise ConvergenceError(
+                    "implicit endpoint solve is diverging; h * ||Q|| is too large")
+            prev = diff
+        else:
+            raise ConvergenceError(
+                "implicit endpoint solve did not converge; h * ||Q|| is too large")
+        out[i] = x
+    return out
+
+
+def window_defects_reference(left_steps, right_steps, kernel, values, h, t_index,
+                             tau_index, chunk):
+    """``lyapunov._window_defects`` with the source term formed per node."""
+    folded = left_steps @ kernel[1:] @ right_steps
+    alpha = 0.5 * h
+    defects = np.empty(len(t_index))
+    for start in range(0, len(t_index), chunk):
+        t, tau = t_index[start:start + chunk], tau_index[start:start + chunk]
+        cur = values[tau]
+        for i in range(int(tau.max()) - 1, int(t.min()) - 1, -1):
+            active = (t <= i) & (i < tau)
+            cur[active] = left_steps[i] @ cur[active] @ right_steps[i] \
+                + alpha * (kernel[i] + folded[i])
+        defects[start:start + chunk] = np.linalg.norm(values[t] - cur, 2, axis=(1, 2))
+    return defects
+
+
+def rk4_reference(generator, B, C, G, grid):
+    """Node values of ``oracle.solve_differential_riccati`` from the per-step
+    loop: stage samples read through ``midpoint(i)``, C negated in every stage,
+    a finiteness test after every step, and symmetric mode decided from the
+    spectral norms of every node of B - B^T and C - C^T."""
+    n = generator.shape[0]
+    g = np.asarray(G, dtype=float)
+    sym_tol = 1e-12
+    symmetric = (
+        float(np.abs(g - g.T).max()) <= sym_tol * (1.0 + float(np.abs(g).max()))
+        and sup_opnorm_reference(B.values - np.swapaxes(B.values, -1, -2))
+        <= sym_tol * (1.0 + float(np.abs(B.values).max()))
+        and sup_opnorm_reference(C.values - np.swapaxes(C.values, -1, -2))
+        <= sym_tol * (1.0 + float(np.abs(C.values).max()))
+    )
+
+    def rhs(a_t, b_t, c_t, p):
+        return -c_t - a_t.T @ p - p @ a_t + p @ b_t @ p
+
+    values = np.empty((grid.num_nodes, n, n))
+    values[grid.steps] = g
+    h = -grid.h
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(grid.steps - 1, -1, -1):
+            p = values[i + 1]
+            a_hi, b_hi, c_hi = generator.values[i + 1], B.values[i + 1], C.values[i + 1]
+            a_mid, b_mid, c_mid = generator.midpoint(i), B.midpoint(i), C.midpoint(i)
+            a_lo, b_lo, c_lo = generator.values[i], B.values[i], C.values[i]
+            k1 = rhs(a_hi, b_hi, c_hi, p)
+            k2 = rhs(a_mid, b_mid, c_mid, p + 0.5 * h * k1)
+            k3 = rhs(a_mid, b_mid, c_mid, p + 0.5 * h * k2)
+            k4 = rhs(a_lo, b_lo, c_lo, p + h * k3)
+            step = p + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            if not np.all(np.isfinite(step)):
+                raise RuntimeError(f"backward integration blew up at node {i}")
+            values[i] = symmetrize(step) if symmetric else step
+    return OperatorFunction(grid, values).values
+
+
+def propagate_step_reference(generator_samples, i):
+    """exp(h A(t_{i+1/2})): the identity for a zero sample, ``math.exp`` in 1-D."""
+    rows = generator_samples.shape[0]
+    mid = generator_samples.midpoint(i)
+    h = generator_samples.grid.h
+    if not np.any(mid):
+        return np.eye(rows)
+    if rows == 1:
+        try:
+            return np.array([[math.exp(h * mid[0, 0])]])
+        except OverflowError:
+            return np.array([[math.inf]])
+    return scipy.linalg.expm(h * mid)
+
+
+def forward_steps_reference(generator_samples):
+    """Step stack of ``evolution.build_forward_family``, one
+    ``propagate_step_reference`` per step."""
+    rows = generator_samples.shape[0]
+    grid = generator_samples.grid
+    steps = np.empty((grid.steps, rows, rows))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(grid.steps):
+            steps[i] = propagate_step_reference(generator_samples, i)
+    if not np.all(np.isfinite(steps)):
+        raise ValueError("a step propagator exp(h A) overflows; refine the grid")
+    return steps
+
+
+def outcome(fn, *args, **kwargs):
+    """``(shape, bytes)`` of what ``fn`` returns, or ``(error type, message)``."""
+    try:
+        out = np.asarray(fn(*args, **kwargs))
+    except (ArithmeticError, RuntimeError, ValueError) as exc:
+        return type(exc).__name__, str(exc)
+    return out.shape, out.tobytes()

@@ -3,13 +3,16 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from riccatint.evolution import (EvolutionFamily, OperatorFunction, TimeGrid,
                                  adjoint_backward_family, build_forward_family,
                                  check_semigroup, propagate_step)
 
-from conftest import certified_product_bound_reference
+from conftest import (certified_product_bound_reference, forward_steps_reference,
+                      outcome, propagate_step_reference)
 
 
 def test_time_grid_nodes():
@@ -215,3 +218,54 @@ def test_step_norms_are_computed_on_first_use():
     assert bwd.bound == fwd.bound
     assert bwd.step_norms is fwd.step_norms
     assert {"step_norms", "bound"} <= fwd.__dict__.keys()
+
+
+# ------------------------------------------- family build against per-step calls
+
+def _generator(n, steps, zeros, scale, seed):
+    """Random node and midpoint samples; ``zeros`` picks which midpoints are 0."""
+    rng = np.random.default_rng(seed)
+    grid = TimeGrid(1.0 if steps else 0.0, steps)
+    values = scale * rng.standard_normal((steps + 1, n, n)) / np.sqrt(n)
+    mids = scale * rng.standard_normal((steps, n, n)) / np.sqrt(n)
+    if zeros == "all":
+        mids[:] = 0.0
+    elif zeros == "some":
+        mids[rng.random(steps) < 0.5] = 0.0
+    elif zeros == "negative":
+        mids[rng.random(steps) < 0.5] = -0.0
+    return OperatorFunction(grid, values, mids)
+
+
+def _steps(gen):
+    return build_forward_family(gen).steps
+
+
+@given(n=st.sampled_from([1, 2, 3, 8, 32]), steps=st.sampled_from([0, 1, 2, 50]),
+       zeros=st.sampled_from(["none", "some", "negative", "all"]),
+       scale=st.sampled_from([0.5, 1e4]), seed=st.integers(0, 2 ** 32 - 1))
+def test_family_build_bitwise_equals_per_step_reference(n, steps, zeros, scale, seed):
+    gen = _generator(n, steps, zeros, scale, seed)
+    assert outcome(_steps, gen) == outcome(forward_steps_reference, gen)
+    with np.errstate(over="ignore", invalid="ignore"):     # as the family build
+        for i in range(min(steps, 3)):
+            assert outcome(propagate_step, gen, i) \
+                == outcome(propagate_step_reference, gen, i)
+
+
+@pytest.mark.parametrize("n", [1, 2, 8])
+@pytest.mark.parametrize("steps", [0, 1, 2, 50])
+@pytest.mark.parametrize("zeros", ["none", "some", "all"])
+def test_family_build_calls_expm_once_per_nonzero_step(monkeypatch, n, steps, zeros):
+    gen = _generator(n, steps, zeros, 0.5, seed=steps)
+    calls = []
+    expm = scipy.linalg.expm
+
+    def counting(mat):
+        calls.append(mat)
+        return expm(mat)
+
+    monkeypatch.setattr(scipy.linalg, "expm", counting)
+    build_forward_family(gen)
+    nonzero = int(gen.midpoint_values.any(axis=(1, 2)).sum())
+    assert len(calls) == (0 if n == 1 else nonzero)

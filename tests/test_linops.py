@@ -7,6 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from riccatint import linops
 from riccatint.linops import (adjoint, is_nonnegative, is_self_adjoint,
                               loewner_leq, min_eigenvalue, op_norm,
                               quadratic_form, sup_opnorm, symmetry_report)
@@ -241,6 +242,28 @@ def test_sup_opnorm_non_finite_entries_behave_as_full_svd(rng):
         stack[2, 1, 0] = bad
         assert np.isnan(sup_opnorm_reference(stack))
         assert np.isnan(sup_opnorm(stack))
+
+
+@pytest.mark.parametrize("nodes, n, chunks", [
+    (63, 32, 1), (64, 32, 1), (65, 32, 2),      # just below, at and above 512 KiB
+    (501, 32, 8), (287, 8, 1), (2001, 8, 2),    # the benchmark's stacks
+    (2, 400, 2), (1, 300, 1),                   # fewer nodes than 512 KiB chunks
+])
+def test_sup_opnorm_bounds_in_chunks_of_at_most_512_kib(monkeypatch, nodes, n, chunks):
+    rng = np.random.default_rng(nodes)
+    stack = rng.standard_normal((nodes, n, n))
+    stack[rng.integers(nodes)] *= 1.0 + 1e-13       # a near tie for the largest norm
+    sizes = []
+    bounds = linops._opnorm_bounds
+
+    def recording(part):
+        sizes.append(part.nbytes)
+        return bounds(part)
+
+    monkeypatch.setattr(linops, "_opnorm_bounds", recording)
+    assert sup_opnorm(stack) == sup_opnorm_reference(stack)
+    assert len(sizes) == chunks and sum(sizes) == stack.nbytes
+    assert max(sizes) <= max(512 << 10, n * n * 8)
 
 
 def test_only_linops_calls_the_svd():

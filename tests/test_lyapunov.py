@@ -1,13 +1,18 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from riccatint.evolution import (OperatorFunction, TimeGrid,
                                  adjoint_backward_family, build_forward_family)
 from riccatint.lyapunov import (ConvergenceError, LinearIntegralProblem, _march,
-                                solve_both_perturbed, solve_left_perturbed,
-                                solve_linear_picard, solve_right_perturbed)
+                                _window_defects, solve_both_perturbed,
+                                solve_left_perturbed, solve_linear_picard,
+                                solve_right_perturbed)
 from riccatint.volterra import PerturbationSpec, perturb_forward
+
+from conftest import march_reference, outcome, window_defects_reference
 
 
 def _scalar_setup(n_steps=200, horizon=1.0):
@@ -162,3 +167,55 @@ def test_problem_validation():
                                  Q1=_const(grid, 1.0), Q2=_const(grid, 1.0))
     with pytest.raises(ValueError):
         solve_right_perturbed(both)     # Q2 must be absent
+
+
+# ------------------------------------------------- march against the per-node loops
+
+def _march_data(rng, n, steps, symmetric, scale):
+    """Steps, kernel, terminal and a coefficient pair of a random march.
+
+    Symmetric data has right steps equal to the transposed left steps, a
+    symmetric kernel and terminal, and Q2 = Q1^T, as the monotone step passes
+    them; ``scale`` sets h ||Q||, up to past where the endpoint solve fails.
+    """
+    def sym(stack):
+        return 0.5 * (stack + np.swapaxes(stack, -1, -2)) if symmetric else stack
+
+    left = np.eye(n) + 0.3 * rng.standard_normal((steps, n, n)) / np.sqrt(n)
+    right = np.swapaxes(left, -1, -2).copy() if symmetric \
+        else np.eye(n) + 0.3 * rng.standard_normal((steps, n, n)) / np.sqrt(n)
+    kernel = sym(rng.standard_normal((steps + 1, n, n)))
+    terminal = sym(rng.standard_normal((1, n, n)))[0]
+    q1 = scale * max(steps, 1) * rng.standard_normal((steps + 1, n, n)) / n
+    q2 = np.swapaxes(q1, -1, -2).copy() if symmetric \
+        else scale * max(steps, 1) * rng.standard_normal((steps + 1, n, n)) / n
+    return left, right, kernel, terminal, q1, q2
+
+
+@given(n=st.sampled_from([1, 2, 3, 8, 32]), steps=st.sampled_from([0, 1, 2, 50]),
+       coefficients=st.sampled_from(["none", "q1", "q2", "both"]),
+       symmetric=st.booleans(), scale=st.sampled_from([0.01, 0.3, 3.0]),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_march_bitwise_equals_per_node_reference(n, steps, coefficients, symmetric,
+                                                 scale, seed):
+    rng = np.random.default_rng(seed)
+    left, right, kernel, terminal, q1, q2 = _march_data(rng, n, steps, symmetric, scale)
+    coeffs = {"q1": q1 if coefficients in ("q1", "both") else None,
+              "q2": q2 if coefficients in ("q2", "both") else None}
+    h = 1.0 / max(steps, 1)
+    assert outcome(_march, left, right, kernel, terminal, h, **coeffs) \
+        == outcome(march_reference, left, right, kernel, terminal, h, **coeffs)
+
+
+@given(n=st.sampled_from([1, 2, 3, 8, 32]), steps=st.sampled_from([1, 2, 50]),
+       pairs=st.integers(1, 12), chunk=st.integers(1, 12), symmetric=st.booleans(),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_window_defects_bitwise_equal_per_node_reference(n, steps, pairs, chunk,
+                                                         symmetric, seed):
+    rng = np.random.default_rng(seed)
+    left, right, kernel, _, _, _ = _march_data(rng, n, steps, symmetric, 0.0)
+    values = rng.standard_normal((steps + 1, n, n))
+    ends = np.sort(rng.integers(0, steps + 1, (pairs, 2)), axis=1)
+    t_index, tau_index = ends[:, 0], ends[:, 1]
+    args = (left, right, kernel, values, 1.0 / steps, t_index, tau_index, chunk)
+    assert outcome(_window_defects, *args) == outcome(window_defects_reference, *args)

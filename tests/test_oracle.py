@@ -2,11 +2,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from riccatint import oracle
 from riccatint.evolution import OperatorFunction, TimeGrid
+from riccatint.linops import node_opnorms
 from riccatint.oracle import OdeSolveReport, compare, solve_differential_riccati
 from riccatint.testing import (inverse_linear_problem, random_symmetric_problem,
                                tanh_problem)
+
+from conftest import outcome, rk4_reference, sup_opnorm_reference
 
 
 def test_oracle_scalar_closed_forms():
@@ -92,3 +98,108 @@ def test_report_dataclass_fields():
     report = OdeSolveReport(P_oracle=OperatorFunction(grid, values),
                             terminal_check=0.0)
     assert report.terminal_check == 0.0
+
+
+# ------------------------------------------------- RK4 against the per-step loop
+
+def _oracle_values(generator, B, C, G, grid):
+    return solve_differential_riccati(generator, B, C, G, grid).P_oracle.values
+
+
+def _sampled(grid, rng, n, kind, scale=1.0):
+    """Node and midpoint samples: random, symmetric, symmetric up to an
+    asymmetry of about the oracle's tolerance 1e-12, or zero."""
+    size = (grid.num_nodes + grid.steps, n, n)
+    if kind == "zero":
+        stack = np.zeros(size)
+    else:
+        stack = scale * rng.standard_normal(size) / np.sqrt(n)
+    if kind in ("symmetric", "near-symmetric"):
+        stack = stack @ np.swapaxes(stack, -1, -2)
+    if kind == "near-symmetric" and n > 1:
+        stack[rng.integers(len(stack)), 0, 1] += rng.choice([0.5e-12, 2e-12]) * (
+            1.0 + np.abs(stack).max())
+    return OperatorFunction(grid, stack[:grid.num_nodes], stack[grid.num_nodes:])
+
+
+_KINDS = ["general", "symmetric", "near-symmetric", "zero"]
+
+
+@given(n=st.sampled_from([1, 2, 3, 8, 32]), steps=st.sampled_from([0, 1, 2, 50]),
+       generator=st.sampled_from(["general", "zero"]), b=st.sampled_from(_KINDS),
+       c=st.sampled_from(_KINDS), symmetric_g=st.booleans(),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_rk4_bitwise_equals_per_step_reference(n, steps, generator, b, c, symmetric_g,
+                                               seed):
+    rng = np.random.default_rng(seed)
+    grid = TimeGrid(1.0 if steps else 0.0, steps)
+    gen = _sampled(grid, rng, n, generator, 0.5)
+    b_fn, c_fn = _sampled(grid, rng, n, b), _sampled(grid, rng, n, c)
+    g = rng.standard_normal((n, n))
+    g = g @ g.T if symmetric_g else g
+    assert outcome(_oracle_values, gen, b_fn, c_fn, g, grid) \
+        == outcome(rk4_reference, gen, b_fn, c_fn, g, grid)
+
+
+def _pole(n, symmetric, steps=200):
+    """B negative definite, so p' = ... + p B p runs into a pole backward from G."""
+    grid = TimeGrid(1.0, steps)
+    b = -np.eye(n)
+    c = np.zeros((n, n))
+    gen = np.zeros((n, n))
+    g = 2.0 * np.eye(n)
+    if n > 1:
+        b[0, 1] = b[1, 0] = 0.3
+        g[0, 1] = g[1, 0] = 0.5
+        if not symmetric:
+            gen[0, 1], c[1, 0] = 0.4, 0.2
+    return (OperatorFunction.constant(grid, gen), OperatorFunction.constant(grid, b),
+            OperatorFunction.constant(grid, c), g, grid)
+
+
+def _symmetrization_overflow(steps):
+    """A finite first step whose symmetrization (V + V^T) / 2 overflows."""
+    grid = TimeGrid(1.0, steps)
+    zero = OperatorFunction.zero(grid, 2)
+    return zero, zero, zero, np.full((2, 2), 1.5e308), grid
+
+
+@pytest.mark.parametrize("case", [
+    _pole(1, True), _pole(2, True), _pole(2, False), _pole(3, False, steps=40),
+    _symmetrization_overflow(5), _symmetrization_overflow(1),
+], ids=["1d", "2d-symmetric", "2d-general", "3d-general-coarse",
+        "symmetrization-overflow", "symmetrization-overflow-one-step"])
+def test_rk4_blowup_is_reported_at_the_reference_node(case):
+    got = outcome(_oracle_values, *case)
+    assert got == outcome(rk4_reference, *case)
+    assert got[0] in ("RuntimeError", "ValueError")
+
+
+def test_symmetric_decision_decomposes_only_the_first_asymmetric_node(monkeypatch):
+    grid = TimeGrid(1.0, 50)
+    general = OperatorFunction.constant(grid, [[1.0, 0.2], [0.0, 1.0]])
+    symmetric = OperatorFunction.constant(grid, np.eye(2))
+    decomposed = []
+
+    def counting(values):
+        decomposed.append(len(values))
+        return node_opnorms(values)
+
+    monkeypatch.setattr(oracle, "node_opnorms", counting)
+    report = solve_differential_riccati(symmetric, symmetric, general, np.eye(2), grid)
+    assert sum(decomposed) == 1         # B exactly symmetric, C fails at node 0
+    assert report.P_oracle.symmetry_defect() > 0.0      # not symmetrized
+
+
+@given(nodes=st.integers(1, 30), n=st.sampled_from([1, 2, 3, 8]),
+       defect=st.sampled_from([0.0, 0.5e-12, 1e-12, 2e-12]), where=st.integers(0, 29),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_symmetric_decision_equals_sup_norm_test(nodes, n, defect, where, seed):
+    rng = np.random.default_rng(seed)
+    values = rng.standard_normal((nodes, n, n))
+    values = values + np.swapaxes(values, -1, -2)
+    if n > 1:
+        values[where % nodes, 0, 1] += defect * (1.0 + np.abs(values).max())
+    bound = 1e-12 * (1.0 + float(np.abs(values).max()))
+    want = sup_opnorm_reference(values - np.swapaxes(values, -1, -2)) <= bound
+    assert oracle._symmetric_stack(values, 1e-12) == want

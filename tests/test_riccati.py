@@ -10,6 +10,7 @@ from numpy.testing import assert_allclose
 from riccatint import riccati
 from riccatint.evolution import (EvolutionFamily, OperatorFunction, TimeGrid,
                                  adjoint_backward_family, build_forward_family)
+from riccatint.linops import symmetrize
 from riccatint.lyapunov import LinearIntegralProblem, solve_both_perturbed
 from riccatint.riccati import (ContractionParams, ConvergenceError,
                                HypothesisViolation, RiccatiProblem,
@@ -23,7 +24,7 @@ from riccatint.testing import (inverse_linear_problem, random_symmetric_problem,
                                tanh_problem)
 
 from conftest import (check_hypotheses_reference, flow_consistency_per_window,
-                      sup_opnorm_reference)
+                      march_reference, sup_opnorm_reference)
 
 
 def _exact_tanh(problem):
@@ -88,6 +89,19 @@ def test_first_step_transports_terminal_unchanged():
     p0 = OperatorFunction.zero(problem.grid, 1, midpoints=False)
     p1 = monotone_step(p0, problem)
     assert_allclose(p1.values[:, 0, 0], np.ones(101), atol=1e-14)
+
+
+@pytest.mark.parametrize("n", [1, 3, 8])
+def test_monotone_step_kernel_reuses_p_b_bitwise(n):
+    """C + (P B) P, with P B the Q2 already formed, is C + P B P to the bit."""
+    problem, _ = random_symmetric_problem(seed=n, n=n, steps=40)
+    p = solve_monotone(problem).P.values
+    b = problem.B.values
+    raw = march_reference(problem.U_backward.steps, problem.U_forward.steps,
+                          problem.C.values + p @ b @ p, problem.G, problem.grid.h,
+                          q1=b @ p, q2=p @ b)
+    values, _ = riccati._monotone_step_core(p, problem)
+    assert values.tobytes() == symmetrize(raw).tobytes()
 
 
 def test_monotone_step_rejects_asymmetric_iterate():
