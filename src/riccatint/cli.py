@@ -22,7 +22,7 @@ import sys
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import List, Optional
+from typing import Callable, List, Optional
 
 import numpy as np
 
@@ -91,8 +91,17 @@ def _grids(text: str) -> List[int]:
     return grids
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
+def _integer(value) -> int:
+    """``int`` of option text or of a JSON number, refusing a bool and a
+    number that is not integral (2000.0 is 2000, 2000.7 is refused)."""
+    number = int(value)
+    if isinstance(value, bool) or (isinstance(value, float) and number != value):
+        raise ValueError(f"expected an integer, got {value!r}")
+    return number
+
+
+def _positive_int(text) -> int:
+    value = _integer(text)
     if value < 1:
         raise ValueError(f"expected a positive integer, got {text!r}")
     return value
@@ -154,14 +163,6 @@ def _spec_sampler(spec: dict, n: int, name: str):
     raise ValueError(f"{name} spec kind must be one of {_SPEC_KINDS}, got {kind!r}")
 
 
-def _spec(n: int, name: str):
-    """Field parser that validates a coefficient spec and keeps it as given."""
-    def parse(spec):
-        _spec_sampler(spec, n, name)
-        return spec
-    return parse
-
-
 def _propagator_table(table, steps: int, n: int) -> np.ndarray:
     steps_arr = np.asarray(_as_object(table, "propagators")["steps"], dtype=float)
     if steps_arr.shape != (steps, n, n):
@@ -180,15 +181,16 @@ def _tolerances(table) -> dict:
 
 @dataclass
 class ProblemFile:
-    """Parsed problem document; see the README for the format reference."""
+    """Parsed problem document; see the README for the format reference.
+    Each coefficient spec is kept as the ``sample(ts)`` that parsing it gave."""
 
     dimension: int
     horizon: float
     steps: int
-    c_spec: dict
-    b_spec: dict
+    c_sampler: Callable
+    b_sampler: Callable
     g: np.ndarray
-    generator: Optional[dict] = None
+    generator: Optional[Callable] = None
     propagators: Optional[np.ndarray] = None
     tolerances: Optional[dict] = None
     solver: str = "monotone"
@@ -198,11 +200,12 @@ class ProblemFile:
     @classmethod
     def from_dict(cls, doc: dict) -> "ProblemFile":
         _as_object(doc, "a problem file")
-        n = _field(doc, "dimension", int)
+        n = _field(doc, "dimension", _integer)
         if n < 1:
             raise ValueError("dimension must be >= 1")
-        steps = _field(doc, "steps", int)
-        generator = _field(doc, "generator", _spec(n, "generator"), None)
+        steps = _field(doc, "steps", _integer)
+        generator = _field(doc, "generator", lambda spec: _spec_sampler(spec, n, "generator"),
+                           None)
         propagators = _field(doc, "propagators",
                              lambda table: _propagator_table(table, steps, n), None)
         if (generator is None) == (propagators is None):
@@ -212,8 +215,8 @@ class ProblemFile:
             raise ValueError(f"solver must be one of {_SOLVERS}, got {solver!r}")
         return cls(
             dimension=n, horizon=_field(doc, "horizon", float), steps=steps,
-            c_spec=_field(doc, "C", _spec(n, "C")),
-            b_spec=_field(doc, "B", _spec(n, "B")),
+            c_sampler=_field(doc, "C", lambda spec: _spec_sampler(spec, n, "C")),
+            b_sampler=_field(doc, "B", lambda spec: _spec_sampler(spec, n, "B")),
             g=_field(doc, "G", lambda mat: _as_matrix(mat, n, "G")),
             generator=generator, propagators=propagators,
             tolerances=_field(doc, "tolerances", _tolerances, None),
@@ -226,27 +229,6 @@ class ProblemFile:
         with open(path, "r", encoding="utf-8") as fh:
             return cls.from_dict(json.load(fh))
 
-    def to_dict(self) -> dict:
-        doc = {
-            "dimension": self.dimension,
-            "horizon": self.horizon,
-            "steps": self.steps,
-            "C": self.c_spec,
-            "B": self.b_spec,
-            "G": self.g.tolist(),
-            "solver": self.solver,
-            "safety": self.safety,
-        }
-        if self.generator is not None:
-            doc["generator"] = self.generator
-        if self.propagators is not None:
-            doc["propagators"] = {"steps": self.propagators.tolist()}
-        if self.tolerances is not None:
-            doc["tolerances"] = self.tolerances
-        if self.b_factor is not None:
-            doc["B_factor"] = self.b_factor.tolist()
-        return doc
-
     def build(self, steps: Optional[int] = None
               ) -> tuple[RiccatiProblem, Optional[OperatorFunction]]:
         """Instantiate the problem, optionally overriding the grid resolution.
@@ -255,13 +237,11 @@ class ProblemFile:
         hypothesis check run it themselves (``_with_symmetric_mode``).
         """
         grid = TimeGrid(self.horizon, self.steps if steps is None else steps)
-        n = self.dimension
-        c_fun = OperatorFunction.from_sampler(grid, _spec_sampler(self.c_spec, n, "C"))
-        b_fun = OperatorFunction.from_sampler(grid, _spec_sampler(self.b_spec, n, "B"))
+        c_fun = OperatorFunction.from_sampler(grid, self.c_sampler)
+        b_fun = OperatorFunction.from_sampler(grid, self.b_sampler)
         generator = None
         if self.generator is not None:
-            generator = OperatorFunction.from_sampler(
-                grid, _spec_sampler(self.generator, n, "generator"))
+            generator = OperatorFunction.from_sampler(grid, self.generator)
             u_fwd = build_forward_family(generator)
         else:
             if steps is not None and steps != self.steps:
@@ -340,7 +320,7 @@ def read_solution_csv(path, grid: TimeGrid, n: int) -> OperatorFunction:
         if len(parts) != 1 + n * n:
             raise ValueError(f"row {i} has {len(parts)} columns, expected {1 + n * n}")
         t = float(parts[0])
-        if abs(t - nodes[i]) > 1e-12 * (1.0 + abs(nodes[i])):
+        if not abs(t - nodes[i]) <= 1e-12 * (1.0 + abs(nodes[i])):    # nan fails too
             raise ValueError(f"row {i} has t={t}, expected {nodes[i]}")
         # p0_1 against p1_0 first: a non-symmetric row is told at once
         if n > 1 and parts[2] == parts[n + 1] and \
@@ -406,7 +386,7 @@ def _run_solver(solver: str, problem: RiccatiProblem,
     if generator is None:
         raise ValueError("the oracle solver needs a generator-driven problem")
     p_oracle = solve_differential_riccati(generator, problem.B, problem.C,
-                                          problem.G, problem.grid).P_oracle
+                                          problem.G, problem.grid)
     return RiccatiSolution(P=p_oracle, iterations=0, sup_differences=[],
                            residual=riccati_residual(p_oracle, problem))
 
@@ -497,8 +477,7 @@ def cmd_study(problem_path, grids: List[int], solver: Optional[str] = None) -> i
     settings = _settings(pfile)
     problem_f, generator_f = pfile.build(steps=finest)
     reference = solve_differential_riccati(
-        generator_f, problem_f.B, problem_f.C, problem_f.G, problem_f.grid
-    ).P_oracle
+        generator_f, problem_f.B, problem_f.C, problem_f.G, problem_f.grid)
     rows = []
     for n_steps in grids:
         problem, generator = pfile.build(steps=n_steps)
@@ -525,7 +504,7 @@ def _simulate_lqr(generator: OperatorFunction, c_fun: OperatorFunction,
                   u_mids: Optional[np.ndarray] = None):
     """Forward RK4 of the state and running cost; closed loop when P is given.
 
-    Returns (total cost, state trajectory at nodes, control at nodes).
+    Returns (total cost, state trajectory at nodes).
     """
     h = grid.h
     a_n, a_m = generator.values, generator.midpoint_values
@@ -552,9 +531,7 @@ def _simulate_lqr(generator: OperatorFunction, c_fun: OperatorFunction,
     x = np.asarray(x0, dtype=float).copy()
     cost = 0.0
     states = np.empty((grid.num_nodes, x.shape[0]))
-    controls = np.empty((grid.num_nodes, bu.shape[1]))
     states[0] = x
-    controls[0] = control(0, 0, x)
     for i in range(grid.steps):
         dx1, dj1 = rhs(i, 0, x)
         dx2, dj2 = rhs(i, 1, x + 0.5 * h * dx1)
@@ -563,9 +540,8 @@ def _simulate_lqr(generator: OperatorFunction, c_fun: OperatorFunction,
         x = x + (h / 6.0) * (dx1 + 2 * dx2 + 2 * dx3 + dx4)
         cost += (h / 6.0) * (dj1 + 2 * dj2 + 2 * dj3 + dj4)
         states[i + 1] = x
-        controls[i + 1] = control(i, 2, x)
     cost += float(x @ g_mat @ x)
-    return cost, states, controls
+    return cost, states
 
 
 def cmd_lqr_demo(problem_path, x0: List[float], tol: Optional[float] = None,
@@ -592,7 +568,7 @@ def cmd_lqr_demo(problem_path, x0: List[float], tol: Optional[float] = None,
 
     solution = solve_monotone(problem)
     predicted = quadratic_form(solution.P.values[0], x_init)
-    cost, states, controls = _simulate_lqr(generator, problem.C, problem.G, bu,
+    cost, states = _simulate_lqr(generator, problem.C, problem.G, bu,
                                            problem.grid, x_init,
                                            p_values=solution.P.values)
     eff_tol = tol if tol is not None else 1e-4 * (1.0 + abs(predicted))
@@ -621,7 +597,7 @@ def cmd_lqr_demo(problem_path, x0: List[float], tol: Optional[float] = None,
                 out += np.sin((k + 1) * np.pi * ts / horizon + phases[k])[:, None] * amps[k]
             return out
 
-        cost_j, _, _ = _simulate_lqr(
+        cost_j, _ = _simulate_lqr(
             generator, problem.C, problem.G, bu, problem.grid, x_init,
             u_nodes=u_nodes + wave(nodes_t), u_mids=u_mids + wave(mids_t))
         perturbed_costs.append(cost_j)

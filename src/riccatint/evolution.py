@@ -23,16 +23,6 @@ import scipy.linalg
 
 from .linops import node_opnorms, sup_opnorm
 
-__all__ = [
-    "TimeGrid",
-    "OperatorFunction",
-    "EvolutionFamily",
-    "propagate_step",
-    "build_forward_family",
-    "adjoint_backward_family",
-    "check_semigroup",
-]
-
 
 @dataclass(frozen=True)
 class TimeGrid:
@@ -107,47 +97,34 @@ class OperatorFunction:
             object.__setattr__(self, "midpoint_values", _freeze(mids))
 
     @classmethod
-    def from_callable(cls, grid: TimeGrid, fn: Callable[[float], np.ndarray],
-                      midpoints: bool = True) -> "OperatorFunction":
-        values = np.stack([np.atleast_2d(np.asarray(fn(t), dtype=float)) for t in grid.nodes()])
-        mids = None
-        if midpoints:
-            if grid.steps > 0:
-                mids = np.stack(
-                    [np.atleast_2d(np.asarray(fn(t), dtype=float)) for t in grid.midpoints()]
-                )
-            else:
-                mids = np.zeros((0,) + values.shape[1:])
-        return cls(grid, values, mids)
-
-    @classmethod
     def from_sampler(cls, grid: TimeGrid,
                      sample: Callable[[np.ndarray], np.ndarray]) -> "OperatorFunction":
         """Sample from whole time arrays: ``sample(ts)`` returns one matrix per
-        time, so the nodes and the midpoints cost one call each."""
-        return cls(grid, sample(grid.nodes()), sample(grid.midpoints()))
-
-    @classmethod
-    def constant(cls, grid: TimeGrid, mat, midpoints: bool = True) -> "OperatorFunction":
-        mat = np.atleast_2d(np.asarray(mat, dtype=float))
-        values = np.broadcast_to(mat, (grid.num_nodes,) + mat.shape)
-        mids = np.broadcast_to(mat, (grid.steps,) + mat.shape) if midpoints else None
+        time, so the nodes and the midpoints cost one call each (none for the
+        midpoints of a zero-step grid)."""
+        values = sample(grid.nodes())
+        mids = sample(grid.midpoints()) if grid.steps else np.zeros((0,) + values.shape[1:])
         return cls(grid, values, mids)
 
     @classmethod
-    def zero(cls, grid: TimeGrid, rows: int, cols: Optional[int] = None,
-             midpoints: bool = True) -> "OperatorFunction":
-        cols = rows if cols is None else cols
-        return cls.constant(grid, np.zeros((rows, cols)), midpoints)
+    def from_callable(cls, grid: TimeGrid,
+                      fn: Callable[[float], np.ndarray]) -> "OperatorFunction":
+        """Sample ``fn(t)``, one time at a time, through :meth:`from_sampler`."""
+        return cls.from_sampler(grid, lambda ts: np.stack(
+            [np.atleast_2d(np.asarray(fn(t), dtype=float)) for t in ts]))
+
+    @classmethod
+    def constant(cls, grid: TimeGrid, mat) -> "OperatorFunction":
+        mat = np.atleast_2d(np.asarray(mat, dtype=float))
+        return cls.from_sampler(grid, lambda ts: np.broadcast_to(mat, (len(ts),) + mat.shape))
+
+    @classmethod
+    def zero(cls, grid: TimeGrid, rows: int, cols: Optional[int] = None) -> "OperatorFunction":
+        return cls.constant(grid, np.zeros((rows, rows if cols is None else cols)))
 
     @property
     def shape(self) -> tuple[int, int]:
         return self.values.shape[1], self.values.shape[2]
-
-    def midpoint(self, i: int) -> np.ndarray:
-        if self.midpoint_values is None:
-            raise ValueError("operator function carries no midpoint samples")
-        return self.midpoint_values[i]
 
     def sup_norm(self) -> float:
         """max over nodes of the spectral norm."""
@@ -234,19 +211,11 @@ class EvolutionFamily:
         n_nodes = self.grid.num_nodes
         if not (0 <= i < n_nodes and 0 <= j < n_nodes):
             raise IndexError(f"node indices out of range: ({i}, {j})")
-        if i == j:
-            return np.eye(self.dim)
-        if self.direction == "forward":
-            if i < j:
-                raise ValueError("forward family requires i >= j")
-            out = np.eye(self.dim)
-            for k in range(j, i):
-                out = self.steps[k] @ out
-            return out
-        if i > j:
-            raise ValueError("backward family requires i <= j")
+        forward = self.direction == "forward"
+        if (j - i if forward else i - j) > 0:
+            raise ValueError(f"{self.direction} family requires i {'>=' if forward else '<='} j")
         out = np.eye(self.dim)
-        for k in range(j - 1, i - 1, -1):
+        for k in (range(j, i) if forward else range(j - 1, i - 1, -1)):
             out = self.steps[k] @ out
         return out
 
@@ -259,17 +228,6 @@ def _exp_step(h: float, mid: np.ndarray) -> np.ndarray:
         except OverflowError:
             return np.array([[math.inf]])
     return scipy.linalg.expm(h * mid)
-
-
-def propagate_step(generator_samples: OperatorFunction, i: int) -> np.ndarray:
-    """One-step propagator exp(h * A(t_{i+1/2})) for the interval [t_i, t_{i+1}]."""
-    rows, cols = generator_samples.shape
-    if rows != cols:
-        raise ValueError("generator samples must be square")
-    if not (0 <= i < generator_samples.grid.steps):
-        raise IndexError(f"interval index {i} out of range")
-    mid = generator_samples.midpoint(i)
-    return _exp_step(generator_samples.grid.h, mid) if np.any(mid) else np.eye(rows)
 
 
 def build_forward_family(generator_samples: OperatorFunction) -> EvolutionFamily:

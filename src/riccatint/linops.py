@@ -12,25 +12,8 @@ scaled inputs, and eigenvalue queries always go through the symmetrized part
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
-
-__all__ = [
-    "SymmetryReport",
-    "adjoint",
-    "is_self_adjoint",
-    "is_nonnegative",
-    "loewner_leq",
-    "op_norm",
-    "quadratic_form",
-    "symmetry_report",
-    "symmetrize",
-    "min_eigenvalue",
-    "node_opnorms",
-    "require_matrix",
-    "sup_opnorm",
-]
 
 
 def require_matrix(value, name: str = "matrix") -> np.ndarray:
@@ -163,32 +146,3 @@ def quadratic_form(mat, x) -> float:
             f"dimension mismatch: matrix is {square.shape}, vector has length {vec.shape[0]}"
         )
     return float(vec @ square @ vec)
-
-
-@dataclass(frozen=True)
-class SymmetryReport:
-    """Outcome of symmetry/nonnegativity queries on one matrix."""
-
-    asymmetry: float
-    min_eigenvalue: float
-    symmetric: bool
-    nonnegative: bool
-
-    def __post_init__(self):
-        if self.asymmetry < 0:
-            raise ValueError("asymmetry must be nonnegative")
-
-
-def symmetry_report(mat, tol: float = 1e-12) -> SymmetryReport:
-    """Measure asymmetry and the smallest symmetrized eigenvalue of a matrix."""
-    square = _require_square(mat)
-    norm = float(np.linalg.norm(square, 2))
-    asym = float(np.linalg.norm(square - square.T, 2))
-    lam = min_eigenvalue(square)
-    slack = tol * (1.0 + norm)
-    return SymmetryReport(
-        asymmetry=asym,
-        min_eigenvalue=lam,
-        symmetric=asym <= slack,
-        nonnegative=(asym <= slack and lam >= -slack),
-    )

@@ -16,22 +16,10 @@ agreement between the two is a genuine cross-check.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .evolution import OperatorFunction, TimeGrid
 from .linops import node_opnorms, sup_opnorm, symmetrize
-
-__all__ = ["OdeSolveReport", "solve_differential_riccati", "compare"]
-
-
-@dataclass(frozen=True)
-class OdeSolveReport:
-    """Result of the fixed-step backward integration."""
-
-    P_oracle: OperatorFunction
-    terminal_check: float
 
 
 def _symmetric_stack(values: np.ndarray, tol: float) -> bool:
@@ -44,8 +32,9 @@ def _symmetric_stack(values: np.ndarray, tol: float) -> bool:
 
 
 def solve_differential_riccati(generator: OperatorFunction, B: OperatorFunction,
-                               C: OperatorFunction, G, grid: TimeGrid) -> OdeSolveReport:
-    """Integrate the backward Riccati ODE from P(T) = G on the given grid.
+                               C: OperatorFunction, G, grid: TimeGrid) -> OperatorFunction:
+    """Integrate the backward Riccati ODE from P(T) = G on the given grid and
+    return the sampled P.
 
     All coefficients must be sampled on the nodes and midpoints of ``grid``.
     When B, C and G are symmetric the state is symmetrized after every step,
@@ -98,14 +87,11 @@ def solve_differential_riccati(generator: OperatorFunction, B: OperatorFunction,
         node = int(blown[-1]) - bool(np.isfinite(rk4(blown[-1])).all()) if blown.size else -1
     if node >= 0:
         raise RuntimeError(f"backward integration blew up at node {node}")
-    p_fn = OperatorFunction(grid, values)
-    terminal_check = float(np.linalg.norm(values[grid.steps] - g, 2))
-    return OdeSolveReport(P_oracle=p_fn, terminal_check=terminal_check)
+    return OperatorFunction(grid, values)
 
 
-def compare(P: OperatorFunction, report: OdeSolveReport) -> float:
-    """Sup over nodes of the spectral-norm gap between P and the oracle run."""
-    oracle_p = report.P_oracle
+def compare(P: OperatorFunction, oracle_p: OperatorFunction) -> float:
+    """Sup over nodes of the spectral-norm gap between P and the oracle's P."""
     if P.grid != oracle_p.grid:
         raise ValueError("grids do not match")
     if P.shape != oracle_p.shape:

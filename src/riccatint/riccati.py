@@ -31,29 +31,8 @@ import numpy as np
 
 from .evolution import EvolutionFamily, OperatorFunction, adjoint_backward_family
 from .linops import node_opnorms, sup_opnorm, symmetrize
-from .lyapunov import ConvergenceError, _march, _window_defects
+from .lyapunov import ConvergenceError, _checked_terminal, _march, _window_defects
 from .volterra import PerturbationSpec, perturb_backward, perturb_forward
-
-__all__ = [
-    "HypothesisViolation",
-    "ConvergenceError",
-    "RiccatiProblem",
-    "RiccatiSolution",
-    "IterationRecord",
-    "HypothesisReport",
-    "ContractionParams",
-    "IntervalCertificate",
-    "check_hypotheses",
-    "monotone_step",
-    "solve_monotone",
-    "riccati_residual",
-    "flow_consistency",
-    "representation_check_one_sided",
-    "representation_check_two_sided",
-    "compute_delta",
-    "solve_picard_stepped",
-]
-
 
 _HYPOTHESIS_TOL = 1e-10
 
@@ -84,20 +63,8 @@ class RiccatiProblem:
     symmetric_mode: bool = False
 
     def __post_init__(self):
-        if self.U_forward.direction != "forward":
-            raise ValueError("U_forward must be a forward family")
-        if self.U_backward.direction != "backward":
-            raise ValueError("U_backward must be a backward family")
-        grid = self.U_forward.grid
-        if self.U_backward.grid != grid:
-            raise ValueError("families must share one grid")
-        n1, n2 = self.U_forward.dim, self.U_backward.dim
-        g = np.asarray(self.G, dtype=float)
-        if g.shape != (n2, n1):
-            raise ValueError(f"G must have shape {(n2, n1)}, got {g.shape}")
-        if not np.all(np.isfinite(g)):
-            raise ValueError("G has non-finite entries")
-        object.__setattr__(self, "G", g)
+        object.__setattr__(self, "G", _checked_terminal(self.U_forward, self.U_backward, self.G))
+        grid, n1, n2 = self.grid, self.U_forward.dim, self.U_backward.dim
         if self.C.shape != (n2, n1) or self.C.grid != grid:
             raise ValueError(f"C must be sampled on the grid with shape {(n2, n1)}")
         if self.B.shape != (n1, n2) or self.B.grid != grid:
@@ -419,8 +386,8 @@ class ContractionParams:
     """Certified parameters of one contraction window.
 
     The defining inequality 4 * delta * M1^2 M2^2 (r_G + delta r_C) r_B < 1
-    is enforced at construction together with the ball radius
-    rho = 2 M1 M2 (r_G + delta r_C).
+    is enforced at construction; ``rho`` = 2 M1 M2 (r_G + delta r_C) is the
+    ball radius.
     """
 
     M1: float
@@ -429,7 +396,6 @@ class ContractionParams:
     r_C: float
     r_B: float
     delta: float
-    rho: float
 
     def __post_init__(self):
         if self.M1 < 1.0 or self.M2 < 1.0:
@@ -442,20 +408,15 @@ class ContractionParams:
             raise ValueError(
                 f"contraction condition violated: lhs={self.contraction_lhs:.6g} >= 1"
             )
-        expected_rho = 2.0 * self.M1 * self.M2 * (self.r_G + self.delta * self.r_C)
-        if abs(self.rho - expected_rho) > 1e-9 * (1.0 + expected_rho):
-            raise ValueError("rho is inconsistent with the window parameters")
 
     @property
     def contraction_lhs(self) -> float:
         return (4.0 * self.delta * self.M1 ** 2 * self.M2 ** 2
                 * (self.r_G + self.delta * self.r_C) * self.r_B)
 
-    @classmethod
-    def build(cls, M1: float, M2: float, r_G: float, r_C: float, r_B: float,
-              delta: float) -> "ContractionParams":
-        rho = 2.0 * M1 * M2 * (r_G + delta * r_C)
-        return cls(M1=M1, M2=M2, r_G=r_G, r_C=r_C, r_B=r_B, delta=delta, rho=rho)
+    @property
+    def rho(self) -> float:
+        return 2.0 * self.M1 * self.M2 * (self.r_G + self.delta * self.r_C)
 
 
 @dataclass(frozen=True)
@@ -596,7 +557,7 @@ def _picard_window(problem: RiccatiProblem, terminal: np.ndarray, idx: int,
             f"certified contraction window delta={delta:.3e} is shorter than the "
             f"grid step h={h:.3e}; refine the grid"
         )
-    params = ContractionParams.build(m1, m2, r_G, r_C, r_B, delta=m * h)
+    params = ContractionParams(m1, m2, r_G, r_C, r_B, delta=m * h)
     lo = idx - m
     left = problem.U_backward.steps[lo:idx]
     right = problem.U_forward.steps[lo:idx]

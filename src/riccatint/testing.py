@@ -12,17 +12,6 @@ import numpy as np
 from .evolution import OperatorFunction, TimeGrid, build_forward_family
 from .riccati import RiccatiProblem
 
-__all__ = [
-    "random_symmetric_problem",
-    "tanh_problem",
-    "inverse_linear_problem",
-    "zero_generator",
-]
-
-
-def zero_generator(grid: TimeGrid, dim: int = 1) -> OperatorFunction:
-    return OperatorFunction.zero(grid, dim)
-
 
 def _scaled_random(rng: np.random.Generator, n: int) -> np.ndarray:
     mat = rng.standard_normal((n, n))
@@ -75,7 +64,7 @@ def tanh_problem(steps: int, horizon: float = 1.0
                  ) -> tuple[RiccatiProblem, OperatorFunction]:
     """Scalar problem A=0, B=1, C=1, G=0 with solution p(t) = tanh(T - t)."""
     grid = TimeGrid(horizon, steps)
-    generator = zero_generator(grid)
+    generator = OperatorFunction.zero(grid, 1)
     ones = OperatorFunction.constant(grid, [[1.0]])
     problem = RiccatiProblem.symmetric(build_forward_family(generator), ones, ones,
                                        np.zeros((1, 1)))
@@ -86,7 +75,7 @@ def inverse_linear_problem(steps: int, horizon: float = 1.0
                            ) -> tuple[RiccatiProblem, OperatorFunction]:
     """Scalar problem A=0, B=1, C=0, G=1 with solution p(t) = 1 / (1 + T - t)."""
     grid = TimeGrid(horizon, steps)
-    generator = zero_generator(grid)
+    generator = OperatorFunction.zero(grid, 1)
     one = OperatorFunction.constant(grid, [[1.0]])
     zero = OperatorFunction.constant(grid, [[0.0]])
     problem = RiccatiProblem.symmetric(build_forward_family(generator), zero, one,

@@ -23,17 +23,6 @@ import numpy as np
 
 from .evolution import EvolutionFamily, OperatorFunction
 
-__all__ = [
-    "PerturbationSpec",
-    "GronwallBound",
-    "GapRecord",
-    "ContinuousDependenceResult",
-    "perturb_forward",
-    "perturb_backward",
-    "cross_form_check",
-    "continuous_dependence_gap",
-]
-
 _FORMS = ("first", "second")
 
 

@@ -264,7 +264,7 @@ def window_defects_reference(left_steps, right_steps, kernel, values, h, t_index
 
 def rk4_reference(generator, B, C, G, grid):
     """Node values of ``oracle.solve_differential_riccati`` from the per-step
-    loop: stage samples read through ``midpoint(i)``, C negated in every stage,
+    loop: stage samples read through ``midpoint_values[i]``, C negated in every stage,
     a finiteness test after every step, and symmetric mode decided from the
     spectral norms of every node of B - B^T and C - C^T."""
     n = generator.shape[0]
@@ -288,7 +288,7 @@ def rk4_reference(generator, B, C, G, grid):
         for i in range(grid.steps - 1, -1, -1):
             p = values[i + 1]
             a_hi, b_hi, c_hi = generator.values[i + 1], B.values[i + 1], C.values[i + 1]
-            a_mid, b_mid, c_mid = generator.midpoint(i), B.midpoint(i), C.midpoint(i)
+            a_mid, b_mid, c_mid = (f.midpoint_values[i] for f in (generator, B, C))
             a_lo, b_lo, c_lo = generator.values[i], B.values[i], C.values[i]
             k1 = rhs(a_hi, b_hi, c_hi, p)
             k2 = rhs(a_mid, b_mid, c_mid, p + 0.5 * h * k1)
@@ -304,7 +304,7 @@ def rk4_reference(generator, B, C, G, grid):
 def propagate_step_reference(generator_samples, i):
     """exp(h A(t_{i+1/2})): the identity for a zero sample, ``math.exp`` in 1-D."""
     rows = generator_samples.shape[0]
-    mid = generator_samples.midpoint(i)
+    mid = generator_samples.midpoint_values[i]
     h = generator_samples.grid.h
     if not np.any(mid):
         return np.eye(rows)

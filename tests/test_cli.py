@@ -44,17 +44,6 @@ def write_doc(path, doc):
     return str(path)
 
 
-def test_problem_file_round_trip(tmp_path):
-    doc = tanh_doc(steps=10, tolerances={"tol_abs": 1e-9, "max_iter": 20})
-    pfile = ProblemFile.from_dict(doc)
-    rebuilt = ProblemFile.from_dict(json.loads(json.dumps(pfile.to_dict())))
-    assert rebuilt.to_dict() == pfile.to_dict()
-    prob_a, _ = pfile.build()
-    prob_b, _ = rebuilt.build()
-    assert np.array_equal(prob_a.C.values, prob_b.C.values)
-    assert np.array_equal(prob_a.U_forward.steps, prob_b.U_forward.steps)
-
-
 def test_problem_file_validation(tmp_path):
     with pytest.raises(ValueError):
         ProblemFile.from_dict({"dimension": 1})  # missing fields
@@ -65,6 +54,15 @@ def test_problem_file_validation(tmp_path):
     both = tanh_doc(propagators={"steps": [[[1.0]]]})
     with pytest.raises(ValueError):
         ProblemFile.from_dict(both)
+    for name, doc in (("steps", tanh_doc(steps=2000.7)), ("steps", tanh_doc(steps=False)),
+                      ("dimension", tanh_doc(dimension=1.9)),
+                      ("max_iter", tanh_doc(tolerances={"max_iter": 2.9}))):
+        with pytest.raises(ValueError, match=f"field '{name}': expected an integer"):
+            ProblemFile.from_dict(doc)
+    integral = ProblemFile.from_dict(tanh_doc(steps=10.0, dimension=1.0,
+                                              tolerances={"max_iter": 3.0}))
+    assert (integral.steps, integral.dimension, integral.tolerances["max_iter"]) == (10, 1, 3)
+    assert type(integral.steps) is int and type(integral.tolerances["max_iter"]) is int
 
 
 def test_coefficient_spec_kinds():
@@ -530,6 +528,9 @@ def _overflow_doc(n):
 
 # a well-formed CSV of P = 0 on the 20-step grid: `check` fails its gates on it (exit 1)
 _ZERO_CSV = "t,p0_0\n" + "".join(f"{t},0\n" for t in TimeGrid(1.0, 20).nodes().tolist())
+# the same with the time of row 4 replaced by nan
+_NAN_TIME_CSV = "\n".join("nan,0" if k == 5 else line
+                          for k, line in enumerate(_ZERO_CSV.splitlines())) + "\n"
 
 BOUNDARY_CASES = {
     "stiff-implicit-endpoint": (
@@ -559,6 +560,7 @@ BOUNDARY_CASES = {
     "empty-csv": ("check", tanh_doc(steps=20), [""], EXIT_INVALID),
     "garbage-csv-header": ("check", tanh_doc(steps=20),
                            [_ZERO_CSV.replace("t,p0_0", "garbage", 1)], EXIT_INVALID),
+    "csv-nan-time": ("check", tanh_doc(steps=20), [_NAN_TIME_CSV], EXIT_INVALID),
     "step-overflow-1d-solve": ("solve", _overflow_doc(1), [], EXIT_INVALID),
     "step-overflow-1d-oracle": ("oracle", _overflow_doc(1), [], EXIT_INVALID),
     "step-overflow-2d-solve": ("solve", _overflow_doc(2), [], EXIT_INVALID),
@@ -576,6 +578,12 @@ BOUNDARY_CASES = {
                              [], EXIT_INVALID),
     "document-max-iter-zero": ("solve", tanh_doc(steps=20, tolerances={"max_iter": 0}),
                                [], EXIT_INVALID),
+    # integer fields refuse what int() would truncate
+    "non-integral-steps": ("solve", tanh_doc(steps=20.7), [], EXIT_INVALID),
+    "boolean-steps": ("solve", tanh_doc(steps=True), [], EXIT_INVALID),
+    "non-integral-dimension": ("solve", tanh_doc(steps=20, dimension=1.9), [], EXIT_INVALID),
+    "non-integral-max-iter": ("solve", tanh_doc(steps=20, tolerances={"max_iter": 2.9}),
+                              [], EXIT_INVALID),
 }
 
 

@@ -9,10 +9,10 @@ from numpy.testing import assert_allclose
 
 from riccatint.evolution import (EvolutionFamily, OperatorFunction, TimeGrid,
                                  adjoint_backward_family, build_forward_family,
-                                 check_semigroup, propagate_step)
+                                 check_semigroup)
 
 from conftest import (certified_product_bound_reference, forward_steps_reference,
-                      outcome, propagate_step_reference)
+                      outcome)
 
 
 def test_time_grid_nodes():
@@ -45,23 +45,24 @@ def test_operator_function_validation():
     assert_allclose(fn.values[:, 0, 0], [0.0, 0.5, 1.0])
     assert_allclose(fn.midpoint_values[:, 0, 0], [0.25, 0.75])
     bare = OperatorFunction(grid, np.zeros((3, 1, 1)))
-    with pytest.raises(ValueError):
-        bare.midpoint(0)
+    assert bare.midpoint_values is None
+    with pytest.raises(ValueError, match="needs midpoint samples"):
+        build_forward_family(bare)
 
 
 def test_propagate_step_zero_generator():
     grid = TimeGrid(1.0, 4)
     gen = OperatorFunction.zero(grid, 3)
-    assert np.array_equal(propagate_step(gen, 2), np.eye(3))
+    assert np.array_equal(build_forward_family(gen).steps[2], np.eye(3))
 
 
 def test_propagate_step_scalar():
     grid = TimeGrid(1.0, 1)
     gen = OperatorFunction.constant(grid, [[1.0]])
-    assert_allclose(propagate_step(gen, 0), [[math.e]], rtol=1e-14)
+    assert_allclose(build_forward_family(gen).steps[0], [[math.e]], rtol=1e-14)
     # a(t) = t on [0, 1] with one step: midpoint value 1/2 gets exponentiated
     gen_t = OperatorFunction.from_callable(grid, lambda t: [[t]])
-    assert_allclose(propagate_step(gen_t, 0), [[math.exp(0.5)]], rtol=1e-14)
+    assert_allclose(build_forward_family(gen_t).steps[0], [[math.exp(0.5)]], rtol=1e-14)
 
 
 def test_build_family_zero_generator_is_identity():
@@ -247,10 +248,6 @@ def _steps(gen):
 def test_family_build_bitwise_equals_per_step_reference(n, steps, zeros, scale, seed):
     gen = _generator(n, steps, zeros, scale, seed)
     assert outcome(_steps, gen) == outcome(forward_steps_reference, gen)
-    with np.errstate(over="ignore", invalid="ignore"):     # as the family build
-        for i in range(min(steps, 3)):
-            assert outcome(propagate_step, gen, i) \
-                == outcome(propagate_step_reference, gen, i)
 
 
 @pytest.mark.parametrize("n", [1, 2, 8])

@@ -10,7 +10,7 @@ from numpy.testing import assert_allclose
 from riccatint import linops
 from riccatint.linops import (adjoint, is_nonnegative, is_self_adjoint,
                               loewner_leq, min_eigenvalue, op_norm,
-                              quadratic_form, sup_opnorm, symmetry_report)
+                              quadratic_form, sup_opnorm)
 
 from conftest import brute_force_matmul, sup_opnorm_reference
 
@@ -155,15 +155,6 @@ def test_op_norm_of_psd_is_max_quadratic_form(rng):
             x = rng.standard_normal(4)
             x /= np.linalg.norm(x)
             assert quadratic_form(m, x) <= op_norm(m) + 1e-12
-
-
-def test_symmetry_report():
-    rep = symmetry_report(np.array([[1.0, 2.0], [2.0, 1.0]]))
-    assert rep.symmetric and not rep.nonnegative
-    assert rep.asymmetry == 0.0
-    assert_allclose(rep.min_eigenvalue, -1.0, atol=1e-12)
-    rep2 = symmetry_report(np.array([[0.0, 1.0], [0.0, 0.0]]))
-    assert not rep2.symmetric
 
 
 # ---------------------------------------------------------------- sup norm of a stack

@@ -7,9 +7,7 @@ from numpy.testing import assert_allclose
 from riccatint.evolution import (OperatorFunction, TimeGrid,
                                  adjoint_backward_family, build_forward_family)
 from riccatint.lyapunov import (ConvergenceError, LinearIntegralProblem, _march,
-                                _window_defects, solve_both_perturbed,
-                                solve_left_perturbed, solve_linear_picard,
-                                solve_right_perturbed)
+                                _window_defects, solve_linear, solve_linear_picard)
 from riccatint.volterra import PerturbationSpec, perturb_forward
 
 from conftest import march_reference, outcome, window_defects_reference
@@ -35,7 +33,7 @@ def test_homogeneous_transport():
     g = np.array([[1.0, 0.5], [0.5, 2.0]])
     problem = LinearIntegralProblem(fwd, bwd, OperatorFunction.zero(grid, 2), g,
                                     Q1=OperatorFunction.zero(grid, 2))
-    sol = solve_right_perturbed(problem)
+    sol = solve_linear(problem)
     for i in (0, 20, 50):
         assert_allclose(sol.values[i], bwd.value(i, 50) @ g @ fwd.value(50, i),
                         atol=1e-13)
@@ -49,17 +47,17 @@ def test_scalar_closed_forms():
     # right-perturbed: p(t) = g e^{-q (T-t)}
     problem = LinearIntegralProblem(fwd, bwd, _const(grid, 0.0), [[g]],
                                     Q1=_const(grid, q))
-    sol = solve_right_perturbed(problem)
+    sol = solve_linear(problem)
     assert_allclose(sol.values[:, 0, 0], g * np.exp(-q * (1.0 - t)), atol=5e-6)
     # left-perturbed mirror
     problem_l = LinearIntegralProblem(fwd, bwd, _const(grid, 0.0), [[g]],
                                       Q2=_const(grid, q))
-    sol_l = solve_left_perturbed(problem_l)
+    sol_l = solve_linear(problem_l)
     assert_allclose(sol_l.values[:, 0, 0], g * np.exp(-q * (1.0 - t)), atol=5e-6)
     # pure integration: Q1 = 0, Q12 = c gives p(t) = g + c (T - t), exact
     problem_i = LinearIntegralProblem(fwd, bwd, _const(grid, 0.3), [[g]],
                                       Q1=_const(grid, 0.0))
-    sol_i = solve_right_perturbed(problem_i)
+    sol_i = solve_linear(problem_i)
     assert_allclose(sol_i.values[:, 0, 0], g + 0.3 * (1.0 - t), atol=1e-14)
 
 
@@ -68,7 +66,7 @@ def test_both_perturbed_scalar():
     t = grid.nodes()
     problem = LinearIntegralProblem(fwd, bwd, _const(grid, 0.0), [[0.7]],
                                     Q1=_const(grid, 0.9), Q2=_const(grid, 0.5))
-    sol = solve_both_perturbed(problem)
+    sol = solve_linear(problem)
     assert_allclose(sol.values[:, 0, 0], 0.7 * np.exp(-1.4 * (1.0 - t)), atol=5e-6)
 
 
@@ -86,9 +84,8 @@ def test_picard_agrees_with_implicit_solve(rng):
         LinearIntegralProblem(fwd, bwd, _const(grid, 0.4), [[0.2]],
                               Q1=_const(grid, 1.1)),
     ]
-    solvers = [solve_both_perturbed, solve_both_perturbed, solve_right_perturbed]
-    for problem, solver in zip(cases, solvers):
-        direct = solver(problem)
+    for problem in cases:
+        direct = solve_linear(problem)
         picard = solve_linear_picard(problem)
         assert np.abs(direct.values - picard.values).max() <= 1e-10
 
@@ -103,7 +100,7 @@ def test_matrix_case_against_picard(rng):
     q12 = OperatorFunction.constant(grid, rng.standard_normal((3, 3)))
     g = rng.standard_normal((3, 3))
     problem = LinearIntegralProblem(fwd, bwd, q12, g, Q1=q1, Q2=q2)
-    assert np.abs(solve_both_perturbed(problem).values
+    assert np.abs(solve_linear(problem).values
                   - solve_linear_picard(problem).values).max() <= 1e-9
     with pytest.raises(ConvergenceError, match="did not reach"):
         solve_linear_picard(problem, max_iter=1)
@@ -116,7 +113,7 @@ def test_omega_representation_equivalence():
     q12 = _const(grid, 0.4)
     g = np.array([[0.7]])
     problem = LinearIntegralProblem(fwd, bwd, q12, g, Q1=q1)
-    sol = solve_right_perturbed(problem)
+    sol = solve_linear(problem)
     omega = perturb_forward(PerturbationSpec(fwd, q1, -1, "second"))
     rep = _march(bwd.steps, omega.steps, q12.values, g, grid.h)
     assert np.abs(sol.values - rep).max() <= 5.0 * grid.h ** 2
@@ -131,10 +128,10 @@ def test_transposition_symmetry(rng):
     q = 0.7 * rng.standard_normal((2, 2))
     q12 = rng.standard_normal((2, 2))
     g = rng.standard_normal((2, 2))
-    right = solve_right_perturbed(LinearIntegralProblem(
+    right = solve_linear(LinearIntegralProblem(
         fwd, bwd, OperatorFunction.constant(grid, q12), g,
         Q1=OperatorFunction.constant(grid, q)))
-    left = solve_left_perturbed(LinearIntegralProblem(
+    left = solve_linear(LinearIntegralProblem(
         fwd, bwd, OperatorFunction.constant(grid, q12.T), g.T,
         Q2=OperatorFunction.constant(grid, q.T)))
     assert np.abs(right.values - np.swapaxes(left.values, -1, -2)).max() <= 1e-12
@@ -146,7 +143,7 @@ def test_linearity_in_data(rng):
 
     def solve(g, c):
         problem = LinearIntegralProblem(fwd, bwd, _const(grid, c), [[g]], Q1=q1)
-        return solve_right_perturbed(problem).values
+        return solve_linear(problem).values
 
     combined = solve(0.3 + 0.5, 0.2 + 0.7)
     split = solve(0.3, 0.2) + solve(0.5, 0.7)
@@ -158,15 +155,10 @@ def test_problem_validation():
     q12 = _const(grid, 0.0)
     with pytest.raises(ValueError):
         LinearIntegralProblem(fwd, bwd, q12, np.zeros((2, 2)))  # G shape
-    problem = LinearIntegralProblem(fwd, bwd, q12, [[0.0]], Q1=_const(grid, 1.0))
-    with pytest.raises(ValueError):
-        solve_left_perturbed(problem)   # Q2 missing
-    with pytest.raises(ValueError):
-        solve_both_perturbed(problem)   # Q2 missing
-    both = LinearIntegralProblem(fwd, bwd, q12, [[0.0]],
-                                 Q1=_const(grid, 1.0), Q2=_const(grid, 1.0))
-    with pytest.raises(ValueError):
-        solve_right_perturbed(both)     # Q2 must be absent
+    # without Q1 and Q2 the solve is the explicit march
+    plain = solve_linear(LinearIntegralProblem(fwd, bwd, _const(grid, 0.4), [[0.3]]))
+    assert np.array_equal(plain.values, _march(bwd.steps, fwd.steps, _const(grid, 0.4).values,
+                                               np.array([[0.3]]), grid.h))
 
 
 # ------------------------------------------------- march against the per-node loops

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from riccatint import oracle
 from riccatint.evolution import OperatorFunction, TimeGrid
 from riccatint.linops import node_opnorms
-from riccatint.oracle import OdeSolveReport, compare, solve_differential_riccati
+from riccatint.oracle import compare, solve_differential_riccati
 from riccatint.testing import (inverse_linear_problem, random_symmetric_problem,
                                tanh_problem)
 
@@ -17,46 +17,46 @@ from conftest import outcome, rk4_reference, sup_opnorm_reference
 
 def test_oracle_scalar_closed_forms():
     problem, gen = tanh_problem(2000)
-    report = solve_differential_riccati(gen, problem.B, problem.C, problem.G,
-                                        problem.grid)
+    p_oracle = solve_differential_riccati(gen, problem.B, problem.C, problem.G,
+                                          problem.grid)
     exact = np.tanh(1.0 - problem.grid.nodes())
-    assert np.abs(report.P_oracle.values[:, 0, 0] - exact).max() <= 1e-10
-    assert report.terminal_check == 0.0
-    assert report.P_oracle.grid == problem.grid   # fixed steps on the shared grid
+    assert np.abs(p_oracle.values[:, 0, 0] - exact).max() <= 1e-10
+    assert np.array_equal(p_oracle.values[-1], problem.G)
+    assert p_oracle.grid == problem.grid   # fixed steps on the shared grid
 
     problem2, gen2 = inverse_linear_problem(2000)
-    report2 = solve_differential_riccati(gen2, problem2.B, problem2.C,
-                                         problem2.G, problem2.grid)
+    p_oracle2 = solve_differential_riccati(gen2, problem2.B, problem2.C,
+                                           problem2.G, problem2.grid)
     exact2 = 1.0 / (1.0 + 1.0 - problem2.grid.nodes())
-    assert np.abs(report2.P_oracle.values[:, 0, 0] - exact2).max() <= 1e-10
+    assert np.abs(p_oracle2.values[:, 0, 0] - exact2).max() <= 1e-10
 
 
 def test_oracle_zero_data():
     grid = TimeGrid(1.0, 100)
     zero = OperatorFunction.zero(grid, 2)
     one = OperatorFunction.constant(grid, np.eye(2))
-    report = solve_differential_riccati(zero, one, zero, np.zeros((2, 2)), grid)
-    assert np.abs(report.P_oracle.values).max() == 0.0
+    p_oracle = solve_differential_riccati(zero, one, zero, np.zeros((2, 2)), grid)
+    assert np.abs(p_oracle.values).max() == 0.0
 
 
 def test_oracle_preserves_symmetry_and_positivity():
     problem, gen = random_symmetric_problem(seed=4, n=4, steps=500)
-    report = solve_differential_riccati(gen, problem.B, problem.C, problem.G,
-                                        problem.grid)
-    vals = report.P_oracle.values
-    assert report.P_oracle.symmetry_defect() <= 1e-10
+    p_oracle = solve_differential_riccati(gen, problem.B, problem.C, problem.G,
+                                          problem.grid)
+    vals = p_oracle.values
+    assert p_oracle.symmetry_defect() <= 1e-10
     assert np.linalg.eigvalsh(vals).min() >= -1e-10
 
 
 def test_compare():
     problem, gen = tanh_problem(200)
-    report = solve_differential_riccati(gen, problem.B, problem.C, problem.G,
-                                        problem.grid)
-    assert compare(report.P_oracle, report) == 0.0
+    p_oracle = solve_differential_riccati(gen, problem.B, problem.C, problem.G,
+                                          problem.grid)
+    assert compare(p_oracle, p_oracle) == 0.0
     other_grid = TimeGrid(1.0, 100)
-    other = OperatorFunction.zero(other_grid, 1, midpoints=False)
+    other = OperatorFunction(other_grid, np.zeros((101, 1, 1)))
     with pytest.raises(ValueError):
-        compare(other, report)
+        compare(other, p_oracle)
 
 
 def test_oracle_gap_refines_at_second_order():
@@ -67,15 +67,15 @@ def test_oracle_gap_refines_at_second_order():
     for n_steps in (500, 1000):
         problem, gen = random_symmetric_problem(seed=6, n=2, steps=n_steps)
         sol = solve_monotone(problem)
-        report = solve_differential_riccati(gen, problem.B, problem.C,
-                                            problem.G, problem.grid)
-        gaps[n_steps] = compare(sol.P, report)
+        p_oracle = solve_differential_riccati(gen, problem.B, problem.C,
+                                              problem.G, problem.grid)
+        gaps[n_steps] = compare(sol.P, p_oracle)
     assert math.log2(gaps[500] / gaps[1000]) >= 1.8
 
 
 def test_oracle_requires_midpoints():
     grid = TimeGrid(1.0, 10)
-    gen = OperatorFunction.zero(grid, 1, midpoints=False)
+    gen = OperatorFunction(grid, np.zeros((11, 1, 1)))
     full = OperatorFunction.constant(grid, [[1.0]])
     with pytest.raises(ValueError, match="midpoint"):
         solve_differential_riccati(gen, full, full, np.zeros((1, 1)), grid)
@@ -92,18 +92,10 @@ def test_oracle_blowup_diagnostic():
         solve_differential_riccati(gen, b_neg, c_zero, np.array([[2.0]]), grid)
 
 
-def test_report_dataclass_fields():
-    grid = TimeGrid(1.0, 4)
-    values = np.zeros((5, 1, 1))
-    report = OdeSolveReport(P_oracle=OperatorFunction(grid, values),
-                            terminal_check=0.0)
-    assert report.terminal_check == 0.0
-
-
 # ------------------------------------------------- RK4 against the per-step loop
 
 def _oracle_values(generator, B, C, G, grid):
-    return solve_differential_riccati(generator, B, C, G, grid).P_oracle.values
+    return solve_differential_riccati(generator, B, C, G, grid).values
 
 
 def _sampled(grid, rng, n, kind, scale=1.0):
@@ -186,9 +178,9 @@ def test_symmetric_decision_decomposes_only_the_first_asymmetric_node(monkeypatc
         return node_opnorms(values)
 
     monkeypatch.setattr(oracle, "node_opnorms", counting)
-    report = solve_differential_riccati(symmetric, symmetric, general, np.eye(2), grid)
+    p_oracle = solve_differential_riccati(symmetric, symmetric, general, np.eye(2), grid)
     assert sum(decomposed) == 1         # B exactly symmetric, C fails at node 0
-    assert report.P_oracle.symmetry_defect() > 0.0      # not symmetrized
+    assert p_oracle.symmetry_defect() > 0.0      # not symmetrized
 
 
 @given(nodes=st.integers(1, 30), n=st.sampled_from([1, 2, 3, 8]),

@@ -11,7 +11,7 @@ from riccatint import riccati
 from riccatint.evolution import (EvolutionFamily, OperatorFunction, TimeGrid,
                                  adjoint_backward_family, build_forward_family)
 from riccatint.linops import symmetrize
-from riccatint.lyapunov import LinearIntegralProblem, solve_both_perturbed
+from riccatint.lyapunov import LinearIntegralProblem, solve_linear
 from riccatint.riccati import (ContractionParams, ConvergenceError,
                                HypothesisViolation, RiccatiProblem,
                                check_hypotheses, compute_delta,
@@ -66,7 +66,7 @@ def test_monotone_step_zero_data():
     problem = RiccatiProblem.symmetric(fwd, OperatorFunction.zero(grid, 2),
                                        OperatorFunction.constant(grid, np.eye(2)),
                                        np.zeros((2, 2)))
-    p0 = OperatorFunction.zero(grid, 2, midpoints=False)
+    p0 = OperatorFunction(grid, np.zeros((grid.num_nodes, 2, 2)))
     p1 = monotone_step(p0, problem)
     assert np.abs(p1.values).max() == 0.0
 
@@ -74,10 +74,10 @@ def test_monotone_step_zero_data():
 def test_first_step_equals_linear_solver():
     """With P_0 = 0 the linearized equation is the plain linear one."""
     problem, _ = random_symmetric_problem(seed=5, n=3, steps=120)
-    p0 = OperatorFunction.zero(problem.grid, 3, midpoints=False)
+    p0 = OperatorFunction(problem.grid, np.zeros((problem.grid.num_nodes, 3, 3)))
     p1 = monotone_step(p0, problem)
     zero_q = OperatorFunction.zero(problem.grid, 3)
-    linear = solve_both_perturbed(LinearIntegralProblem(
+    linear = solve_linear(LinearIntegralProblem(
         problem.U_forward, problem.U_backward, problem.C, problem.G,
         Q1=zero_q, Q2=zero_q))
     assert np.abs(p1.values - linear.values).max() <= 1e-14
@@ -86,7 +86,7 @@ def test_first_step_equals_linear_solver():
 def test_first_step_transports_terminal_unchanged():
     # A = 0, C = 0: with P_0 = 0 the perturbations vanish and G rides along
     problem, _ = inverse_linear_problem(100)
-    p0 = OperatorFunction.zero(problem.grid, 1, midpoints=False)
+    p0 = OperatorFunction(problem.grid, np.zeros((problem.grid.num_nodes, 1, 1)))
     p1 = monotone_step(p0, problem)
     assert_allclose(p1.values[:, 0, 0], np.ones(101), atol=1e-14)
 
@@ -223,7 +223,7 @@ def test_residual_trivial_cases():
     zero = OperatorFunction.zero(grid, 2)
     one = OperatorFunction.constant(grid, np.eye(2))
     problem = RiccatiProblem.symmetric(fwd, zero, one, np.zeros((2, 2)))
-    p_zero = OperatorFunction.zero(grid, 2, midpoints=False)
+    p_zero = OperatorFunction(grid, np.zeros((grid.num_nodes, 2, 2)))
     assert riccati_residual(p_zero, problem) == 0.0
     problem_g = RiccatiProblem.symmetric(fwd, zero, one, np.eye(2))
     assert riccati_residual(p_zero, problem_g) >= 1.0  # missing terminal transport
@@ -531,12 +531,11 @@ def test_compute_delta_rejects_bad_inputs():
 
 
 def test_contraction_params_validation():
-    params = ContractionParams.build(1.0, 1.0, 1.0, 0.0, 1.0, delta=0.1)
+    params = ContractionParams(1.0, 1.0, 1.0, 0.0, 1.0, delta=0.1)
     assert params.contraction_lhs < 1.0
+    assert params.rho == 2.0        # 2 M1 M2 (r_G + delta r_C), derived
     with pytest.raises(ValueError):
-        ContractionParams.build(1.0, 1.0, 1.0, 0.0, 1.0, delta=0.3)  # lhs >= 1
-    with pytest.raises(ValueError):
-        ContractionParams(1.0, 1.0, 1.0, 0.0, 1.0, delta=0.1, rho=5.0)
+        ContractionParams(1.0, 1.0, 1.0, 0.0, 1.0, delta=0.3)  # lhs >= 1
 
 
 # ---------------------------------------------------------------- picard solver
