@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import hashlib
+import itertools
 import json
 import math
 import operator
@@ -32,10 +33,11 @@ from .evolution import (EvolutionFamily, OperatorFunction, TimeGrid,
 from .linops import quadratic_form, sup_opnorm
 from .oracle import solve_differential_riccati
 from .riccati import (HypothesisViolation, RiccatiProblem, RiccatiSolution,
-                      _require_hypotheses, check_hypotheses, flow_consistency,
+                      _require_hypotheses, flow_consistency,
                       representation_check_one_sided,
                       representation_check_two_sided, riccati_residual,
                       solve_monotone, solve_picard_stepped)
+from .riccati import check_hypotheses  # bench/test_bench.py reads cli.check_hypotheses
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -47,8 +49,19 @@ _SPEC_KINDS = ("zero", "constant", "polynomial", "piecewise")
 _SOLVERS = ("monotone", "picard", "oracle")
 
 
+def _float_array(data, name: str) -> np.ndarray:
+    """``data`` as a float array; a JSON boolean entry is refused, not read as 0 or 1."""
+    values = np.asarray(data, dtype=float)
+    entries = [data]
+    for _ in range(values.ndim):
+        entries = itertools.chain.from_iterable(entries)
+    if bool in set(map(type, entries)):
+        raise ValueError(f"{name} has boolean entries")
+    return values
+
+
 def _as_matrix(data, n: int, name: str, cols: Optional[int] = None) -> np.ndarray:
-    mat = np.asarray(data, dtype=float)
+    mat = _float_array(data, name)
     cols = n if cols is None else cols
     if mat.shape != (n, cols):
         raise ValueError(f"{name} must be a {n}x{cols} matrix, got shape {mat.shape}")
@@ -76,9 +89,16 @@ def _field(doc: dict, name: str, parse, default=...):
         raise ValueError(f"field {name!r}: {exc}") from None
 
 
+def _real(value) -> float:
+    """``float`` of option text or of a JSON number, refusing a bool."""
+    if isinstance(value, bool):
+        raise ValueError(f"expected a number, got {value!r}")
+    return float(value)
+
+
 def _safety(value) -> float:
     """Window safety margin of the Picard solver, in (0, 1)."""
-    value = float(value)
+    value = _real(value)
     if not 0.0 < value < 1.0:
         raise ValueError(f"safety must lie in (0, 1), got {value!r}")
     return value
@@ -107,8 +127,8 @@ def _positive_int(text) -> int:
     return value
 
 
-def _nonnegative(text: str) -> float:
-    value = float(text)
+def _nonnegative(text) -> float:
+    value = _real(text)
     if not (math.isfinite(value) and value >= 0.0):
         raise ValueError(f"expected a finite value >= 0, got {text!r}")
     return value
@@ -147,11 +167,13 @@ def _spec_sampler(spec: dict, n: int, name: str):
 
         return poly
     if kind == "piecewise":
-        times = np.asarray(spec.get("times", []), dtype=float)
+        times = _float_array(spec.get("times", []), f"{name}.times")
         mats = [_as_matrix(m, n, f"{name}.matrices[{k}]")
                 for k, m in enumerate(spec.get("matrices", []))]
         if times.ndim != 1 or len(times) != len(mats) or len(mats) == 0:
             raise ValueError(f"{name} piecewise needs matching times and matrices")
+        if not np.isfinite(times).all():
+            raise ValueError(f"{name} piecewise times must be finite")
         if times[0] != 0.0 or np.any(np.diff(times) <= 0):
             raise ValueError(f"{name} piecewise times must start at 0 and increase")
 
@@ -164,7 +186,7 @@ def _spec_sampler(spec: dict, n: int, name: str):
 
 
 def _propagator_table(table, steps: int, n: int) -> np.ndarray:
-    steps_arr = np.asarray(_as_object(table, "propagators")["steps"], dtype=float)
+    steps_arr = _float_array(_as_object(table, "propagators")["steps"], "propagators.steps")
     if steps_arr.shape != (steps, n, n):
         raise ValueError(f"propagators.steps must have shape {(steps, n, n)}, "
                          f"got {steps_arr.shape}")
@@ -214,7 +236,7 @@ class ProblemFile:
         if solver not in _SOLVERS:
             raise ValueError(f"solver must be one of {_SOLVERS}, got {solver!r}")
         return cls(
-            dimension=n, horizon=_field(doc, "horizon", float), steps=steps,
+            dimension=n, horizon=_field(doc, "horizon", _real), steps=steps,
             c_sampler=_field(doc, "C", lambda spec: _spec_sampler(spec, n, "C")),
             b_sampler=_field(doc, "B", lambda spec: _spec_sampler(spec, n, "B")),
             g=_field(doc, "G", lambda mat: _as_matrix(mat, n, "G")),
@@ -231,11 +253,7 @@ class ProblemFile:
 
     def build(self, steps: Optional[int] = None
               ) -> tuple[RiccatiProblem, Optional[OperatorFunction]]:
-        """Instantiate the problem, optionally overriding the grid resolution.
-
-        The problem is not in symmetric mode; the commands that need the
-        hypothesis check run it themselves (``_with_symmetric_mode``).
-        """
+        """Instantiate the problem, optionally overriding the grid resolution."""
         grid = TimeGrid(self.horizon, self.steps if steps is None else steps)
         c_fun = OperatorFunction.from_sampler(grid, self.c_sampler)
         b_fun = OperatorFunction.from_sampler(grid, self.b_sampler)
@@ -250,12 +268,6 @@ class ProblemFile:
         problem = RiccatiProblem(u_fwd, adjoint_backward_family(u_fwd),
                                  c_fun, b_fun, self.g)
         return problem, generator
-
-
-def _with_symmetric_mode(problem: RiccatiProblem) -> RiccatiProblem:
-    """The problem in symmetric mode when it passes the hypothesis check.  The
-    report goes with it, so the monotone solver does not run the check again."""
-    return problem.with_hypotheses(check_hypotheses(problem))
 
 
 def _csv_header(n_rows: int, n_cols: int) -> str:
@@ -397,7 +409,7 @@ def cmd_solve(problem_path, out_dir, tol_abs: Optional[float] = None,
     """Solve the problem file and write CSV + JSON outputs into out_dir."""
     pfile = ProblemFile.from_path(problem_path)
     problem, generator = pfile.build()
-    problem = _with_symmetric_mode(problem)
+    symmetric = problem.symmetric_mode      # the one hypothesis check, off the timer
     settings = _settings(pfile, tol_abs=tol_abs, tol_rel=tol_rel, max_iter=max_iter,
                          safety=safety)
     chosen = solver if solver is not None else pfile.solver
@@ -416,7 +428,7 @@ def cmd_solve(problem_path, out_dir, tol_abs: Optional[float] = None,
         "version": __version__,
         "problem_sha256": _sha256(problem_path),
         "wall_time_s": wall,
-        "symmetric_mode": problem.symmetric_mode,
+        "symmetric_mode": symmetric,
         "dimension": pfile.dimension,
         "grid": {"horizon": problem.grid.horizon, "steps": problem.grid.steps},
         "tolerances": settings,
@@ -481,7 +493,6 @@ def cmd_study(problem_path, grids: List[int], solver: Optional[str] = None) -> i
     rows = []
     for n_steps in grids:
         problem, generator = pfile.build(steps=n_steps)
-        problem = _with_symmetric_mode(problem)
         values = _run_solver(chosen, problem, generator, **settings).P.values
         stride = finest // n_steps
         err = sup_opnorm(values - reference.values[::stride])
@@ -509,21 +520,13 @@ def _simulate_lqr(generator: OperatorFunction, c_fun: OperatorFunction,
     h = grid.h
     a_n, a_m = generator.values, generator.midpoint_values
     c_n, c_m = c_fun.values, c_fun.midpoint_values
-    if p_values is not None:
-        p_n = p_values
-        p_m = 0.5 * (p_values[:-1] + p_values[1:])
+    if p_values is not None:    # closed loop: the stage data is P, the control -B_u^T P x
+        v_n, v_m = p_values, 0.5 * (p_values[:-1] + p_values[1:])
+    else:                       # open loop: the stage data is the control
+        v_n, v_m = u_nodes, u_mids
 
-    def control(i, stage, x):
-        # stage: 0 = node i, 1 = midpoint, 2 = node i+1
-        if p_values is not None:
-            p_t = p_n[i] if stage == 0 else (p_m[i] if stage == 1 else p_n[i + 1])
-            return -bu.T @ p_t @ x
-        return (u_nodes[i], u_mids[i], u_nodes[i + 1])[stage]
-
-    def rhs(i, stage, x):
-        a_t = (a_n[i], a_m[i], a_n[i + 1])[stage]
-        c_t = (c_n[i], c_m[i], c_n[i + 1])[stage]
-        u = control(i, stage, x)
+    def rhs(a_t, c_t, v_t, x):
+        u = -bu.T @ v_t @ x if p_values is not None else v_t
         dx = a_t @ x + bu @ u
         dj = float(x @ c_t @ x + u @ u)
         return dx, dj
@@ -533,10 +536,10 @@ def _simulate_lqr(generator: OperatorFunction, c_fun: OperatorFunction,
     states = np.empty((grid.num_nodes, x.shape[0]))
     states[0] = x
     for i in range(grid.steps):
-        dx1, dj1 = rhs(i, 0, x)
-        dx2, dj2 = rhs(i, 1, x + 0.5 * h * dx1)
-        dx3, dj3 = rhs(i, 1, x + 0.5 * h * dx2)
-        dx4, dj4 = rhs(i, 2, x + h * dx3)
+        dx1, dj1 = rhs(a_n[i], c_n[i], v_n[i], x)
+        dx2, dj2 = rhs(a_m[i], c_m[i], v_m[i], x + 0.5 * h * dx1)
+        dx3, dj3 = rhs(a_m[i], c_m[i], v_m[i], x + 0.5 * h * dx2)
+        dx4, dj4 = rhs(a_n[i + 1], c_n[i + 1], v_n[i + 1], x + h * dx3)
         x = x + (h / 6.0) * (dx1 + 2 * dx2 + 2 * dx3 + dx4)
         cost += (h / 6.0) * (dj1 + 2 * dj2 + 2 * dj3 + dj4)
         states[i + 1] = x
@@ -554,7 +557,6 @@ def cmd_lqr_demo(problem_path, x0: List[float], tol: Optional[float] = None,
     problem, generator = pfile.build()
     if generator is None:
         raise ValueError("lqr-demo needs a generator-driven problem")
-    problem = _with_symmetric_mode(problem)
     _require_hypotheses(problem)
     bu = pfile.b_factor
     mismatch = float(np.abs(problem.B.values - (bu @ bu.T)[None]).max())

@@ -23,7 +23,7 @@ equation and its perturbed-family representations.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import List, Optional, Union
 
@@ -50,9 +50,10 @@ class HypothesisViolation(ValueError):
 class RiccatiProblem:
     """Full problem datum: families, coefficients, terminal operator, grid.
 
-    In ``symmetric_mode`` the backward family is expected to be the adjoint
-    dual of the forward one and C, B, G self-adjoint nonnegative; this is what
-    :func:`check_hypotheses` verifies and what the monotone solver requires.
+    The problem is in the symmetric setting, ``symmetric_mode``, when
+    :func:`check_hypotheses` passes: the backward family is the adjoint dual
+    of the forward one and C, B, G are self-adjoint nonnegative.  The monotone
+    solver requires it; the Picard solver does not.
     """
 
     U_forward: EvolutionFamily
@@ -60,7 +61,6 @@ class RiccatiProblem:
     C: OperatorFunction
     B: OperatorFunction
     G: np.ndarray
-    symmetric_mode: bool = False
 
     def __post_init__(self):
         object.__setattr__(self, "G", _checked_terminal(self.U_forward, self.U_backward, self.G))
@@ -69,15 +69,12 @@ class RiccatiProblem:
             raise ValueError(f"C must be sampled on the grid with shape {(n2, n1)}")
         if self.B.shape != (n1, n2) or self.B.grid != grid:
             raise ValueError(f"B must be sampled on the grid with shape {(n1, n2)}")
-        if self.symmetric_mode and n1 != n2:
-            raise ValueError("symmetric mode needs equal domain and codomain dimensions")
 
     @classmethod
     def symmetric(cls, U_forward: EvolutionFamily, C: OperatorFunction,
                   B: OperatorFunction, G) -> "RiccatiProblem":
         """Self-adjoint problem: the backward family is built as the adjoint dual."""
-        return cls(U_forward, adjoint_backward_family(U_forward), C, B, G,
-                   symmetric_mode=True)
+        return cls(U_forward, adjoint_backward_family(U_forward), C, B, G)
 
     @property
     def grid(self):
@@ -85,68 +82,32 @@ class RiccatiProblem:
 
     @cached_property
     def hypotheses(self) -> "HypothesisReport":
-        """``check_hypotheses(self)`` at the default tolerance: run on first use,
-        or handed in by :meth:`with_hypotheses`."""
+        """``check_hypotheses(self)`` at the default tolerance, run on first use."""
         return check_hypotheses(self)
 
-    def with_hypotheses(self, report: "HypothesisReport") -> "RiccatiProblem":
-        """A copy in symmetric mode when ``report`` passed, keeping ``report`` as
-        its ``hypotheses``.  ``report`` must be ``check_hypotheses(self)``; the
-        check does not read ``symmetric_mode``, so it holds for the copy too."""
-        checked = replace(self, symmetric_mode=self.symmetric_mode or report.passed)
-        checked.__dict__["hypotheses"] = report
-        return checked
+    @property
+    def symmetric_mode(self) -> bool:
+        """Whether the problem passes its hypothesis check (``hypotheses``)."""
+        return self.hypotheses.passed
 
     def kernel(self, p_values: np.ndarray) -> np.ndarray:
         """C - P B P sampled on the nodes."""
         return self.C.values - p_values @ self.B.values @ p_values
 
 
-def _sym_stats(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-node (asymmetry, min eigenvalue of symmetric part, norm)."""
+def _sym_stats(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-node (asymmetry, norm of the symmetric part)."""
     asym = node_opnorms(values - np.swapaxes(values, -1, -2))
-    eigs = np.linalg.eigvalsh(symmetrize(values))
-    return asym, eigs[:, 0], np.abs(eigs).max(axis=1)
-
-
-def _summary_item(index: int) -> property:
-    return property(lambda report: report._summary[index])
+    return asym, np.abs(np.linalg.eigvalsh(symmetrize(values))).max(axis=1)
 
 
 @dataclass(frozen=True)
 class HypothesisReport:
-    """Outcome of the symmetric-setting hypothesis check (report, never raises).
-
-    ``passed`` and ``first_violation`` (kind, node index) are what
-    :func:`check_hypotheses` decided.  The seven summary numbers, from
-    ``duality_defect`` to ``g_min_eigenvalue``, decompose every node and are
-    computed from ``data`` (V steps, U steps, C values, B values, G) when one
-    of them is first read.
-    """
+    """Outcome of the symmetric-setting hypothesis check (report, never raises):
+    whether it passed and, when not, the first failing (kind, node index)."""
 
     passed: bool
     first_violation: Optional[tuple]
-    data: tuple = field(repr=False, compare=False)
-
-    @cached_property
-    def _summary(self) -> tuple:
-        backward, forward, c_values, b_values, g = self.data
-        if forward.shape[1] != backward.shape[1]:
-            return (math.inf, math.inf, -math.inf, math.inf, -math.inf, math.inf, -math.inf)
-        duality = node_opnorms(backward - np.swapaxes(forward, -1, -2))
-        summary = [float(duality.max(initial=0.0))]
-        for values in (c_values, b_values, g[None, :, :]):
-            asym, lam, _ = _sym_stats(values)
-            summary += [float(asym.max(initial=0.0)), float(lam.min(initial=0.0))]
-        return tuple(summary)
-
-    duality_defect = _summary_item(0)
-    c_symmetry_defect = _summary_item(1)
-    c_min_eigenvalue = _summary_item(2)
-    b_symmetry_defect = _summary_item(3)
-    b_min_eigenvalue = _summary_item(4)
-    g_symmetry_defect = _summary_item(5)
-    g_min_eigenvalue = _summary_item(6)
 
 
 def _first(nodes: np.ndarray) -> Optional[int]:
@@ -164,7 +125,7 @@ def _first_asymmetric_node(values: np.ndarray, tol: float) -> Optional[int]:
                                | (tol < 0))
     for part in (undecided[:1], undecided[1:]):
         if part.size:
-            asym, _, norms = _sym_stats(values[part])
+            asym, norms = _sym_stats(values[part])
             node = _first(part[asym > tol * (1.0 + norms)])
             if node is not None:
                 return node
@@ -235,11 +196,9 @@ def check_hypotheses(problem: RiccatiProblem, tol: float = _HYPOTHESIS_TOL) -> H
     exactly zero defect pass without LAPACK, and nonnegativity is decided by
     one batched Cholesky where it can be (see ``_first_negative_node``).
     """
-    data = (problem.U_backward.steps, problem.U_forward.steps,
-            problem.C.values, problem.B.values, problem.G)
     first = (("dimension", -1) if problem.U_forward.dim != problem.U_backward.dim
              else _first_violation(problem, tol))
-    return HypothesisReport(first is None, first, data)
+    return HypothesisReport(first is None, first)
 
 
 def riccati_residual(P: OperatorFunction, problem: RiccatiProblem) -> float:
@@ -323,16 +282,11 @@ def representation_check_two_sided(P: OperatorFunction, problem: RiccatiProblem)
     return sup_opnorm(P.values - transported)
 
 
-def _require_hypotheses(problem: RiccatiProblem, tol: float = _HYPOTHESIS_TOL) -> None:
-    """Raise the first failing hypothesis; "mode" only when all of them pass.
-    At the default tolerance the problem's cached ``hypotheses`` are read."""
-    report = (problem.hypotheses if tol == _HYPOTHESIS_TOL
-              else check_hypotheses(problem, tol))
-    if not report.passed:
-        kind, node = report.first_violation
-        raise HypothesisViolation(kind, node, f"hypothesis {kind} fails at node {node}")
+def _require_hypotheses(problem: RiccatiProblem) -> None:
+    """Raise the first failing hypothesis of the problem's cached check."""
     if not problem.symmetric_mode:
-        raise HypothesisViolation("mode", -1, "monotone iteration needs symmetric_mode")
+        kind, node = problem.hypotheses.first_violation
+        raise HypothesisViolation(kind, node, f"hypothesis {kind} fails at node {node}")
 
 
 def _monotone_step_core(p_values: np.ndarray, problem: RiccatiProblem
@@ -347,8 +301,7 @@ def _monotone_step_core(p_values: np.ndarray, problem: RiccatiProblem
     return symmetrize(raw), defect
 
 
-def monotone_step(P_n: OperatorFunction, problem: RiccatiProblem,
-                  tol: float = _HYPOTHESIS_TOL) -> OperatorFunction:
+def monotone_step(P_n: OperatorFunction, problem: RiccatiProblem) -> OperatorFunction:
     """One step of the monotone scheme: solve the equation linearized at P_n.
 
     The quadratic kernel is replaced by its linearization
@@ -357,10 +310,10 @@ def monotone_step(P_n: OperatorFunction, problem: RiccatiProblem,
     preserves symmetry and nonnegativity of the iterates and, from the second
     iterate on, the nonincreasing Loewner chain.
     """
-    _require_hypotheses(problem, tol)
+    _require_hypotheses(problem)
     if P_n.grid != problem.grid:
         raise ValueError("P_n must be sampled on the problem grid")
-    node = _first_asymmetric_node(P_n.values, tol)
+    node = _first_asymmetric_node(P_n.values, _HYPOTHESIS_TOL)
     if node is not None:
         raise HypothesisViolation("P-symmetry", node,
                                   f"iterate is not self-adjoint at node {node}")

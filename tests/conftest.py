@@ -108,12 +108,11 @@ def certified_product_bound_reference(steps):
 
 
 def check_hypotheses_reference(problem, tol=1e-10):
-    """``(passed, first_violation, summary)`` of the hypothesis check from an
-    SVD and an ``eigvalsh`` of every node (the code before the exact-zero and
-    Cholesky tests); ``summary`` holds the seven report floats in field order."""
+    """``(passed, first_violation)`` of the hypothesis check from an SVD and an
+    ``eigvalsh`` of every node (the code before the exact-zero and Cholesky
+    tests)."""
     if problem.U_forward.dim != problem.U_backward.dim:
-        inf = math.inf
-        return False, ("dimension", -1), (inf, inf, -inf, inf, -inf, inf, -inf)
+        return False, ("dimension", -1)
 
     def sym_stats(values):
         asym = node_opnorms(values - np.swapaxes(values, -1, -2))
@@ -143,11 +142,7 @@ def check_hypotheses_reference(problem, tol=1e-10):
         bad = np.nonzero(mask)[0]
         if bad.size:
             first = (kind, int(bad[0]))
-    summary = (float(duality_per_step.max(initial=0.0)),
-               float(c_asym.max(initial=0.0)), float(c_min.min(initial=0.0)),
-               float(b_asym.max(initial=0.0)), float(b_min.min(initial=0.0)),
-               float(g_asym.max(initial=0.0)), float(g_min.min(initial=0.0)))
-    return first is None, first, summary
+    return first is None, first
 
 
 def sup_opnorm_reference(values):

@@ -59,6 +59,23 @@ def test_problem_file_validation(tmp_path):
                       ("max_iter", tanh_doc(tolerances={"max_iter": 2.9}))):
         with pytest.raises(ValueError, match=f"field '{name}': expected an integer"):
             ProblemFile.from_dict(doc)
+    for name, doc in (("horizon", tanh_doc(horizon=True)), ("safety", tanh_doc(safety=False)),
+                      ("tol_abs", tanh_doc(tolerances={"tol_abs": True})),
+                      ("tol_rel", tanh_doc(tolerances={"tol_rel": True}))):
+        with pytest.raises(ValueError, match=f"field '{name}': expected a number, got"):
+            ProblemFile.from_dict(doc)
+    for name, doc in (("G", tanh_doc(G=[[False]])),
+                      ("C.matrix", tanh_doc(C={"kind": "constant", "matrix": [[True]]})),
+                      ("B_factor", tanh_doc(B_factor=[[True]])),
+                      ("C.times", tanh_doc(C={"kind": "piecewise", "times": [False],
+                                              "matrices": [[[1.0]]]})),
+                      ("propagators.steps", _without_generator(
+                          steps=1, propagators={"steps": [[[True]]]}))):
+        with pytest.raises(ValueError, match=f"{name} has boolean entries"):
+            ProblemFile.from_dict(doc)
+    for t1 in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="C piecewise times must be finite"):
+            ProblemFile.from_dict(tanh_doc(C=_piecewise_c(t1)))
     integral = ProblemFile.from_dict(tanh_doc(steps=10.0, dimension=1.0,
                                               tolerances={"max_iter": 3.0}))
     assert (integral.steps, integral.dimension, integral.tolerances["max_iter"]) == (10, 1, 3)
@@ -373,6 +390,23 @@ def test_cmd_solve_monotone_runs_one_hypothesis_check(tmp_path, monkeypatch):
         assert len(calls) == 1, argv
 
 
+def test_cmd_study_checks_hypotheses_only_for_the_monotone_solver(tmp_path, monkeypatch):
+    calls = []
+    real_check = riccatint.riccati.check_hypotheses
+
+    def counted_check(*args, **kwargs):
+        calls.append(args)
+        return real_check(*args, **kwargs)
+
+    monkeypatch.setattr(riccatint.cli, "check_hypotheses", counted_check)
+    monkeypatch.setattr(riccatint.riccati, "check_hypotheses", counted_check)
+    path = write_doc(tmp_path / "tanh.json", tanh_doc(steps=20))
+    for solver, expected in (("picard", 0), ("oracle", 0), ("monotone", 3)):
+        calls.clear()
+        assert main(["study", path, "--grids", "10,20,40", "--solver", solver]) == EXIT_OK
+        assert len(calls) == expected, solver
+
+
 def test_cmd_solve_hypothesis_check_decomposes_no_node(tmp_path, monkeypatch):
     """A symmetric problem with exactly dual families passes the check by exact
     zeros and one Cholesky per coefficient: no SVD and no eigvalsh."""
@@ -532,6 +566,11 @@ _ZERO_CSV = "t,p0_0\n" + "".join(f"{t},0\n" for t in TimeGrid(1.0, 20).nodes().t
 _NAN_TIME_CSV = "\n".join("nan,0" if k == 5 else line
                           for k, line in enumerate(_ZERO_CSV.splitlines())) + "\n"
 
+
+def _piecewise_c(t1):
+    return {"kind": "piecewise", "times": [0.0, t1], "matrices": [[[1.0]], [[2.0]]]}
+
+
 BOUNDARY_CASES = {
     "stiff-implicit-endpoint": (
         "solve", tanh_doc(steps=4, B={"kind": "constant", "matrix": [[400.0]]},
@@ -584,6 +623,21 @@ BOUNDARY_CASES = {
     "non-integral-dimension": ("solve", tanh_doc(steps=20, dimension=1.9), [], EXIT_INVALID),
     "non-integral-max-iter": ("solve", tanh_doc(steps=20, tolerances={"max_iter": 2.9}),
                               [], EXIT_INVALID),
+    # number fields and matrix entries refuse what float() would read as 0 or 1
+    "boolean-tol-abs": ("solve", tanh_doc(steps=20, tolerances={"tol_abs": True}),
+                        [], EXIT_INVALID),
+    "boolean-tol-rel": ("solve", tanh_doc(steps=20, tolerances={"tol_rel": False}),
+                        [], EXIT_INVALID),
+    "boolean-horizon": ("solve", tanh_doc(steps=20, horizon=True), [], EXIT_INVALID),
+    "boolean-matrix-entry": ("solve", tanh_doc(steps=20, G=[[True]]), [], EXIT_INVALID),
+    "boolean-spec-entry": ("solve", tanh_doc(steps=20, C={"kind": "constant",
+                                                         "matrix": [[True]]}),
+                           [], EXIT_INVALID),
+    # json.load reads NaN and Infinity; a piecewise breakpoint must be finite
+    "piecewise-nan-time": ("solve", tanh_doc(steps=20, C=_piecewise_c(math.nan)),
+                           [], EXIT_INVALID),
+    "piecewise-infinite-time": ("solve", tanh_doc(steps=20, C=_piecewise_c(math.inf)),
+                                [], EXIT_INVALID),
 }
 
 

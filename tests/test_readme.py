@@ -2,6 +2,7 @@
 declare as public resolve."""
 
 import contextlib
+import importlib
 import io
 import re
 from pathlib import Path
@@ -34,3 +35,24 @@ def test_public_names_resolve():
     imported = re.findall(r"from riccatint import \(([^)]*)\)", "".join(_python_blocks()))
     for name in re.split(r"[\s,]+", " ".join(imported).strip()):
         assert name in riccatint.__all__, name
+
+
+def test_library_api_names_resolve():
+    """Every dotted name the "Library API" paragraph cites (``linops.op_norm``,
+    ``riccati.HypothesisReport``, ``OperatorFunction.from_sampler``, ...)
+    exists: its head is ``riccatint``, a submodule or a public name."""
+    text = README.read_text(encoding="utf-8")
+    section = text.split("### Library API", 1)[1].split("\n## ", 1)[0]
+    cited = re.findall(r"`(\w+(?:\.\w+)+)", section)
+    assert "riccati.HypothesisReport" in cited
+    for dotted in cited:
+        head, *rest = dotted.split(".")
+        if head == "riccatint":
+            obj = riccatint
+        elif head in riccatint.__all__:
+            obj = getattr(riccatint, head)
+        else:
+            obj = importlib.import_module(f"riccatint.{head}")
+        for name in rest:
+            assert hasattr(obj, name), dotted
+            obj = getattr(obj, name)

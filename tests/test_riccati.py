@@ -114,36 +114,34 @@ def test_monotone_step_rejects_asymmetric_iterate():
     assert err.value.node == 7
 
 
+def _indefinite(problem):
+    """``problem`` with C = -1: every hypothesis holds but C-nonnegativity."""
+    return RiccatiProblem(problem.U_forward, problem.U_backward,
+                          OperatorFunction.constant(problem.grid, [[-1.0]]),
+                          problem.B, problem.G)
+
+
 def test_monotone_requires_symmetric_mode():
-    problem, _ = tanh_problem(20)
-    general = RiccatiProblem(problem.U_forward, problem.U_backward, problem.C,
-                             problem.B, problem.G, symmetric_mode=False)
-    with pytest.raises(HypothesisViolation) as err:
-        solve_monotone(general)
-    assert err.value.kind == "mode"      # every hypothesis holds; only the mode is off
-    # a failing hypothesis is named, not the mode
-    indefinite = RiccatiProblem(problem.U_forward, problem.U_backward,
-                                OperatorFunction.constant(problem.grid, [[-1.0]]),
-                                problem.B, problem.G, symmetric_mode=False)
+    """The symmetric setting is what the hypothesis check decides: a problem
+    built without ``.symmetric`` solves as the one built with it, and a
+    failing hypothesis is named."""
+    for problem in (tanh_problem(20)[0], random_symmetric_problem(seed=3, n=3, steps=40)[0]):
+        direct = RiccatiProblem(problem.U_forward, adjoint_backward_family(problem.U_forward),
+                                problem.C, problem.B, problem.G)
+        assert direct.symmetric_mode and problem.symmetric_mode
+        want, got = solve_monotone(problem), solve_monotone(direct)
+        assert got.P.values.tobytes() == want.P.values.tobytes()
+        assert got.sup_differences == want.sup_differences
+    indefinite = _indefinite(tanh_problem(20)[0])
+    assert not indefinite.symmetric_mode
     for run in (lambda: solve_monotone(indefinite),
-                lambda: monotone_step(OperatorFunction.zero(problem.grid, 1), indefinite)):
+                lambda: monotone_step(OperatorFunction.zero(indefinite.grid, 1), indefinite)):
         with pytest.raises(HypothesisViolation) as err:
             run()
         assert (err.value.kind, err.value.node) == ("C-nonnegativity", 0)
 
 
 def test_hypothesis_check_runs_once_per_problem(monkeypatch):
-    problem, _ = tanh_problem(20)
-    indefinite = RiccatiProblem(problem.U_forward, problem.U_backward,
-                                OperatorFunction.constant(problem.grid, [[-1.0]]),
-                                problem.B, problem.G, symmetric_mode=False)
-    expected = {}
-    for name, prob in (("tanh", problem), ("indefinite", indefinite)):
-        with pytest.raises(HypothesisViolation) as err:
-            solve_monotone(dataclasses.replace(prob, symmetric_mode=False))
-        expected[name] = (err.value.kind, err.value.node)
-    assert expected == {"tanh": ("mode", -1), "indefinite": ("C-nonnegativity", 0)}
-
     calls = []
     real_check = riccati.check_hypotheses
 
@@ -152,26 +150,24 @@ def test_hypothesis_check_runs_once_per_problem(monkeypatch):
         return real_check(*args, **kwargs)
 
     monkeypatch.setattr(riccati, "check_hypotheses", counted_check)
-    # the report handed in by with_hypotheses is the one the solver reads
-    checked = indefinite.with_hypotheses(riccati.check_hypotheses(indefinite))
-    assert not checked.symmetric_mode and len(calls) == 1
+    problem, _ = tanh_problem(20)
     zero = OperatorFunction.zero(problem.grid, 1)
-    for run in (lambda: solve_monotone(checked), lambda: monotone_step(zero, checked),
-                lambda: monotone_step(zero, checked)):
+    # a problem checks itself once, however often it is solved, stepped or asked
+    indefinite = _indefinite(problem)
+    for run in (lambda: solve_monotone(indefinite), lambda: monotone_step(zero, indefinite),
+                lambda: monotone_step(zero, indefinite)):
         with pytest.raises(HypothesisViolation) as err:
             run()
-        assert (err.value.kind, err.value.node) == expected["indefinite"]
-    assert len(calls) == 1
-    # a problem checks itself once, however often it is solved or stepped
+        assert (err.value.kind, err.value.node) == ("C-nonnegativity", 0)
+    assert not indefinite.symmetric_mode and len(calls) == 1
     fresh = dataclasses.replace(problem)
     solve_monotone(fresh)
     monotone_step(zero, fresh)
+    assert fresh.symmetric_mode and fresh.hypotheses.passed
     assert len(calls) == 2
-    # another tolerance runs its own check
-    monotone_step(zero, fresh, tol=1e-8)
-    assert len(calls) == 3
-    symmetric = problem.with_hypotheses(riccati.check_hypotheses(problem))
-    assert symmetric.symmetric_mode and symmetric.hypotheses.passed
+    # the Picard solver needs no check
+    solve_picard_stepped(dataclasses.replace(problem))
+    assert len(calls) == 2
 
 
 @pytest.mark.parametrize("solver", ["picard", "monotone"])
@@ -369,7 +365,6 @@ def test_check_hypotheses_passes_canonical():
     problem, _ = random_symmetric_problem(seed=2, n=3, steps=50)
     report = check_hypotheses(problem)
     assert report.passed
-    assert report.duality_defect == 0.0
     assert report.first_violation is None
 
 
@@ -379,7 +374,7 @@ def test_check_hypotheses_flags_asymmetric_node():
     c_vals[17] = [[0.0, 1.0], [-1.0, 0.0]]
     tampered = RiccatiProblem(problem.U_forward, problem.U_backward,
                               OperatorFunction(problem.grid, c_vals),
-                              problem.B, problem.G, symmetric_mode=True)
+                              problem.B, problem.G)
     report = check_hypotheses(tampered)
     assert not report.passed
     assert report.first_violation == ("C-symmetry", 17)
@@ -394,7 +389,6 @@ def test_check_hypotheses_flags_independent_backward_family():
     report = check_hypotheses(mismatched)
     assert not report.passed
     assert report.first_violation[0] == "duality"
-    assert report.duality_defect > 1e-3
 
 
 # Perturbations at one node, in units of the test's threshold tol (1 + ||A||):
@@ -454,11 +448,7 @@ def _hypothesis_problem(n, steps, seed, duality, perturbations, tol=1e-10):
 
 def _assert_report_equals_reference(problem, tol=1e-10):
     report = check_hypotheses(problem, tol)
-    passed, first, summary = check_hypotheses_reference(problem, tol)
-    assert (report.passed, report.first_violation) == (passed, first)
-    assert (report.duality_defect, report.c_symmetry_defect, report.c_min_eigenvalue,
-            report.b_symmetry_defect, report.b_min_eigenvalue, report.g_symmetry_defect,
-            report.g_min_eigenvalue) == summary
+    assert (report.passed, report.first_violation) == check_hypotheses_reference(problem, tol)
     return report
 
 
@@ -471,8 +461,8 @@ _PERTURBATION = st.tuples(st.sampled_from(_SYMMETRY_DEFECTS),
        seed=st.integers(0, 2 ** 32 - 1), duality=st.sampled_from(_DUALITY_DEFECTS),
        perturbations=st.dictionaries(st.sampled_from("CBG"), _PERTURBATION))
 def test_check_hypotheses_equals_full_decomposition(n, steps, seed, duality, perturbations):
-    """The exact-zero tests and the Cholesky give the (kind, node) and the
-    report floats that decomposing every node gives."""
+    """The exact-zero tests and the Cholesky give the verdict and the (kind,
+    node) that decomposing every node gives."""
     _assert_report_equals_reference(
         _hypothesis_problem(n, steps, seed, duality, perturbations))
 
@@ -499,6 +489,10 @@ def test_hypothesis_report_for_mismatched_dimensions():
                              OperatorFunction.zero(grid, 2, 3), np.zeros((3, 2)))
     report = _assert_report_equals_reference(problem)
     assert report.first_violation == ("dimension", -1)
+    assert not problem.symmetric_mode
+    with pytest.raises(HypothesisViolation) as err:
+        solve_monotone(problem)
+    assert (err.value.kind, err.value.node) == ("dimension", -1)
 
 
 # ---------------------------------------------------------------- contraction
