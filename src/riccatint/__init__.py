@@ -10,7 +10,7 @@ helper is imported from its module.
 from .evolution import (EvolutionFamily, OperatorFunction, TimeGrid,
                         adjoint_backward_family, build_forward_family)
 from .linops import adjoint, is_nonnegative, quadratic_form
-from .lyapunov import LinearIntegralProblem, solve_linear, solve_linear_picard
+from .lyapunov import LinearIntegralProblem, solve_linear
 from .oracle import compare, solve_differential_riccati
 from .riccati import (ContractionParams, ConvergenceError, HypothesisViolation,
                       RiccatiProblem, check_hypotheses, compute_delta,
@@ -30,7 +30,7 @@ __all__ = [
     "PerturbationSpec", "GronwallBound",
     "perturb_forward", "perturb_backward", "cross_form_check",
     "continuous_dependence_gap",
-    "LinearIntegralProblem", "solve_linear", "solve_linear_picard",
+    "LinearIntegralProblem", "solve_linear",
     "RiccatiProblem", "HypothesisViolation", "ConvergenceError", "ContractionParams",
     "check_hypotheses", "monotone_step", "solve_monotone", "riccati_residual",
     "flow_consistency", "representation_check_one_sided",

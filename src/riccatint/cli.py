@@ -32,8 +32,8 @@ from .evolution import (EvolutionFamily, OperatorFunction, TimeGrid,
                         adjoint_backward_family, build_forward_family)
 from .linops import quadratic_form, sup_opnorm
 from .oracle import solve_differential_riccati
-from .riccati import (HypothesisViolation, RiccatiProblem, RiccatiSolution,
-                      _require_hypotheses, flow_consistency,
+from .riccati import (ConvergenceError, HypothesisViolation, RiccatiProblem,
+                      RiccatiSolution, _require_hypotheses, flow_consistency,
                       representation_check_one_sided,
                       representation_check_two_sided, riccati_residual,
                       solve_monotone, solve_picard_stepped)
@@ -403,6 +403,11 @@ def _run_solver(solver: str, problem: RiccatiProblem,
                            residual=riccati_residual(p_oracle, problem))
 
 
+def _residual_threshold(grid: TimeGrid, p_fun: OperatorFunction) -> float:
+    """The residual gate of ``check``, and of ``solve`` for its iterative solvers."""
+    return max(1e-9, 25.0 * grid.h * grid.h * (1.0 + p_fun.sup_norm()))
+
+
 def cmd_solve(problem_path, out_dir, tol_abs: Optional[float] = None,
               tol_rel: Optional[float] = None, max_iter: Optional[int] = None,
               safety: Optional[float] = None, solver: Optional[str] = None) -> int:
@@ -416,6 +421,11 @@ def cmd_solve(problem_path, out_dir, tol_abs: Optional[float] = None,
     start = time.perf_counter()
     solution = _run_solver(chosen, problem, generator, **settings)
     wall = time.perf_counter() - start
+    if chosen != "oracle":          # the oracle has no stopping tolerance
+        limit = _residual_threshold(problem.grid, solution.P)
+        if not solution.residual <= limit:
+            raise ConvergenceError("stopped before convergence: residual "
+                                   f"{solution.residual:.3e} > {limit:.3e}")
 
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -448,10 +458,7 @@ def cmd_check(problem_path, solution_path, threshold: Optional[float] = None,
     pfile = ProblemFile.from_path(problem_path)
     problem, _ = pfile.build()
     p_fun = read_solution_csv(solution_path, problem.grid, pfile.dimension)
-    h = problem.grid.h
-    sup_p = p_fun.sup_norm()
-    default_threshold = max(1e-9, 25.0 * h * h * (1.0 + sup_p))
-    limit = threshold if threshold is not None else default_threshold
+    limit = threshold if threshold is not None else _residual_threshold(problem.grid, p_fun)
 
     pairs = np.random.default_rng(20240).integers(
         0, problem.grid.num_nodes, size=(flow_pairs, 2))

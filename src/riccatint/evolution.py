@@ -130,12 +130,6 @@ class OperatorFunction:
         """max over nodes of the spectral norm."""
         return sup_opnorm(self.values)
 
-    def symmetry_defect(self) -> float:
-        """max over nodes of ||V - V^T|| (spectral norm); requires square samples."""
-        if self.shape[0] != self.shape[1]:
-            raise ValueError("symmetry defect needs square samples")
-        return sup_opnorm(self.values - np.swapaxes(self.values, -1, -2))
-
 
 def _certified_product_bound(step_norms: np.ndarray) -> float:
     """Upper bound on sup over grid pairs of ||U_{t,s}||, from the step norms.
@@ -260,31 +254,3 @@ def adjoint_backward_family(forward: EvolutionFamily) -> EvolutionFamily:
         raise ValueError("adjoint duality is defined on forward families")
     steps = np.swapaxes(forward.steps, -1, -2)
     return EvolutionFamily(forward.grid, "backward", steps, adjoint_of=forward)
-
-
-def check_semigroup(family: EvolutionFamily, *,
-                    value_fn: Optional[Callable[[int, int], np.ndarray]] = None,
-                    max_points: int = 12) -> float:
-    """Max composition residual ||U_{t,s} - U_{t,r} U_{r,s}|| over sampled triples.
-
-    For a family built from step propagators this is floating-point roundoff;
-    a genuinely positive residual can only come from externally supplied
-    values (pass them via ``value_fn``).
-    """
-    value = value_fn if value_fn is not None else family.value
-    n = family.grid.steps
-    if n == 0:
-        return 0.0
-    idx = sorted(set(np.linspace(0, n, min(max_points, n + 1)).astype(int).tolist()))
-    worst = 0.0
-    for a in idx:
-        for b in idx:
-            for c in idx:
-                lo, mid, hi = sorted((a, b, c))
-                if family.direction == "forward":
-                    i, r, j = hi, mid, lo
-                else:
-                    i, r, j = lo, mid, hi
-                res = value(i, j) - value(i, r) @ value(r, j)
-                worst = max(worst, float(np.linalg.norm(res, 2)))
-    return worst

@@ -1,4 +1,4 @@
-"""Dense matrix primitives: adjoints, definiteness predicates, Loewner order.
+"""Dense matrix primitives: adjoints, spectral norms, definiteness predicates.
 
 All operators are real matrices and the pairing is the Euclidean one, so the
 adjoint is the transpose.  Symmetry and nonnegativity predicates use the
@@ -36,11 +36,6 @@ def _require_square(value, name: str = "matrix") -> np.ndarray:
 def adjoint(mat) -> np.ndarray:
     """Adjoint with respect to the real Euclidean pairing: the transpose."""
     return require_matrix(mat).T.copy()
-
-
-def op_norm(mat) -> float:
-    """Spectral norm (largest singular value)."""
-    return float(np.linalg.norm(require_matrix(mat), 2))
 
 
 def node_opnorms(values: np.ndarray) -> np.ndarray:
@@ -100,41 +95,20 @@ def symmetrize(values: np.ndarray) -> np.ndarray:
     return 0.5 * (arr + np.swapaxes(arr, -1, -2))
 
 
-def min_eigenvalue(mat) -> float:
-    """Smallest eigenvalue of the symmetrized matrix."""
-    sym = symmetrize(_require_square(mat))
-    return float(np.linalg.eigvalsh(sym)[0])
-
-
-def is_self_adjoint(mat, tol: float = 1e-12) -> bool:
-    """True iff ||M - M^T|| <= tol * (1 + ||M||) in spectral norm."""
-    square = _require_square(mat)
-    if tol < 0:
-        raise ValueError("tol must be nonnegative")
-    defect = float(np.linalg.norm(square - square.T, 2))
-    return defect <= tol * (1.0 + float(np.linalg.norm(square, 2)))
-
-
 def is_nonnegative(mat, tol: float = 1e-12) -> bool:
     """True iff the symmetrized matrix has min eigenvalue >= -tol * (1 + ||M||).
 
-    Raises ValueError when the input is asymmetric beyond the tolerance; a
-    definiteness query on a genuinely non-self-adjoint operator is a usage bug.
+    Raises ValueError when ||M - M^T|| exceeds the same bound (a definiteness
+    query on a genuinely non-self-adjoint operator is a usage bug) or when
+    ``tol`` is negative.
     """
     square = _require_square(mat)
-    if not is_self_adjoint(square, tol):
+    if tol < 0:
+        raise ValueError("tol must be nonnegative")
+    bound = tol * (1.0 + sup_opnorm(square))
+    if not sup_opnorm(square - square.T) <= bound:
         raise ValueError("matrix is not self-adjoint within tolerance")
-    bound = tol * (1.0 + float(np.linalg.norm(square, 2)))
-    return min_eigenvalue(square) >= -bound
-
-
-def loewner_leq(a, b, tol: float = 1e-12) -> bool:
-    """Loewner order test: A <= B iff B - A is nonnegative (within tol)."""
-    mat_a = _require_square(a, "A")
-    mat_b = _require_square(b, "B")
-    if mat_a.shape != mat_b.shape:
-        raise ValueError(f"shape mismatch: {mat_a.shape} vs {mat_b.shape}")
-    return is_nonnegative(mat_b - mat_a, tol)
+    return float(np.linalg.eigvalsh(symmetrize(square))[0]) >= -bound
 
 
 def quadratic_form(mat, x) -> float:

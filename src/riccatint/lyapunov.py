@@ -12,10 +12,7 @@ the coefficient terms at the newest node are solved implicitly, so the
 returned samples satisfy the discrete equation to machine precision.
 
 The same marching core doubles as the explicit evaluator used for residual
-checks and representation formulas, and a plain Picard fixed-point iteration
-of the discrete equation is provided as an independent route to the same
-solution (the two agree to iteration tolerance, a runtime-checkable
-uniqueness surrogate).
+checks and representation formulas.
 """
 
 from __future__ import annotations
@@ -27,6 +24,7 @@ from typing import List, Optional
 import numpy as np
 
 from .evolution import EvolutionFamily, OperatorFunction
+from .linops import node_opnorms
 
 
 class ConvergenceError(RuntimeError):
@@ -133,7 +131,7 @@ def _window_defects(left_steps: np.ndarray, right_steps: np.ndarray,
         for i in range(int(tau.max()) - 1, int(t.min()) - 1, -1):
             active = (t <= i) & (i < tau)
             cur[active] = left_steps[i] @ cur[active] @ right_steps[i] + src[i]
-        defects[start:start + chunk] = np.linalg.norm(values[t] - cur, 2, axis=(1, 2))
+        defects[start:start + chunk] = node_opnorms(values[t] - cur)
     return defects
 
 
@@ -199,32 +197,3 @@ def solve_linear(problem: LinearIntegralProblem) -> OperatorFunction:
 
 
 solve_both_perturbed = solve_linear     # the name the benchmark's march probe imports
-
-
-def solve_linear_picard(problem: LinearIntegralProblem, tol: float = 1e-12,
-                        max_iter: int = 400) -> OperatorFunction:
-    """Direct Picard fixed-point iteration of the discrete linear equation.
-
-    Independent of the implicit marching route; kept in the module because the
-    agreement of the two paths is a uniqueness check worth running at runtime.
-    """
-    grid = problem.grid
-    q12 = problem.Q12.values
-    q1 = problem.Q1.values if problem.Q1 is not None else None
-    q2 = problem.Q2.values if problem.Q2 is not None else None
-    cur = np.zeros((grid.num_nodes,) + problem.G.shape)
-    cur[-1] = problem.G
-    for _ in range(max_iter):
-        kernel = q12
-        if q1 is not None:
-            kernel = kernel - cur @ q1
-        if q2 is not None:
-            kernel = kernel - q2 @ cur
-        new = _march(problem.U_backward.steps, problem.U_forward.steps,
-                     kernel, problem.G, grid.h)
-        gap = float(np.abs(new - cur).max())
-        cur = new
-        if gap <= tol * (1.0 + float(np.abs(cur).max())):
-            return OperatorFunction(grid, cur)
-    raise ConvergenceError(
-        f"Picard iteration did not reach tol={tol} in {max_iter} sweeps")

@@ -569,7 +569,7 @@ def solve_picard_stepped(problem: RiccatiProblem, tol_abs: float = 1e-10,
     all_updates: List[float] = []
     idx = grid.steps
     while idx > 0:
-        r_g = float(np.linalg.norm(values[idx], 2))
+        r_g = sup_opnorm(values[idx])
         try:
             lo, window, cert, updates = _picard_window(
                 problem, values[idx], idx, r_g, r_c, r_b, safety,

@@ -10,18 +10,19 @@ from __future__ import annotations
 import numpy as np
 
 from .evolution import OperatorFunction, TimeGrid, build_forward_family
+from .linops import sup_opnorm
 from .riccati import RiccatiProblem
 
 
 def _scaled_random(rng: np.random.Generator, n: int) -> np.ndarray:
     mat = rng.standard_normal((n, n))
-    return mat / max(1.0, float(np.linalg.norm(mat, 2)))
+    return mat / max(1.0, sup_opnorm(mat))
 
 
 def _psd_profile(rng: np.random.Generator, n: int, floor: float = 0.3) -> np.ndarray:
     mat = rng.standard_normal((n, n))
     psd = mat @ mat.T
-    psd /= max(1.0, float(np.linalg.norm(psd, 2)))
+    psd /= max(1.0, sup_opnorm(psd))
     return psd + floor * np.eye(n)
 
 

@@ -22,6 +22,7 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from .evolution import EvolutionFamily, OperatorFunction
+from .linops import sup_opnorm
 
 _FORMS = ("first", "second")
 
@@ -122,10 +123,12 @@ def _pair_sweep_max_diff(fam_a: EvolutionFamily, fam_b: EvolutionFamily,
         va = np.eye(fam_a.dim)
         vb = va.copy()
         rng = range(j, n_steps) if forward else range(j - 1, -1, -1)
-        for k in rng:
+        diffs = np.empty((len(rng), fam_a.dim, fam_a.dim))
+        for d, k in enumerate(rng):
             va = fam_a.steps[k] @ va
             vb = fam_b.steps[k] @ vb
-            worst = max(worst, float(np.linalg.norm(va - vb, 2)))
+            diffs[d] = va - vb
+        worst = max(worst, sup_opnorm(diffs))
     return worst
 
 

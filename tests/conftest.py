@@ -1,3 +1,4 @@
+import itertools
 import math
 from pathlib import Path
 
@@ -8,7 +9,7 @@ from hypothesis import settings
 
 from riccatint.cli import _csv_header
 from riccatint.evolution import OperatorFunction
-from riccatint.linops import node_opnorms, symmetrize
+from riccatint.linops import node_opnorms, sup_opnorm, symmetrize
 from riccatint.lyapunov import ConvergenceError, _march
 
 # Property tests run a fixed, derandomized set of examples: the same inputs and
@@ -47,6 +48,68 @@ def flow_consistency_per_window(P, problem, t_index, tau_index):
                          problem.U_forward.steps[t_index:tau_index],
                          kernel, P.values[tau_index], problem.grid.h)
     return float(np.linalg.norm(P.values[t_index] - transported[0], 2))
+
+
+def symmetry_defect(P):
+    """max over nodes of ||P - P^T|| (spectral norm) of an ``OperatorFunction``."""
+    return sup_opnorm(P.values - np.swapaxes(P.values, -1, -2))
+
+
+# Routes and predicates the package no longer has, kept as references: the
+# plain Picard iteration of the discrete linear equation must land on the
+# implicit march's values, the composition law must hold on every family
+# built, and ``is_nonnegative`` must decide as the two predicates it inlines.
+
+def is_nonnegative_reference(mat, tol=1e-12):
+    """``linops.is_nonnegative`` composed of the self-adjointness and smallest-
+    eigenvalue predicates it had, each with its own ``np.linalg.norm(., 2)``."""
+    square = np.asarray(mat, dtype=float)
+    if tol < 0:
+        raise ValueError("tol must be nonnegative")
+    defect = float(np.linalg.norm(square - square.T, 2))
+    if not defect <= tol * (1.0 + float(np.linalg.norm(square, 2))):
+        raise ValueError("matrix is not self-adjoint within tolerance")
+    bound = tol * (1.0 + float(np.linalg.norm(square, 2)))
+    return float(np.linalg.eigvalsh(symmetrize(square))[0]) >= -bound
+
+
+def linear_picard_reference(problem, tol=1e-12, max_iter=400):
+    """Node values of a ``LinearIntegralProblem`` by Picard fixed-point iteration,
+    each sweep an explicit ``_march`` with the unknown moved into the kernel."""
+    q1 = None if problem.Q1 is None else problem.Q1.values
+    q2 = None if problem.Q2 is None else problem.Q2.values
+    cur = np.zeros((problem.grid.num_nodes,) + problem.G.shape)
+    cur[-1] = problem.G
+    for _ in range(max_iter):
+        kernel = problem.Q12.values
+        if q1 is not None:
+            kernel = kernel - cur @ q1
+        if q2 is not None:
+            kernel = kernel - q2 @ cur
+        new = _march(problem.U_backward.steps, problem.U_forward.steps,
+                     kernel, problem.G, problem.grid.h)
+        gap = float(np.abs(new - cur).max())
+        cur = new
+        if gap <= tol * (1.0 + float(np.abs(cur).max())):
+            return cur
+    raise ConvergenceError(f"Picard iteration did not reach tol={tol} in {max_iter} sweeps")
+
+
+def semigroup_defect_reference(family, value_fn=None, max_points=12):
+    """Max composition residual ||U_{t,s} - U_{t,r} U_{r,s}|| over sampled node
+    triples; ``value_fn(i, j)`` replaces ``family.value`` to test external data."""
+    value = value_fn if value_fn is not None else family.value
+    n = family.grid.steps
+    if n == 0:
+        return 0.0
+    idx = sorted(set(np.linspace(0, n, min(max_points, n + 1)).astype(int).tolist()))
+    worst = 0.0
+    for triple in itertools.product(idx, repeat=3):
+        lo, mid, hi = sorted(triple)
+        i, j = (hi, lo) if family.direction == "forward" else (lo, hi)
+        res = value(i, j) - value(i, mid) @ value(mid, j)
+        worst = max(worst, float(np.linalg.norm(res, 2)))
+    return worst
 
 
 # Per-time builders and the one-SVD family bound, kept as references: the

@@ -27,6 +27,8 @@ from riccatint.testing import (inverse_linear_problem, random_symmetric_problem,
 from riccatint.volterra import (PerturbationSpec, continuous_dependence_gap,
                                 cross_form_check, perturb_forward)
 
+from conftest import symmetry_defect
+
 N_PROBLEMS = 20
 SIZES = [2, 4, 8] * 7
 N_COARSE = 1000
@@ -104,7 +106,7 @@ def test_criterion_3_solution_invariants(suite):
     worst_chain = math.inf
     for entry in suite["entries"]:
         sol = entry["solution"]
-        worst_defect = max(worst_defect, sol.P.symmetry_defect())
+        worst_defect = max(worst_defect, symmetry_defect(sol.P))
         for rec in sol.invariant_report:
             worst_defect = max(worst_defect, rec.presymmetrization_defect)
             worst_eig = min(worst_eig, rec.min_eigenvalue)

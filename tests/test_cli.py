@@ -545,6 +545,34 @@ def test_main_dispatch(tmp_path):
     assert main(["lqr-demo", path, "--x0", "nan"]) == EXIT_INVALID
 
 
+@pytest.mark.parametrize("solver", ["monotone", "picard"])
+def test_solve_stopped_before_convergence_exits_3(tmp_path, capsys, solver):
+    """A tolerance so loose that the solver stops after one iterate leaves a
+    residual above check's gate: one line, exit 3, nothing written."""
+    path = write_doc(tmp_path / "tanh.json", tanh_doc(steps=200))
+    out = tmp_path / "out"
+    assert main(["solve", path, "--out", str(out), "--solver", solver,
+                 "--tol-abs", "1e300"]) == EXIT_NO_CONVERGENCE
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: stopped before convergence: residual ")
+    assert not out.exists()
+    # the same solution, written anyway, fails check's residual gate
+    problem, _ = ProblemFile.from_path(path).build()
+    solve = riccatint.riccati.solve_monotone if solver == "monotone" \
+        else riccatint.riccati.solve_picard_stepped
+    csv = tmp_path / "loose_P.csv"
+    write_solution_csv(csv, problem.grid, solve(problem, tol_abs=1e300).P.values)
+    assert cmd_check(path, csv) == EXIT_CHECK_FAILED
+    first = capsys.readouterr().out.splitlines()[0]
+    assert first.startswith("riccati_residual ") and first.endswith(" FAIL")
+
+
+def test_oracle_solve_has_no_residual_gate(tmp_path):
+    path = write_doc(tmp_path / "tanh.json", tanh_doc(steps=200))
+    assert main(["solve", path, "--out", str(tmp_path / "out"), "--solver", "oracle",
+                 "--tol-abs", "1e300"]) == EXIT_OK
+
 def _without_generator(**overrides):
     doc = tanh_doc(**overrides)
     del doc["generator"]

@@ -1,3 +1,4 @@
+import ast
 import re
 from pathlib import Path
 
@@ -8,11 +9,10 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from riccatint import linops
-from riccatint.linops import (adjoint, is_nonnegative, is_self_adjoint,
-                              loewner_leq, min_eigenvalue, op_norm,
-                              quadratic_form, sup_opnorm)
+from riccatint.linops import adjoint, is_nonnegative, quadratic_form, sup_opnorm
 
-from conftest import brute_force_matmul, sup_opnorm_reference
+from conftest import (brute_force_matmul, is_nonnegative_reference, outcome,
+                      sup_opnorm_reference)
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "riccatint"
 
@@ -43,20 +43,24 @@ def test_adjoint_is_involution(rng):
 
 
 def test_is_self_adjoint_basic():
-    assert is_self_adjoint(np.eye(3), 1e-12)
-    assert not is_self_adjoint([[0.0, 1.0], [0.0, 0.0]], 1e-12)
+    # is_nonnegative answers for self-adjoint input only
+    assert is_nonnegative(np.eye(3), 1e-12)
+    with pytest.raises(ValueError, match="not self-adjoint"):
+        is_nonnegative([[0.0, 1.0], [0.0, 0.0]], 1e-12)
 
 
 def test_is_self_adjoint_tolerates_tiny_perturbation(rng):
     m = np.array([[1.0, 0.5], [0.5, 2.0]])
     noise = rng.standard_normal((2, 2))
-    noise /= np.linalg.norm(noise, 2)
-    assert is_self_adjoint(m + 1e-14 * noise, 1e-12)
+    noise /= sup_opnorm(noise)
+    assert is_nonnegative(m + 1e-14 * noise, 1e-12)
 
 
 def test_is_self_adjoint_rejects_nonsquare():
     with pytest.raises(ValueError):
-        is_self_adjoint(np.zeros((2, 3)))
+        is_nonnegative(np.zeros((2, 3)))
+    with pytest.raises(ValueError, match="tol must be nonnegative"):
+        is_nonnegative(np.eye(2), -1e-12)
 
 
 def test_is_nonnegative_zero_and_identity():
@@ -68,7 +72,9 @@ def test_is_nonnegative_indefinite():
     # characteristic polynomial of [[1,2],[2,1]] gives eigenvalues 3 and -1
     m = np.array([[1.0, 2.0], [2.0, 1.0]])
     assert not is_nonnegative(m)
-    assert_allclose(min_eigenvalue(m), -1.0, atol=1e-12)
+    # the smallest eigenvalue is -1: a shift by 1 reaches 0, a shift by less does not
+    assert is_nonnegative(m + np.eye(2))
+    assert not is_nonnegative(m + (1.0 - 1e-9) * np.eye(2))
 
 
 def test_is_nonnegative_rejects_asymmetric():
@@ -76,16 +82,31 @@ def test_is_nonnegative_rejects_asymmetric():
         is_nonnegative([[0.0, 1.0], [0.0, 0.0]])
 
 
+@given(n=st.sampled_from([1, 2, 3, 8]), exponent=st.integers(-8, 8),
+       shift=st.floats(-2e-12, 2e-12), skew=st.floats(0.0, 4e-12),
+       tol=st.sampled_from([0.0, 1e-12, 1e-10]), seed=st.integers(0, 2 ** 32 - 1))
+def test_is_nonnegative_decides_as_the_composed_reference(n, exponent, shift, skew, tol,
+                                                          seed):
+    """The same verdict, or the same error, at the edges of both tolerance tests:
+    the smallest eigenvalue moved to about +-shift * (1 + ||M||), the asymmetry
+    to about skew * (1 + ||M||)."""
+    rng = np.random.default_rng(seed)
+    scale = 10.0 ** exponent
+    basis = np.linalg.qr(rng.standard_normal((n, n)))[0]
+    eigs = scale * rng.uniform(0.0, 1.0, n)
+    eigs[0] = shift * (1.0 + eigs.max())
+    mat = (basis * eigs) @ basis.T
+    noise = rng.standard_normal((n, n))
+    mat = mat + skew * (1.0 + scale) * (noise - noise.T) / 2.0
+    assert outcome(is_nonnegative, mat, tol) == outcome(is_nonnegative_reference, mat, tol)
+
+
 def test_loewner_examples():
-    assert loewner_leq(np.zeros((2, 2)), np.eye(2))
-    assert not loewner_leq(np.eye(2), np.zeros((2, 2)))
+    # A <= B in the Loewner order iff B - A is nonnegative
+    assert is_nonnegative(np.eye(2) - np.zeros((2, 2)))
+    assert not is_nonnegative(np.zeros((2, 2)) - np.eye(2))
     # B - A = diag(1, 0) has eigenvalues 1 and 0
-    assert loewner_leq(np.diag([1.0, 2.0]), np.diag([2.0, 2.0]))
-
-
-def test_loewner_shape_mismatch():
-    with pytest.raises(ValueError):
-        loewner_leq(np.eye(2), np.eye(3))
+    assert is_nonnegative(np.diag([2.0, 2.0]) - np.diag([1.0, 2.0]))
 
 
 def test_loewner_reflexive_transitive(rng):
@@ -94,9 +115,9 @@ def test_loewner_reflexive_transitive(rng):
         a = base @ base.T
         b = a + _random_psd(rng, 3)
         c = b + _random_psd(rng, 3)
-        assert loewner_leq(a, a, 1e-10)
-        assert loewner_leq(a, b, 1e-10) and loewner_leq(b, c, 1e-10)
-        assert loewner_leq(a, c, 1e-10)
+        assert is_nonnegative(a - a, 1e-10)
+        assert is_nonnegative(b - a, 1e-10) and is_nonnegative(c - b, 1e-10)
+        assert is_nonnegative(c - a, 1e-10)
 
 
 def _random_psd(rng, n):
@@ -105,16 +126,16 @@ def _random_psd(rng, n):
 
 
 def test_op_norm_values():
-    assert_allclose(op_norm(np.eye(3)), 1.0)
-    assert_allclose(op_norm(np.diag([3.0, -4.0])), 4.0)
+    assert_allclose(sup_opnorm(np.eye(3)), 1.0)
+    assert_allclose(sup_opnorm(np.diag([3.0, -4.0])), 4.0)
     # M^T M = diag(0, 4)
-    assert_allclose(op_norm([[0.0, 2.0], [0.0, 0.0]]), 2.0)
-    assert op_norm(np.zeros((3, 3))) == 0.0
+    assert_allclose(sup_opnorm([[0.0, 2.0], [0.0, 0.0]]), 2.0)
+    assert sup_opnorm(np.zeros((3, 3))) == 0.0
 
 
 def test_op_norm_homogeneous(rng):
     m = rng.standard_normal((4, 4))
-    assert_allclose(op_norm(-2.5 * m), 2.5 * op_norm(m), rtol=1e-12)
+    assert_allclose(sup_opnorm(-2.5 * m), 2.5 * sup_opnorm(m), rtol=1e-12)
 
 
 def test_quadratic_form_values():
@@ -134,7 +155,7 @@ def test_nonnegative_iff_quadratic_forms(rng):
     for trial in range(8):
         sym = _random_psd(rng, 3) - (trial % 2) * 2.0 * np.eye(3)
         tol = 1e-12
-        scale = tol * (1.0 + op_norm(sym))
+        scale = tol * (1.0 + sup_opnorm(sym))
         if is_nonnegative(sym, tol):
             for _ in range(50):
                 x = rng.standard_normal(3)
@@ -150,11 +171,11 @@ def test_op_norm_of_psd_is_max_quadratic_form(rng):
         m = _random_psd(rng, 4)
         eigvals, eigvecs = np.linalg.eigh(m)
         attained = quadratic_form(m, eigvecs[:, -1])
-        assert_allclose(op_norm(m), attained, rtol=1e-10)
+        assert_allclose(sup_opnorm(m), attained, rtol=1e-10)
         for _ in range(40):
             x = rng.standard_normal(4)
             x /= np.linalg.norm(x)
-            assert quadratic_form(m, x) <= op_norm(m) + 1e-12
+            assert quadratic_form(m, x) <= sup_opnorm(m) + 1e-12
 
 
 # ---------------------------------------------------------------- sup norm of a stack
@@ -257,10 +278,25 @@ def test_sup_opnorm_bounds_in_chunks_of_at_most_512_kib(monkeypatch, nodes, n, c
     assert max(sizes) <= max(512 << 10, n * n * 8)
 
 
+def _is_matrix_two_norm(node):
+    """A call ``<...>.norm(x, 2, ...)`` or ``<...>.norm(x, ord=2, ...)``."""
+    if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "norm"):
+        return False
+    order = [kw.value for kw in node.keywords if kw.arg == "ord"] + node.args[1:2]
+    return any(isinstance(arg, ast.Constant) and arg.value == 2 for arg in order)
+
+
 def test_only_linops_calls_the_svd():
-    """One norm helper: every SVD of the package goes through linops."""
-    offenders = [f"{path.name}:{number}: {line.strip()}"
-                 for path in sorted(SRC.glob("*.py")) if path.name != "linops.py"
-                 for number, line in enumerate(path.read_text().splitlines(), 1)
-                 if re.search(r"\bsvd\b", line)]
+    """One norm helper: every SVD and matrix 2-norm of the package goes through linops."""
+    offenders = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "linops.py":
+            continue
+        text = path.read_text()
+        offenders += [f"{path.name}:{number}: {line.strip()}"
+                      for number, line in enumerate(text.splitlines(), 1)
+                      if re.search(r"\bsvd\b", line)]
+        offenders += [f"{path.name}:{node.lineno}: norm(..., 2)"
+                      for node in ast.walk(ast.parse(text)) if _is_matrix_two_norm(node)]
     assert offenders == []

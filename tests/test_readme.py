@@ -38,7 +38,7 @@ def test_public_names_resolve():
 
 
 def test_library_api_names_resolve():
-    """Every dotted name the "Library API" paragraph cites (``linops.op_norm``,
+    """Every dotted name the "Library API" paragraph cites (``linops.sup_opnorm``,
     ``riccati.HypothesisReport``, ``OperatorFunction.from_sampler``, ...)
     exists: its head is ``riccatint``, a submodule or a public name."""
     text = README.read_text(encoding="utf-8")
