@@ -361,19 +361,13 @@ def _solution_diagnostics(solution: RiccatiSolution) -> dict:
             for rec in solution.invariant_report
         ]
     if solution.intervals is not None:
+        certificate_keys = ("start_index", "end_index", "iterations", "final_update",
+                            "sup_iterate_norm")
+        params_keys = ("rho", "delta", "contraction_lhs")
         diag["intervals"] = [
-            {
-                "start_index": c.start_index,
-                "end_index": c.end_index,
-                "iterations": c.iterations,
-                "final_update": c.final_update,
-                "sup_iterate_norm": c.sup_iterate_norm,
-                "rho": c.params.rho,
-                "delta": c.params.delta,
-                "contraction_lhs": c.params.contraction_lhs,
-            }
-            for c in solution.intervals
-        ]
+            {**{key: getattr(c, key) for key in certificate_keys},
+             **{key: getattr(c.params, key) for key in params_keys}}
+            for c in solution.intervals]
     return diag
 
 
@@ -394,12 +388,12 @@ def _run_solver(solver: str, problem: RiccatiProblem,
                               max_iter=max_iter)
     if solver == "picard":
         return solve_picard_stepped(problem, tol_abs=tol_abs, tol_rel=tol_rel,
-                                    safety=safety)
+                                    max_iter=max_iter, safety=safety)
     if generator is None:
         raise ValueError("the oracle solver needs a generator-driven problem")
     p_oracle = solve_differential_riccati(generator, problem.B, problem.C,
                                           problem.G, problem.grid)
-    return RiccatiSolution(P=p_oracle, iterations=0, sup_differences=[],
+    return RiccatiSolution(P=p_oracle, sup_differences=[],
                            residual=riccati_residual(p_oracle, problem))
 
 
@@ -576,40 +570,43 @@ def cmd_lqr_demo(problem_path, x0: List[float], tol: Optional[float] = None,
         raise ValueError(f"x0 must have length {pfile.dimension}")
 
     solution = solve_monotone(problem)
-    predicted = quadratic_form(solution.P.values[0], x_init)
-    cost, states = _simulate_lqr(generator, problem.C, problem.G, bu,
-                                           problem.grid, x_init,
-                                           p_values=solution.P.values)
-    eff_tol = tol if tol is not None else 1e-4 * (1.0 + abs(predicted))
+    with np.errstate(over="ignore", invalid="ignore"):  # reported once, below
+        predicted = quadratic_form(solution.P.values[0], x_init)
+        cost, states = _simulate_lqr(generator, problem.C, problem.G, bu, problem.grid,
+                                     x_init, p_values=solution.P.values)
+        eff_tol = tol if tol is not None else 1e-4 * (1.0 + abs(predicted))
 
-    # open-loop replay data for the perturbations
-    p_mid = 0.5 * (solution.P.values[:-1] + solution.P.values[1:])
-    x_mid = 0.5 * (states[:-1] + states[1:])
-    u_nodes = -(solution.P.values @ bu).transpose(0, 2, 1) @ states[..., None]
-    u_nodes = u_nodes[..., 0]
-    u_mids = -(p_mid @ bu).transpose(0, 2, 1) @ x_mid[..., None]
-    u_mids = u_mids[..., 0]
+        # open-loop replay data for the perturbations
+        p_mid = 0.5 * (solution.P.values[:-1] + solution.P.values[1:])
+        x_mid = 0.5 * (states[:-1] + states[1:])
+        u_nodes = -(solution.P.values @ bu).transpose(0, 2, 1) @ states[..., None]
+        u_nodes = u_nodes[..., 0]
+        u_mids = -(p_mid @ bu).transpose(0, 2, 1) @ x_mid[..., None]
+        u_mids = u_mids[..., 0]
 
-    nodes_t = problem.grid.nodes()
-    mids_t = problem.grid.midpoints() if problem.grid.steps else np.zeros(0)
-    horizon = max(problem.grid.horizon, 1e-300)
-    u_scale = max(1.0, float(np.abs(u_nodes).max()))
-    perturbed_costs = []
-    for j in range(perturbations):
-        rng = np.random.default_rng(1000 + j)
-        amps = 0.1 * u_scale * rng.standard_normal((3, bu.shape[1]))
-        phases = rng.uniform(0, 2 * np.pi, size=3)
+        nodes_t = problem.grid.nodes()
+        mids_t = problem.grid.midpoints() if problem.grid.steps else np.zeros(0)
+        horizon = max(problem.grid.horizon, 1e-300)
+        u_scale = max(1.0, float(np.abs(u_nodes).max()))
+        perturbed_costs = []
+        for j in range(perturbations):
+            rng = np.random.default_rng(1000 + j)
+            amps = 0.1 * u_scale * rng.standard_normal((3, bu.shape[1]))
+            phases = rng.uniform(0, 2 * np.pi, size=3)
 
-        def wave(ts):
-            out = np.zeros((len(ts), bu.shape[1]))
-            for k in range(3):
-                out += np.sin((k + 1) * np.pi * ts / horizon + phases[k])[:, None] * amps[k]
-            return out
+            def wave(ts):
+                out = np.zeros((len(ts), bu.shape[1]))
+                for k in range(3):
+                    out += (np.sin((k + 1) * np.pi * ts / horizon + phases[k])[:, None]
+                            * amps[k])
+                return out
 
-        cost_j, _ = _simulate_lqr(
-            generator, problem.C, problem.G, bu, problem.grid, x_init,
-            u_nodes=u_nodes + wave(nodes_t), u_mids=u_mids + wave(mids_t))
-        perturbed_costs.append(cost_j)
+            cost_j, _ = _simulate_lqr(
+                generator, problem.C, problem.G, bu, problem.grid, x_init,
+                u_nodes=u_nodes + wave(nodes_t), u_mids=u_mids + wave(mids_t))
+            perturbed_costs.append(cost_j)
+    if not np.isfinite([predicted, cost] + perturbed_costs).all():
+        raise ValueError("the quadratic cost overflows; scale --x0 down")
 
     gap = abs(cost - predicted)
     worst = min(perturbed_costs) - cost if perturbed_costs else 0.0
@@ -712,6 +709,9 @@ def main(argv=None) -> int:
         code, message = EXIT_NO_CONVERGENCE, str(exc)
     except (OSError, ValueError) as exc:     # json.JSONDecodeError included
         code, message = EXIT_INVALID, str(exc)
+    except MemoryError as exc:
+        code, message = EXIT_INVALID, \
+            f"out of memory: {exc}; reduce steps, dimension or --flow-pairs"
     print("error: " + " ".join(message.split()), file=sys.stderr)
     return code
 

@@ -214,16 +214,6 @@ class EvolutionFamily:
         return out
 
 
-def _exp_step(h: float, mid: np.ndarray) -> np.ndarray:
-    """exp(h * mid) of one nonzero midpoint sample; a 1-D overflow gives inf, as expm does."""
-    if mid.shape[0] == 1:
-        try:
-            return np.array([[math.exp(h * mid[0, 0])]])
-        except OverflowError:
-            return np.array([[math.inf]])
-    return scipy.linalg.expm(h * mid)
-
-
 def build_forward_family(generator_samples: OperatorFunction) -> EvolutionFamily:
     """Forward evolution family generated by A(t) via midpoint exponentials."""
     rows, cols = generator_samples.shape
@@ -238,7 +228,7 @@ def build_forward_family(generator_samples: OperatorFunction) -> EvolutionFamily
     steps[~nonzero] = np.eye(rows)
     with np.errstate(over="ignore", invalid="ignore"):  # reported once, below
         for i in np.flatnonzero(nonzero).tolist():
-            steps[i] = _exp_step(h, mids[i])
+            steps[i] = scipy.linalg.expm(h * mids[i])
     if not np.all(np.isfinite(steps)):
         raise ValueError("a step propagator exp(h A) overflows; refine the grid")
     return EvolutionFamily(grid, "forward", steps)

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 from typing import List, Optional, Union
 
 import numpy as np
@@ -389,11 +389,15 @@ class RiccatiSolution:
     """Solver output: P on the grid plus convergence and invariant diagnostics."""
 
     P: OperatorFunction
-    iterations: int
     sup_differences: List[float]
     residual: float
     invariant_report: List[IterationRecord] = field(default_factory=list)
     intervals: Optional[List[IntervalCertificate]] = None
+
+    @property
+    def iterations(self) -> int:
+        """Number of updates the solver made: one per entry of ``sup_differences``."""
+        return len(self.sup_differences)
 
 
 def compute_delta(M1: float, M2: float, r_G: float, r_C: float, r_B: float,
@@ -439,14 +443,13 @@ def solve_monotone(problem: RiccatiProblem, tol_abs: float = 1e-10,
     grid = problem.grid
     if grid.steps == 0:
         p_final = OperatorFunction(grid, problem.G[None, :, :])
-        return RiccatiSolution(P=p_final, iterations=0, sup_differences=[],
+        return RiccatiSolution(P=p_final, sup_differences=[],
                                residual=riccati_residual(p_final, problem))
 
     cur = np.zeros((grid.num_nodes, problem.U_backward.dim, problem.U_forward.dim))
     prev_norms: Optional[np.ndarray] = None
     records: List[IterationRecord] = []
     sup_diffs: List[float] = []
-    converged = False
     for n in range(1, max_iter + 1):
         new, defect = _monotone_step_core(cur, problem)
         diff_eigs = np.linalg.eigvalsh(new - cur)
@@ -473,9 +476,8 @@ def solve_monotone(problem: RiccatiProblem, tol_abs: float = 1e-10,
         cur = new
         prev_norms = norms
         if sup_diff <= tol_abs + tol_rel * max_norm:
-            converged = True
             break
-    if not converged:
+    else:
         raise ConvergenceError(
             f"monotone iteration did not converge in {max_iter} steps",
             history=sup_diffs,
@@ -483,7 +485,6 @@ def solve_monotone(problem: RiccatiProblem, tol_abs: float = 1e-10,
     p_final = OperatorFunction(grid, cur)
     return RiccatiSolution(
         P=p_final,
-        iterations=len(sup_diffs),
         sup_differences=sup_diffs,
         residual=riccati_residual(p_final, problem),
         invariant_report=records,
@@ -498,7 +499,7 @@ class _BallEscape(Exception):
 
 def _picard_window(problem: RiccatiProblem, terminal: np.ndarray, idx: int,
                    r_G: float, r_C: float, r_B: float, safety: float,
-                   tol_abs: float, tol_rel: float, max_inner: int):
+                   tol_abs: float, tol_rel: float, max_iter: int):
     grid = problem.grid
     h = grid.h
     m1 = max(1.0, problem.U_forward.bound)
@@ -521,7 +522,7 @@ def _picard_window(problem: RiccatiProblem, terminal: np.ndarray, idx: int,
     cur = _march(left, right, ker_c, terminal, h)
     sup_norm = sup_opnorm(cur)
     updates: List[float] = []
-    for k in range(max_inner):
+    for k in range(max_iter):
         kernel = ker_c - cur @ b_sub @ cur
         new = _march(left, right, kernel, terminal, h)
         update = sup_opnorm(new - cur)
@@ -539,13 +540,13 @@ def _picard_window(problem: RiccatiProblem, terminal: np.ndarray, idx: int,
             )
             return lo, cur, cert, updates
     raise ConvergenceError(
-        f"window [{lo}, {idx}] did not converge in {max_inner} sweeps",
+        f"window [{lo}, {idx}] did not converge in {max_iter} sweeps",
         history=updates,
     )
 
 
 def solve_picard_stepped(problem: RiccatiProblem, tol_abs: float = 1e-10,
-                         tol_rel: float = 1e-8, max_inner: int = 200,
+                         tol_rel: float = 1e-8, max_iter: int = 50,
                          safety: float = 0.5) -> RiccatiSolution:
     """Certified fixed-point solver stepping backward through contraction windows.
 
@@ -553,14 +554,10 @@ def solve_picard_stepped(problem: RiccatiProblem, tol_abs: float = 1e-10,
     contraction condition holds with the requested safety margin, with the
     terminal-norm cap refreshed from the already-computed tail; the iterates
     are checked to stay inside the certified ball (one retry per window with
-    an inflated cap).
+    an inflated cap).  A window that needs more than ``max_iter`` sweeps
+    raises ``ConvergenceError``, as the monotone solver does past its cap.
     """
     grid = problem.grid
-    if grid.steps == 0:
-        p_final = OperatorFunction(grid, problem.G[None, :, :])
-        return RiccatiSolution(P=p_final, iterations=0, sup_differences=[],
-                               residual=riccati_residual(p_final, problem),
-                               intervals=[])
     r_c = sup_opnorm(problem.C.values)
     r_b = sup_opnorm(problem.B.values)
     values = np.empty((grid.num_nodes, problem.U_backward.dim, problem.U_forward.dim))
@@ -570,16 +567,14 @@ def solve_picard_stepped(problem: RiccatiProblem, tol_abs: float = 1e-10,
     idx = grid.steps
     while idx > 0:
         r_g = sup_opnorm(values[idx])
+        window_with_cap = partial(
+            _picard_window, problem, values[idx], idx, r_C=r_c, r_B=r_b, safety=safety,
+            tol_abs=tol_abs, tol_rel=tol_rel, max_iter=max_iter)
         try:
-            lo, window, cert, updates = _picard_window(
-                problem, values[idx], idx, r_g, r_c, r_b, safety,
-                tol_abs, tol_rel, max_inner)
+            lo, window, cert, updates = window_with_cap(r_g)
         except _BallEscape as esc:
-            inflated = max(2.0 * r_g, esc.observed)
             try:
-                lo, window, cert, updates = _picard_window(
-                    problem, values[idx], idx, inflated, r_c, r_b, safety,
-                    tol_abs, tol_rel, max_inner)
+                lo, window, cert, updates = window_with_cap(max(2.0 * r_g, esc.observed))
             except _BallEscape as second:
                 raise ConvergenceError(
                     f"iterate escaped the certified ball twice near node {idx} "
@@ -593,7 +588,6 @@ def solve_picard_stepped(problem: RiccatiProblem, tol_abs: float = 1e-10,
     p_final = OperatorFunction(grid, values)
     return RiccatiSolution(
         P=p_final,
-        iterations=sum(c.iterations for c in certificates),
         sup_differences=all_updates,
         residual=riccati_residual(p_final, problem),
         intervals=certificates,

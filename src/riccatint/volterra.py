@@ -70,30 +70,20 @@ def _inv_or_report(mats: np.ndarray, what: str) -> np.ndarray:
 
 def _perturbed_steps(spec: PerturbationSpec, direction: str) -> np.ndarray:
     base = spec.base
-    n = base.dim
-    grid = base.grid
-    if grid.steps == 0:
-        return np.zeros((0, n, n))
-    c = 0.5 * spec.sign * grid.h
-    eye = np.eye(n)
-    q_lo = spec.Q.values[:-1]   # Q at the interval's earlier node
-    q_hi = spec.Q.values[1:]    # Q at the later node
-    steps = base.steps
-    if direction == "forward":
-        if spec.form == "first":
-            # X = (I - c Q_hi)^-1 S (I + c Q_lo)
-            left = _inv_or_report(eye - c * q_hi, "forward/first steps")
-            return left @ steps @ (eye + c * q_lo)
-        # X = (I + c Q_hi) S (I - c Q_lo)^-1
-        right = _inv_or_report(eye - c * q_lo, "forward/second steps")
-        return (eye + c * q_hi) @ steps @ right
+    c = 0.5 * spec.sign * base.grid.h
+    eye = np.eye(base.dim)
+    # Q where a step maps to and from: forward i -> i + 1, backward i + 1 -> i
+    q_to, q_from = spec.Q.values[1:], spec.Q.values[:-1]
+    if direction == "backward":
+        q_to, q_from = q_from, q_to
+    what = f"{direction}/{spec.form} steps"
     if spec.form == "first":
-        # X = (I - c Q_lo)^-1 B (I + c Q_hi)
-        left = _inv_or_report(eye - c * q_lo, "backward/first steps")
-        return left @ steps @ (eye + c * q_hi)
-    # X = (I + c Q_lo) B (I - c Q_hi)^-1
-    right = _inv_or_report(eye - c * q_hi, "backward/second steps")
-    return (eye + c * q_lo) @ steps @ right
+        # X = (I - c Q_to)^-1 S (I + c Q_from)
+        left = _inv_or_report(eye - c * q_to, what)
+        return left @ base.steps @ (eye + c * q_from)
+    # X = (I + c Q_to) S (I - c Q_from)^-1
+    right = _inv_or_report(eye - c * q_from, what)
+    return (eye + c * q_to) @ base.steps @ right
 
 
 def perturb_forward(spec: PerturbationSpec) -> EvolutionFamily:

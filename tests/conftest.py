@@ -360,17 +360,12 @@ def rk4_reference(generator, B, C, G, grid):
 
 
 def propagate_step_reference(generator_samples, i):
-    """exp(h A(t_{i+1/2})): the identity for a zero sample, ``math.exp`` in 1-D."""
+    """exp(h A(t_{i+1/2})): the identity for a zero sample, ``expm`` otherwise."""
     rows = generator_samples.shape[0]
     mid = generator_samples.midpoint_values[i]
     h = generator_samples.grid.h
     if not np.any(mid):
         return np.eye(rows)
-    if rows == 1:
-        try:
-            return np.array([[math.exp(h * mid[0, 0])]])
-        except OverflowError:
-            return np.array([[math.inf]])
     return scipy.linalg.expm(h * mid)
 
 

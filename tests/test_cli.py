@@ -7,7 +7,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import riccatint.cli
@@ -641,6 +641,9 @@ BOUNDARY_CASES = {
                          EXIT_INVALID),
     "lqr-demo-tol-negative": ("lqr-demo", tanh_doc(steps=20), ["--x0", "1", "--tol", "-1"],
                               EXIT_INVALID),
+    # the quadratic cost of so large a state overflows (it once passed, with a nan gap)
+    "lqr-demo-cost-overflow": ("lqr-demo", tanh_doc(steps=20), ["--x0", "1e200"],
+                               EXIT_INVALID),
     "document-tol-rel-inf": ("solve", tanh_doc(steps=20, tolerances={"tol_rel": math.inf}),
                              [], EXIT_INVALID),
     "document-max-iter-zero": ("solve", tanh_doc(steps=20, tolerances={"max_iter": 0}),
@@ -749,3 +752,138 @@ def test_mutated_documents_end_in_documented_codes(mutation_dir, mutations):
     assert checked in (EXIT_OK, EXIT_CHECK_FAILED, EXIT_INVALID, EXIT_NO_CONVERGENCE,
                        EXIT_HYPOTHESIS)
     assert "Traceback" not in err.getvalue()
+
+
+@pytest.mark.parametrize("where", ["option", "document"])
+def test_max_iter_caps_the_picard_sweeps(tmp_path, capsys, where):
+    """``--max-iter`` and the document's ``max_iter`` cap each Picard window."""
+    tolerances = {"max_iter": 1} if where == "document" else None
+    path = write_doc(tmp_path / "tanh.json", tanh_doc(steps=20, tolerances=tolerances))
+    out = tmp_path / "out"
+    extra = ["--max-iter", "1"] if where == "option" else []
+    assert main(["solve", path, "--out", str(out), "--solver", "picard"] + extra) \
+        == EXIT_NO_CONVERGENCE
+    assert capsys.readouterr().err == \
+        "error: window [13, 20] did not converge in 1 sweeps\n"
+    assert not out.exists()
+
+
+def test_solve_picard_stepped_raises_at_its_sweep_cap():
+    problem, _ = ProblemFile.from_dict(tanh_doc(steps=20)).build()
+    with pytest.raises(riccatint.riccati.ConvergenceError, match="in 1 sweeps"):
+        riccatint.riccati.solve_picard_stepped(problem, max_iter=1)
+
+
+_ALLOCATION_FAILURE = ("Unable to allocate 7.28 TiB for an array with shape "
+                       "(1000000000001, 1, 1) and data type float64")
+
+
+def _fail_to_allocate(*args, **kwargs):
+    raise MemoryError(_ALLOCATION_FAILURE)
+
+
+@pytest.mark.parametrize("command, owner, name",
+                         [("solve", riccatint.cli.ProblemFile, "build"),
+                          ("check", riccatint.cli, "flow_consistency")])
+def test_out_of_memory_exits_2_with_one_line(tmp_path, capsys, monkeypatch, command,
+                                             owner, name):
+    """An allocation that fails (patched: a real one could wake the OOM killer)
+    ends in one line and exit 2, not in a traceback."""
+    monkeypatch.setattr(owner, name, _fail_to_allocate)
+    path = write_doc(tmp_path / "tanh.json", tanh_doc(steps=20))
+    csv = tmp_path / "P.csv"
+    csv.write_text(_ZERO_CSV, encoding="utf-8")
+    extra = ["--out", str(tmp_path / "out")] if command == "solve" else [str(csv)]
+    assert main([command, path] + extra) == EXIT_INVALID
+    assert capsys.readouterr().err == \
+        f"error: out of memory: {_ALLOCATION_FAILURE}; reduce steps, dimension or --flow-pairs\n"
+
+
+_FUZZ_DOCS = {
+    "tanh": tanh_doc(steps=20),
+    "rotation": {"dimension": 2, "horizon": 1.0, "steps": 16,
+                 "generator": {"kind": "constant", "matrix": [[0.0, 1.0], [-1.0, -0.5]]},
+                 "C": {"kind": "constant", "matrix": [[1.0, 0.0], [0.0, 1.0]]},
+                 "B": {"kind": "constant", "matrix": [[1.0, 0.0], [0.0, 1.0]]},
+                 "G": [[0.5, 0.0], [0.0, 0.5]], "B_factor": [[1.0, 0.0], [0.0, 1.0]]},
+}
+# Each option draws a valid value, or at most one option per call an invalid
+# one: numbers out of range, text, nan/inf, negatives and empty strings.
+_FUZZ_TEXT = st.sampled_from(["", " ", "x", "nan", "NaN", "inf", "-inf", "Infinity",
+                              "1e", "0x10", "1_0", "--", "1,2"])
+
+
+def _reals(lo, hi, **bounds):
+    return st.floats(lo, hi, **bounds).map(repr)
+
+
+_FUZZ_NONNEGATIVE = (st.one_of(st.sampled_from(["0", "1e-10", "1e-3", "1", "1e300"]),
+                               _reals(0.0, 1e300)),
+                     st.one_of(_FUZZ_TEXT, st.sampled_from(["-1", "-1e-300", "-1e300"])))
+_FUZZ_COUNT = (st.integers(1, 10 ** 4).map(str),
+               st.one_of(_FUZZ_TEXT, st.sampled_from(["0", "-3", "2.0", "1e3", "2.5"])))
+_FUZZ_SOLVER = (st.sampled_from(["monotone", "picard", "oracle"]),
+                st.sampled_from(["", "newton", "Monotone"]))
+FUZZ_OPTIONS = {
+    "solve": {"--tol-abs": _FUZZ_NONNEGATIVE, "--tol-rel": _FUZZ_NONNEGATIVE,
+              "--max-iter": _FUZZ_COUNT, "--solver": _FUZZ_SOLVER,
+              "--safety": (st.one_of(st.sampled_from(["0.5", "0.99", "1e-300"]),
+                                     _reals(0.0, 1.0, exclude_min=True, exclude_max=True)),
+                           st.one_of(_FUZZ_TEXT, st.sampled_from(["0", "1", "1.5", "-0.5"])))},
+    "oracle": {},
+    "check": {"--threshold": _FUZZ_NONNEGATIVE, "--flow-pairs": _FUZZ_COUNT},
+    "study": {"--solver": _FUZZ_SOLVER,
+              "--grids": (st.one_of(st.sampled_from(["4,8,16", "16,32,64", "5,10,20,40"]),
+                                    st.lists(st.integers(1, 64), max_size=5).map(
+                                        lambda sizes: ",".join(map(str, sizes)))),
+                          st.one_of(st.none(), _FUZZ_TEXT,
+                                    st.sampled_from(["0,2,4", "-4,8,16", "3,6,12,64"])))},
+    "lqr-demo": {"--tol": _FUZZ_NONNEGATIVE,
+                 "--x0": (st.lists(st.one_of(st.sampled_from(["0", "1", "-2.5", "1e200"]),
+                                             _reals(-1e300, 1e300)),
+                                   min_size=1, max_size=2).map(",".join),
+                          st.one_of(st.none(), _FUZZ_TEXT,
+                                    st.sampled_from(["1,nan", "1,inf", "1,2,3"])))},
+}
+_REQUIRED = ("--grids", "--x0")   # absent only as the invalid option
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    """The fuzzed problems, each with its monotone solution for ``check``."""
+    root = tmp_path_factory.mktemp("fuzz")
+    for name, doc in _FUZZ_DOCS.items():
+        path = write_doc(root / f"{name}.json", doc)
+        assert main(["solve", path, "--out", str(root)]) == EXIT_OK
+    return root
+
+
+@pytest.mark.parametrize("command", FUZZ_OPTIONS)
+@settings(max_examples=50)
+@given(data=st.data())
+def test_fuzzed_options_end_in_documented_codes(fuzz_dir, command, data):
+    name = data.draw(st.sampled_from(sorted(_FUZZ_DOCS)))
+    argv = [command, str(fuzz_dir / f"{name}.json")]
+    if command == "check":
+        argv.append(str(fuzz_dir / f"{name}_P.csv"))
+    if command in ("solve", "oracle"):
+        argv += ["--out", str(fuzz_dir / "out")]
+    options = FUZZ_OPTIONS[command]
+    invalid = data.draw(st.none() | st.sampled_from(sorted(options)), label="invalid") \
+        if options else None
+    for option, (good, bad) in options.items():
+        value = data.draw(bad if option == invalid else good if option in _REQUIRED
+                          else st.none() | good, label=option)
+        if value is not None:
+            argv += [option, value]
+    err = io.StringIO()
+    with warnings.catch_warnings(record=True) as caught, \
+            contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        warnings.simplefilter("always")
+        code = main(argv)
+    assert [str(w.message) for w in caught] == []      # they would print too
+    assert code in (EXIT_OK, EXIT_INVALID, EXIT_NO_CONVERGENCE, EXIT_HYPOTHESIS) or \
+        (code == EXIT_CHECK_FAILED and command in ("check", "lqr-demo"))
+    if code not in (EXIT_OK, EXIT_CHECK_FAILED):
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")

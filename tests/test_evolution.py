@@ -264,4 +264,4 @@ def test_family_build_calls_expm_once_per_nonzero_step(monkeypatch, n, steps, ze
     monkeypatch.setattr(scipy.linalg, "expm", counting)
     build_forward_family(gen)
     nonzero = int(gen.midpoint_values.any(axis=(1, 2)).sum())
-    assert len(calls) == (0 if n == 1 else nonzero)
+    assert len(calls) == nonzero

@@ -609,7 +609,7 @@ def test_picard_window_ball_escape_and_retry(monkeypatch):
     with pytest.raises(rmod._BallEscape):
         rmod._picard_window(problem, problem.G, 200, r_G=1e-8, r_C=0.0,
                             r_B=1e-6, safety=0.5, tol_abs=1e-10, tol_rel=1e-8,
-                            max_inner=50)
+                            max_iter=50)
 
     # the solver-level retry recovers when the first attempt escapes
     original = rmod._picard_window
