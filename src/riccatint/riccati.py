@@ -23,6 +23,7 @@ equation and its perturbed-family representations.
 from __future__ import annotations
 
 import math
+from concurrent import futures     # loads its thread executor on first use
 from dataclasses import dataclass, field
 from functools import cached_property, partial
 from typing import List, Optional, Union
@@ -437,6 +438,12 @@ def solve_monotone(problem: RiccatiProblem, tol_abs: float = 1e-10,
     tol_abs + tol_rel * ||P||.  Records, per iterate, the pre-symmetrization
     defect, the smallest eigenvalue, and (from the second iterate on) the
     smallest eigenvalue of P_n - P_{n+1} and the node-wise norm decrease.
+
+    One helper thread, open for this call only, computes each iterate's two
+    spectra while this thread runs the next step ahead, unless the previous
+    update d has d^2 <= tol_abs + tol_rel ||P|| (by quadratic convergence the
+    iterate is then the last).  A step not needed is dropped with any error
+    it raised, so results, records and errors are the serial loop's, bitwise.
     """
     _require_hypotheses(problem)
 
@@ -450,38 +457,50 @@ def solve_monotone(problem: RiccatiProblem, tol_abs: float = 1e-10,
     prev_norms: Optional[np.ndarray] = None
     records: List[IterationRecord] = []
     sup_diffs: List[float] = []
-    for n in range(1, max_iter + 1):
-        new, defect = _monotone_step_core(cur, problem)
-        diff_eigs = np.linalg.eigvalsh(new - cur)
-        sup_diff = float(np.abs(diff_eigs).max())
-        new_eigs = np.linalg.eigvalsh(new)
-        norms = np.abs(new_eigs).max(axis=1)
-        max_norm = float(norms.max())
-        chain_min = None
-        norm_margin = None
-        if n >= 2:
-            # P_{n-1} - P_n = -(new - cur); eigs negate and reverse
-            chain_min = float(-diff_eigs[:, -1].max())
-            norm_margin = float((prev_norms - norms).min())
-        records.append(IterationRecord(
-            index=n,
-            sup_difference=sup_diff,
-            presymmetrization_defect=defect,
-            max_norm=max_norm,
-            min_eigenvalue=float(new_eigs[:, 0].min()),
-            chain_min_eigenvalue=chain_min,
-            norm_decrease_margin=norm_margin,
-        ))
-        sup_diffs.append(sup_diff)
-        cur = new
-        prev_norms = norms
-        if sup_diff <= tol_abs + tol_rel * max_norm:
-            break
-    else:
-        raise ConvergenceError(
-            f"monotone iteration did not converge in {max_iter} steps",
-            history=sup_diffs,
-        )
+    sup_diff, max_norm, ahead = math.inf, 0.0, None
+    with futures.ThreadPoolExecutor(max_workers=1) as pool:
+        for n in range(1, max_iter + 1):
+            if isinstance(ahead, Exception):
+                raise ahead
+            new, defect = ahead or _monotone_step_core(cur, problem)
+            # iterate 1's update is itself: P_0 = 0 and new - 0.0 is new bitwise
+            diffs = None if n == 1 else pool.submit(np.linalg.eigvalsh, new - cur)
+            spectrum = pool.submit(np.linalg.eigvalsh, new)
+            cur, ahead = new, None      # P_{n-1} is not held while the next step runs
+            if n < max_iter and sup_diff * sup_diff > tol_abs + tol_rel * max_norm:
+                try:
+                    ahead = _monotone_step_core(new, problem)
+                except Exception as exc:    # surfaces only if the loop goes on
+                    ahead = exc
+            diff_eigs = spectrum.result() if diffs is None else diffs.result()
+            new_eigs = spectrum.result()
+            sup_diff = float(np.abs(diff_eigs).max())
+            norms = np.abs(new_eigs).max(axis=1)
+            max_norm = float(norms.max())
+            chain_min = None
+            norm_margin = None
+            if n >= 2:
+                # P_{n-1} - P_n = -(P_n - P_{n-1}); eigs negate and reverse
+                chain_min = float(-diff_eigs[:, -1].max())
+                norm_margin = float((prev_norms - norms).min())
+            records.append(IterationRecord(
+                index=n,
+                sup_difference=sup_diff,
+                presymmetrization_defect=defect,
+                max_norm=max_norm,
+                min_eigenvalue=float(new_eigs[:, 0].min()),
+                chain_min_eigenvalue=chain_min,
+                norm_decrease_margin=norm_margin,
+            ))
+            sup_diffs.append(sup_diff)
+            prev_norms = norms
+            if sup_diff <= tol_abs + tol_rel * max_norm:
+                break
+        else:
+            raise ConvergenceError(
+                f"monotone iteration did not converge in {max_iter} steps",
+                history=sup_diffs,
+            )
     p_final = OperatorFunction(grid, cur)
     return RiccatiSolution(
         P=p_final,

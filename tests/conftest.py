@@ -7,10 +7,13 @@ import pytest
 import scipy.linalg
 from hypothesis import settings
 
+from riccatint import riccati
 from riccatint.cli import _csv_header
 from riccatint.evolution import OperatorFunction
 from riccatint.linops import node_opnorms, sup_opnorm, symmetrize
 from riccatint.lyapunov import ConvergenceError, _march
+from riccatint.riccati import (IterationRecord, RiccatiSolution, _require_hypotheses,
+                               riccati_residual)
 
 # Property tests run a fixed, derandomized set of examples: the same inputs and
 # the same run time on every run.
@@ -381,6 +384,50 @@ def forward_steps_reference(generator_samples):
     if not np.all(np.isfinite(steps)):
         raise ValueError("a step propagator exp(h A) overflows; refine the grid")
     return steps
+
+
+def solve_monotone_reference(problem, tol_abs=1e-10, tol_rel=1e-8, max_iter=50):
+    """``riccati.solve_monotone`` as one serial loop: each step, then both
+    spectra of its iterate, on the calling thread, with no step run ahead.  The
+    step is looked up on the module at each call, so a patched one is used."""
+    _require_hypotheses(problem)
+    grid = problem.grid
+    if grid.steps == 0:
+        p_final = OperatorFunction(grid, problem.G[None, :, :])
+        return RiccatiSolution(P=p_final, sup_differences=[],
+                               residual=riccati_residual(p_final, problem))
+    cur = np.zeros((grid.num_nodes, problem.U_backward.dim, problem.U_forward.dim))
+    prev_norms = None
+    records = []
+    sup_diffs = []
+    for n in range(1, max_iter + 1):
+        new, defect = riccati._monotone_step_core(cur, problem)
+        diff_eigs = np.linalg.eigvalsh(new - cur)
+        sup_diff = float(np.abs(diff_eigs).max())
+        new_eigs = np.linalg.eigvalsh(new)
+        norms = np.abs(new_eigs).max(axis=1)
+        max_norm = float(norms.max())
+        chain_min = None
+        norm_margin = None
+        if n >= 2:
+            chain_min = float(-diff_eigs[:, -1].max())
+            norm_margin = float((prev_norms - norms).min())
+        records.append(IterationRecord(
+            index=n, sup_difference=sup_diff, presymmetrization_defect=defect,
+            max_norm=max_norm, min_eigenvalue=float(new_eigs[:, 0].min()),
+            chain_min_eigenvalue=chain_min, norm_decrease_margin=norm_margin))
+        sup_diffs.append(sup_diff)
+        cur = new
+        prev_norms = norms
+        if sup_diff <= tol_abs + tol_rel * max_norm:
+            break
+    else:
+        raise ConvergenceError(f"monotone iteration did not converge in {max_iter} steps",
+                               history=sup_diffs)
+    p_final = OperatorFunction(grid, cur)
+    return RiccatiSolution(P=p_final, sup_differences=sup_diffs,
+                           residual=riccati_residual(p_final, problem),
+                           invariant_report=records)
 
 
 def outcome(fn, *args, **kwargs):

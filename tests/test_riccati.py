@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -24,7 +25,8 @@ from riccatint.testing import (inverse_linear_problem, random_symmetric_problem,
                                tanh_problem)
 
 from conftest import (check_hypotheses_reference, flow_consistency_per_window,
-                      march_reference, sup_opnorm_reference, symmetry_defect)
+                      march_reference, solve_monotone_reference, sup_opnorm_reference,
+                      symmetry_defect)
 
 
 def _exact_tanh(problem):
@@ -714,3 +716,142 @@ def test_zero_horizon_returns_terminal():
         sol = solver(problem)
         assert np.array_equal(sol.P.values[0], g)
         assert sol.iterations == 0
+
+
+# ------------------------------------------------- overlapped bookkeeping
+
+def _bits(value):
+    """A float's bit pattern (None and ints as they are), for exact comparison."""
+    return np.float64(value).tobytes() if isinstance(value, float) else value
+
+
+def _assert_same_solution(got, want):
+    assert got.P.values.tobytes() == want.P.values.tobytes()
+    assert list(map(_bits, got.sup_differences)) == list(map(_bits, want.sup_differences))
+    assert _bits(got.residual) == _bits(want.residual)
+    assert ([tuple(map(_bits, dataclasses.astuple(r))) for r in got.invariant_report]
+            == [tuple(map(_bits, dataclasses.astuple(r))) for r in want.invariant_report])
+
+
+def _outcome(solver, problem, **kwargs):
+    """The solution, or (type, message, history) of what the solver raised; the
+    thread count must be the same after the call as before."""
+    threads = threading.active_count()
+    try:
+        result = solver(problem, **kwargs)
+    except Exception as exc:
+        result = type(exc), str(exc), getattr(exc, "history", None)
+    assert threading.active_count() == threads
+    return result
+
+
+def _assert_same_outcome(problem, **kwargs):
+    got = _outcome(solve_monotone, problem, **kwargs)
+    want = _outcome(solve_monotone_reference, problem, **kwargs)
+    if isinstance(got, tuple) or isinstance(want, tuple):
+        assert got == want
+    else:
+        _assert_same_solution(got, want)
+    return got
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 16, 17, 18])
+def test_monotone_bitwise_equals_serial_loop(seed):
+    """Battery problems (n = 2, 4, 8, 2, 4, 8 at N = 1000; seed 18 drops a step
+    run ahead): the overlapped loop returns the serial loop's bits."""
+    problem, _ = random_symmetric_problem(seed=seed, n=(2, 4, 8)[seed % 3], steps=1000)
+    assert isinstance(_assert_same_outcome(problem), riccati.RiccatiSolution)
+
+
+@pytest.mark.parametrize("max_iter", [1, 2, 3, 50])
+def test_monotone_bitwise_equals_serial_loop_tanh(max_iter):
+    """Short caps raise the serial loop's error with its history."""
+    problem, _ = tanh_problem(2000)
+    got = _assert_same_outcome(problem, max_iter=max_iter)
+    assert isinstance(got, tuple) == (max_iter < 5)
+
+
+@pytest.fixture(scope="module")
+def discarding():
+    """A battery problem, with its serial solution, on which the look-ahead
+    rule guesses wrong once: the 4th iterate is the last, but the 3rd update
+    is too large for the rule to expect that, so a 5th step is run ahead and
+    dropped."""
+    problem, _ = random_symmetric_problem(seed=18, n=2, steps=1000)
+    return problem, solve_monotone_reference(problem)
+
+
+def _fail_call(monkeypatch, call, exc):
+    """Make call number ``call`` of ``riccati._monotone_step_core`` raise ``exc``;
+    returns the list of calls made."""
+    real, calls = riccati._monotone_step_core, []
+
+    def step(p_values, problem):
+        calls.append(len(calls) + 1)
+        if len(calls) == call:
+            raise exc
+        return real(p_values, problem)
+
+    monkeypatch.setattr(riccati, "_monotone_step_core", step)
+    return calls
+
+
+@pytest.mark.parametrize("exc", [ConvergenceError("implicit endpoint solve is diverging"),
+                                 ValueError("boom")])
+def test_dropped_step_leaves_no_trace(discarding, monkeypatch, exc):
+    problem, want = discarding
+    calls = _fail_call(monkeypatch, want.iterations + 1, exc)
+    got = _outcome(solve_monotone, problem)
+    assert not isinstance(got, tuple), got
+    _assert_same_solution(got, want)
+    assert calls == [1, 2, 3, 4, 5]
+
+
+@pytest.mark.parametrize("call", [1, 2, 3, 4])
+@pytest.mark.parametrize("exc", [ConvergenceError("implicit endpoint solve is diverging"),
+                                 ValueError("boom")])
+def test_needed_step_error_surfaces_as_in_serial_loop(discarding, monkeypatch, call, exc):
+    problem, _ = discarding
+    calls = _fail_call(monkeypatch, call, exc)
+    got = _outcome(solve_monotone, problem)
+    assert calls == list(range(1, call + 1))
+    calls.clear()
+    want = _outcome(solve_monotone_reference, problem)
+    assert got == want == (type(exc), str(exc), getattr(exc, "history", None))
+
+
+def _scaled_problem(seed, n, steps, k_c, k_b, k_g):
+    """Random symmetric problem with C, B, G scaled by 10^k_c, 10^k_b, 10^k_g;
+    ``steps = 0`` is the zero horizon."""
+    rng = np.random.default_rng(seed)
+    grid = TimeGrid(1.0 if steps else 0.0, steps)
+    a0, a1 = 0.5 * rng.standard_normal((2, n, n))
+    psd = [symmetrize(m @ m.T) / n for m in rng.standard_normal((5, n, n))]
+    generator = OperatorFunction.from_callable(grid, lambda t: a0 + t * a1)
+    c_fun = OperatorFunction.from_callable(grid, lambda t: 10.0 ** k_c * (psd[0] + t * psd[1]))
+    b_fun = OperatorFunction.from_callable(grid, lambda t: 10.0 ** k_b * (psd[2] + t * psd[3]))
+    return RiccatiProblem.symmetric(build_forward_family(generator), c_fun, b_fun,
+                                    10.0 ** k_g * psd[4])
+
+
+_EXPONENT = st.floats(-6.0, 3.0)
+
+
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.sampled_from([1, 2, 3]),
+       steps=st.integers(0, 40), k_c=_EXPONENT, k_b=_EXPONENT, k_g=_EXPONENT)
+def test_monotone_invariants_on_random_scaled_problems(seed, n, steps, k_c, k_b, k_g):
+    """Every random symmetric problem ends as the serial loop ends: the same
+    error, or the same solution with symmetric P, nonnegative iterates and,
+    from the second iterate on, a nonincreasing Loewner chain."""
+    problem = _scaled_problem(seed, n, steps, k_c, k_b, k_g)
+    sol = _assert_same_outcome(problem)
+    if isinstance(sol, tuple):
+        assert sol[0] is ConvergenceError
+        return
+    values = sol.P.values
+    assert np.array_equal(values, np.swapaxes(values, -1, -2))
+    floor = -1e-10 * (1.0 + sup_opnorm_reference(values))
+    for rec in sol.invariant_report:
+        assert rec.min_eigenvalue >= floor
+        if rec.index >= 2:
+            assert rec.chain_min_eigenvalue >= floor
