@@ -28,8 +28,7 @@ from typing import Callable, List, Optional
 import numpy as np
 
 from . import __version__
-from .evolution import (EvolutionFamily, OperatorFunction, TimeGrid,
-                        adjoint_backward_family, build_forward_family)
+from .evolution import EvolutionFamily, OperatorFunction, TimeGrid, build_forward_family
 from .linops import quadratic_form, sup_opnorm
 from .oracle import solve_differential_riccati
 from .riccati import (ConvergenceError, HypothesisViolation, RiccatiProblem,
@@ -265,9 +264,7 @@ class ProblemFile:
             if steps is not None and steps != self.steps:
                 raise ValueError("propagator-table problems cannot be re-gridded")
             u_fwd = EvolutionFamily(grid, "forward", self.propagators)
-        problem = RiccatiProblem(u_fwd, adjoint_backward_family(u_fwd),
-                                 c_fun, b_fun, self.g)
-        return problem, generator
+        return RiccatiProblem.symmetric(u_fwd, c_fun, b_fun, self.g), generator
 
 
 def _csv_header(n_rows: int, n_cols: int) -> str:

@@ -13,10 +13,11 @@ generators and exact for constant ones up to the matrix-exponential routine.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Optional
+from typing import Callable, Iterator, Optional
 
 import numpy as np
 import scipy.linalg
@@ -196,6 +197,15 @@ class EvolutionFamily:
     def dim(self) -> int:
         return self.steps.shape[1]
 
+    def carry(self, start: int, x: np.ndarray) -> Iterator[np.ndarray]:
+        """Yield x, then ``steps[k] @ x`` one step at a time from node ``start``:
+        up to node N for a forward family, down to node 0 for a backward one."""
+        yield x
+        for k in (range(start, self.grid.steps) if self.direction == "forward"
+                  else range(start - 1, -1, -1)):
+            x = self.steps[k] @ x
+            yield x
+
     def value(self, i: int, j: int) -> np.ndarray:
         """Ordered product of step propagators between nodes i and j.
 
@@ -208,10 +218,7 @@ class EvolutionFamily:
         forward = self.direction == "forward"
         if (j - i if forward else i - j) > 0:
             raise ValueError(f"{self.direction} family requires i {'>=' if forward else '<='} j")
-        out = np.eye(self.dim)
-        for k in (range(j, i) if forward else range(j - 1, i - 1, -1)):
-            out = self.steps[k] @ out
-        return out
+        return next(itertools.islice(self.carry(j, np.eye(self.dim)), abs(i - j), None))
 
 
 def build_forward_family(generator_samples: OperatorFunction) -> EvolutionFamily:

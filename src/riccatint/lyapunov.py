@@ -47,12 +47,8 @@ def _coupling(x: np.ndarray, q1: Optional[np.ndarray], q2: Optional[np.ndarray],
 
 
 def _sources(left_steps, right_steps, kernel, h: float) -> np.ndarray:
-    """(h/2)(K_i + L_i K_{i+1} R_i) for every step i of :func:`_march`, as one stack;
-    built in place, it holds at most two full stacks at once."""
-    out = left_steps @ kernel[1:] @ right_steps
-    out += kernel[:-1]
-    out *= 0.5 * h
-    return out
+    """(h/2)(K_i + L_i K_{i+1} R_i) for every step i of :func:`_march`, as one stack."""
+    return 0.5 * h * (kernel[:-1] + left_steps @ kernel[1:] @ right_steps)
 
 
 def _march(left_steps: np.ndarray, right_steps: np.ndarray, kernel: np.ndarray,

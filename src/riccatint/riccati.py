@@ -202,13 +202,23 @@ def check_hypotheses(problem: RiccatiProblem, tol: float = _HYPOTHESIS_TOL) -> H
     return HypothesisReport(first is None, first)
 
 
-def riccati_residual(P: OperatorFunction, problem: RiccatiProblem) -> float:
-    """Max node residual of the integral equation under trapezoidal quadrature."""
+def _on_grid(P: OperatorFunction, problem: RiccatiProblem) -> np.ndarray:
+    """P's node values, once P is known to be sampled on the problem grid."""
     if P.grid != problem.grid:
         raise ValueError("P must be sampled on the problem grid")
-    transported = _march(problem.U_backward.steps, problem.U_forward.steps,
-                         problem.kernel(P.values), problem.G, problem.grid.h)
-    return sup_opnorm(P.values - transported)
+    return P.values
+
+
+def _transport_defect(p, left, right, kernel, problem: RiccatiProblem) -> float:
+    """Sup-node norm of P minus its march from G with these steps and kernel."""
+    return sup_opnorm(p - _march(left, right, kernel, problem.G, problem.grid.h))
+
+
+def riccati_residual(P: OperatorFunction, problem: RiccatiProblem) -> float:
+    """Max node residual of the integral equation under trapezoidal quadrature."""
+    p = _on_grid(P, problem)
+    return _transport_defect(p, problem.U_backward.steps, problem.U_forward.steps,
+                             problem.kernel(p), problem)
 
 
 def flow_consistency(P: OperatorFunction, problem: RiccatiProblem,
@@ -222,8 +232,7 @@ def flow_consistency(P: OperatorFunction, problem: RiccatiProblem,
     per pair, all pairs sharing one backward sweep in chunks of at most
     ``num_nodes`` pairs, so their state is at most one extra P-sized stack.
     """
-    if P.grid != problem.grid:
-        raise ValueError("P must be sampled on the problem grid")
+    p = _on_grid(P, problem)
     scalar = np.ndim(t_index) == 0
     t_arr, tau_arr = np.atleast_1d(t_index), np.atleast_1d(tau_index)
     if (t_arr.shape != tau_arr.shape or t_arr.ndim > 1
@@ -239,7 +248,7 @@ def flow_consistency(P: OperatorFunction, problem: RiccatiProblem,
         raise ValueError(f"need 0 <= t_index <= tau_index < {n_nodes}, "
                          f"got ({t_arr[a]}, {tau_arr[a]}){where}")
     residuals = _window_defects(problem.U_backward.steps, problem.U_forward.steps,
-                                problem.kernel(P.values), P.values, problem.grid.h,
+                                problem.kernel(p), p, problem.grid.h,
                                 t_arr, tau_arr, chunk=n_nodes)
     return float(residuals[0]) if scalar else residuals
 
@@ -263,24 +272,17 @@ def representation_check_one_sided(P: OperatorFunction, problem: RiccatiProblem)
     P(t) = V_{t,T} G Psi_{T,t} + int_t^T V_{t,r} C(r) Psi_{r,t} dr by
     trapezoidal quadrature; for a solution the residual is O(h^2).
     """
-    if P.grid != problem.grid:
-        raise ValueError("P must be sampled on the problem grid")
-    psi = _psi_forward(problem, P.values)
-    transported = _march(problem.U_backward.steps, psi.steps,
-                         problem.C.values, problem.G, problem.grid.h)
-    return sup_opnorm(P.values - transported)
+    p = _on_grid(P, problem)
+    return _transport_defect(p, problem.U_backward.steps, _psi_forward(problem, p).steps,
+                             problem.C.values, problem)
 
 
 def representation_check_two_sided(P: OperatorFunction, problem: RiccatiProblem) -> float:
     """Residual of the two-sided representation with kernel C + P B P."""
-    if P.grid != problem.grid:
-        raise ValueError("P must be sampled on the problem grid")
-    psi_fwd = _psi_forward(problem, P.values)
-    psi_bwd = _psi_backward(problem, P.values)
-    kernel = problem.C.values + P.values @ problem.B.values @ P.values
-    transported = _march(psi_bwd.steps, psi_fwd.steps, kernel,
-                         problem.G, problem.grid.h)
-    return sup_opnorm(P.values - transported)
+    p = _on_grid(P, problem)
+    psi_fwd = _psi_forward(problem, p)     # first: a singular correction names this family
+    return _transport_defect(p, _psi_backward(problem, p).steps, psi_fwd.steps,
+                             problem.C.values + p @ problem.B.values @ p, problem)
 
 
 def _require_hypotheses(problem: RiccatiProblem) -> None:
@@ -430,6 +432,13 @@ def compute_delta(M1: float, M2: float, r_G: float, r_C: float, r_B: float,
     return min(delta, cap)
 
 
+def _spectra(new: np.ndarray, diff: Optional[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """Node spectra of the update ``diff`` and of the iterate ``new``, in that
+    order; with ``diff`` None the update is the iterate (P_0 = 0), decomposed once."""
+    diff_eigs = np.linalg.eigvalsh(new if diff is None else diff)
+    return diff_eigs, diff_eigs if diff is None else np.linalg.eigvalsh(new)
+
+
 def solve_monotone(problem: RiccatiProblem, tol_abs: float = 1e-10,
                    tol_rel: float = 1e-8, max_iter: int = 50) -> RiccatiSolution:
     """Monotone iteration from P_0 = 0 with per-iterate invariant bookkeeping.
@@ -437,10 +446,12 @@ def solve_monotone(problem: RiccatiProblem, tol_abs: float = 1e-10,
     Stops when the sup-node spectral norm of the update drops below
     tol_abs + tol_rel * ||P||.  Records, per iterate, the pre-symmetrization
     defect, the smallest eigenvalue, and (from the second iterate on) the
-    smallest eigenvalue of P_n - P_{n+1} and the node-wise norm decrease.
+    smallest eigenvalue of P_n - P_{n+1} and the node-wise norm decrease.  The
+    records are the only per-iterate list: ``sup_differences`` and the history
+    of a ``ConvergenceError`` are read from them.
 
-    One helper thread, open for this call only, computes each iterate's two
-    spectra while this thread runs the next step ahead, unless the previous
+    One helper thread, open for this call only, runs :func:`_spectra` on each
+    iterate while this thread runs the next step ahead, unless the previous
     update d has d^2 <= tol_abs + tol_rel ||P|| (by quadratic convergence the
     iterate is then the last).  A step not needed is dropped with any error
     it raised, so results, records and errors are the serial loop's, bitwise.
@@ -454,60 +465,39 @@ def solve_monotone(problem: RiccatiProblem, tol_abs: float = 1e-10,
                                residual=riccati_residual(p_final, problem))
 
     cur = np.zeros((grid.num_nodes, problem.U_backward.dim, problem.U_forward.dim))
-    prev_norms: Optional[np.ndarray] = None
     records: List[IterationRecord] = []
-    sup_diffs: List[float] = []
-    sup_diff, max_norm, ahead = math.inf, 0.0, None
+    sup_diff, max_norm, prev_norms, ahead = math.inf, 0.0, None, None
     with futures.ThreadPoolExecutor(max_workers=1) as pool:
         for n in range(1, max_iter + 1):
             if isinstance(ahead, Exception):
                 raise ahead
             new, defect = ahead or _monotone_step_core(cur, problem)
-            # iterate 1's update is itself: P_0 = 0 and new - 0.0 is new bitwise
-            diffs = None if n == 1 else pool.submit(np.linalg.eigvalsh, new - cur)
-            spectrum = pool.submit(np.linalg.eigvalsh, new)
+            spectra = pool.submit(_spectra, new, None if n == 1 else new - cur)
             cur, ahead = new, None      # P_{n-1} is not held while the next step runs
             if n < max_iter and sup_diff * sup_diff > tol_abs + tol_rel * max_norm:
                 try:
                     ahead = _monotone_step_core(new, problem)
                 except Exception as exc:    # surfaces only if the loop goes on
                     ahead = exc
-            diff_eigs = spectrum.result() if diffs is None else diffs.result()
-            new_eigs = spectrum.result()
+            diff_eigs, new_eigs = spectra.result()
             sup_diff = float(np.abs(diff_eigs).max())
             norms = np.abs(new_eigs).max(axis=1)
             max_norm = float(norms.max())
-            chain_min = None
-            norm_margin = None
-            if n >= 2:
-                # P_{n-1} - P_n = -(P_n - P_{n-1}); eigs negate and reverse
-                chain_min = float(-diff_eigs[:, -1].max())
-                norm_margin = float((prev_norms - norms).min())
             records.append(IterationRecord(
-                index=n,
-                sup_difference=sup_diff,
-                presymmetrization_defect=defect,
-                max_norm=max_norm,
-                min_eigenvalue=float(new_eigs[:, 0].min()),
-                chain_min_eigenvalue=chain_min,
-                norm_decrease_margin=norm_margin,
-            ))
-            sup_diffs.append(sup_diff)
+                index=n, sup_difference=sup_diff, presymmetrization_defect=defect,
+                max_norm=max_norm, min_eigenvalue=float(new_eigs[:, 0].min()),
+                # P_{n-1} - P_n = -(P_n - P_{n-1}); eigs negate and reverse
+                chain_min_eigenvalue=None if n == 1 else float(-diff_eigs[:, -1].max()),
+                norm_decrease_margin=None if n == 1 else float((prev_norms - norms).min())))
             prev_norms = norms
             if sup_diff <= tol_abs + tol_rel * max_norm:
                 break
         else:
-            raise ConvergenceError(
-                f"monotone iteration did not converge in {max_iter} steps",
-                history=sup_diffs,
-            )
+            raise ConvergenceError(f"monotone iteration did not converge in {max_iter} steps",
+                                   history=[r.sup_difference for r in records])
     p_final = OperatorFunction(grid, cur)
-    return RiccatiSolution(
-        P=p_final,
-        sup_differences=sup_diffs,
-        residual=riccati_residual(p_final, problem),
-        invariant_report=records,
-    )
+    return RiccatiSolution(P=p_final, sup_differences=[r.sup_difference for r in records],
+                           residual=riccati_residual(p_final, problem), invariant_report=records)
 
 
 class _BallEscape(Exception):
@@ -521,8 +511,7 @@ def _picard_window(problem: RiccatiProblem, terminal: np.ndarray, idx: int,
                    tol_abs: float, tol_rel: float, max_iter: int):
     grid = problem.grid
     h = grid.h
-    m1 = max(1.0, problem.U_forward.bound)
-    m2 = max(1.0, problem.U_backward.bound)
+    m1, m2 = problem.U_forward.bound, problem.U_backward.bound
     delta = compute_delta(m1, m2, r_G, r_C, r_B, safety, horizon=idx * h)
     m = min(idx, int(math.floor(delta / h + 1e-9)))
     if m < 1:

@@ -102,24 +102,18 @@ def perturb_backward(spec: PerturbationSpec) -> EvolutionFamily:
 
 def _pair_sweep_max_diff(fam_a: EvolutionFamily, fam_b: EvolutionFamily,
                          max_starts: int) -> float:
-    """Max over sampled grid pairs of ||A_{t,s} - B_{t,s}||."""
+    """Max over sampled grid pairs of ||A_{t,s} - B_{t,s}||: starts s from
+    0...N-1 for forward families and 1...N for backward ones, each carried to
+    the end of the grid."""
     n_steps = fam_a.grid.steps
     if n_steps == 0:
         return 0.0
-    starts = sorted(set(np.linspace(0, n_steps - 1, min(max_starts, n_steps)).astype(int)))
-    worst = 0.0
-    forward = fam_a.direction == "forward"
-    for j in starts:
-        va = np.eye(fam_a.dim)
-        vb = va.copy()
-        rng = range(j, n_steps) if forward else range(j - 1, -1, -1)
-        diffs = np.empty((len(rng), fam_a.dim, fam_a.dim))
-        for d, k in enumerate(rng):
-            va = fam_a.steps[k] @ va
-            vb = fam_b.steps[k] @ vb
-            diffs[d] = va - vb
-        worst = max(worst, sup_opnorm(diffs))
-    return worst
+    first = 0 if fam_a.direction == "forward" else 1
+    starts = sorted(set(np.linspace(first, n_steps - 1 + first,
+                                    min(max_starts, n_steps)).astype(int)))
+    eye = np.eye(fam_a.dim)
+    return max(sup_opnorm(np.stack(list(fam_a.carry(j, eye)))
+                          - np.stack(list(fam_b.carry(j, eye)))) for j in starts)
 
 
 def cross_form_check(spec: PerturbationSpec, tol: Optional[float] = None, *,
@@ -160,15 +154,19 @@ class GronwallBound:
 
 @dataclass(frozen=True)
 class GapRecord:
-    """Per-sequence-member outcome of the continuous-dependence comparison."""
+    """Per-sequence-member outcome of the continuous-dependence comparison;
+    ``slack`` is the allowance its ``dominated`` verdict used."""
 
     sup_gap: float
     sup_majorant: float
     dominated: bool
+    slack: float
 
 
 @dataclass(frozen=True)
 class ContinuousDependenceResult:
+    """The bound, one record per Q_n, and the largest slack any record used."""
+
     bound: GronwallBound
     records: List[GapRecord]
     slack: float
@@ -176,18 +174,6 @@ class ContinuousDependenceResult:
     @property
     def all_dominated(self) -> bool:
         return all(r.dominated for r in self.records)
-
-
-def _family_apply_sweep(family: EvolutionFamily, s_index: int, x: np.ndarray) -> np.ndarray:
-    """Vectors Psi_{t_i, t_s} x for i = s..N (forward family)."""
-    n_nodes = family.grid.num_nodes
-    out = np.empty((n_nodes - s_index, x.shape[0]))
-    v = x.copy()
-    out[0] = v
-    for k in range(s_index, family.grid.steps):
-        v = family.steps[k] @ v
-        out[k - s_index + 1] = v
-    return out
 
 
 def continuous_dependence_gap(base: EvolutionFamily, Q_seq: Sequence[OperatorFunction],
@@ -215,19 +201,15 @@ def continuous_dependence_gap(base: EvolutionFamily, Q_seq: Sequence[OperatorFun
             raise ValueError("all Q samples must be square on the base grid")
 
     limit_family = perturb_forward(PerturbationSpec(base, Q_limit, 1, "first"))
-    limit_vectors = _family_apply_sweep(limit_family, s_index, vec)
+    limit_vectors = np.stack(list(limit_family.carry(s_index, vec)))
 
-    m_u = base.bound
-    norms = [q.sup_norm() for q in list(Q_seq) + [Q_limit]]
-    m_q = max(norms) if norms else 0.0
-    bound = GronwallBound(M_U=max(1.0, m_u), M_Q=m_q)
-
+    bound = GronwallBound(M_U=base.bound, M_Q=max(q.sup_norm() for q in list(Q_seq) + [Q_limit]))
     h = grid.h
     dts = grid.nodes()[s_index:] - grid.nodes()[s_index]
     records = []
     for q_n in Q_seq:
         fam_n = perturb_forward(PerturbationSpec(base, q_n, 1, "first"))
-        vec_n = _family_apply_sweep(fam_n, s_index, vec)
+        vec_n = np.stack(list(fam_n.carry(s_index, vec)))
         gaps = np.linalg.norm(vec_n - limit_vectors, axis=1)
         drive = np.linalg.norm(
             (q_n.values[s_index:] - Q_limit.values[s_index:]) @ limit_vectors[..., None],
@@ -236,15 +218,9 @@ def continuous_dependence_gap(base: EvolutionFamily, Q_seq: Sequence[OperatorFun
         # cumulative trapezoid of the driving integrand
         cum = np.concatenate(([0.0], np.cumsum(0.5 * h * (drive[1:] + drive[:-1]))))
         majorants = bound.M_U * np.exp(bound.M_U * bound.M_Q * dts) * cum
-        if slack is None:
-            eff_slack = 1e-10 + 50.0 * h * h * (1.0 + float(majorants.max(initial=0.0)))
-        else:
-            eff_slack = slack
-        dominated = bool(np.all(gaps <= majorants + eff_slack))
-        records.append(GapRecord(
-            sup_gap=float(gaps.max(initial=0.0)),
-            sup_majorant=float(majorants.max(initial=0.0)),
-            dominated=dominated,
-        ))
-    final_slack = slack if slack is not None else 1e-10
+        sup_majorant = float(majorants.max(initial=0.0))
+        used = 1e-10 + 50.0 * h * h * (1.0 + sup_majorant) if slack is None else slack
+        records.append(GapRecord(sup_gap=float(gaps.max(initial=0.0)), sup_majorant=sup_majorant,
+                                 dominated=bool(np.all(gaps <= majorants + used)), slack=used))
+    final_slack = slack if slack is not None else max((r.slack for r in records), default=1e-10)
     return ContinuousDependenceResult(bound=bound, records=records, slack=final_slack)

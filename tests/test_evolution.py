@@ -1,4 +1,6 @@
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +14,8 @@ from riccatint.evolution import (EvolutionFamily, OperatorFunction, TimeGrid,
 
 from conftest import (certified_product_bound_reference, forward_steps_reference,
                       outcome, semigroup_defect_reference)
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "riccatint"
 
 
 def test_time_grid_nodes():
@@ -107,6 +111,51 @@ def test_family_value_composition(rng):
         fam.value(1, 4)  # wrong orientation for a forward family
     with pytest.raises(IndexError):
         fam.value(7, 0)
+
+
+@pytest.mark.parametrize("direction", ["forward", "backward"])
+@pytest.mark.parametrize("start", [0, 3, 6])
+def test_carry_yields_each_node_value_applied_to_x(rng, direction, start):
+    fwd = EvolutionFamily(TimeGrid(1.0, 6), "forward", rng.standard_normal((6, 2, 2)))
+    fam = fwd if direction == "forward" else adjoint_backward_family(fwd)
+    x = rng.standard_normal((2, 3))
+    carried = list(fam.carry(start, x))
+    ends = range(start, 7) if direction == "forward" else range(start, -1, -1)
+    assert len(carried) == len(ends) and carried[0] is x
+    for end, item in zip(ends, carried):
+        # the same products in the same order as the step-by-step definition
+        ref = x
+        for k in (range(start, end) if direction == "forward" else range(start - 1, end - 1, -1)):
+            ref = fam.steps[k] @ ref
+        assert np.array_equal(item, ref)
+        assert np.array_equal(fam.value(end, start),
+                              list(fam.carry(start, np.eye(2)))[abs(end - start)])
+
+
+def _loop_step_subscripts(path):
+    """Lines of ``<...>.steps[...]`` inside a for/while loop or a comprehension,
+    outside ``EvolutionFamily.carry``."""
+    tree = ast.parse(path.read_text())
+    allowed = set()
+    for cls in ast.walk(tree):
+        if isinstance(cls, ast.ClassDef) and cls.name == "EvolutionFamily":
+            for item in cls.body:
+                if isinstance(item, ast.FunctionDef) and item.name == "carry":
+                    allowed |= {id(node) for node in ast.walk(item)}
+    loops = (ast.For, ast.While, ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
+    return sorted({node.lineno for loop in ast.walk(tree)
+                   if isinstance(loop, loops) and id(loop) not in allowed
+                   for node in ast.walk(loop)
+                   if isinstance(node, ast.Subscript) and isinstance(node.value, ast.Attribute)
+                   and node.value.attr == "steps"})
+
+
+def test_only_carry_loops_over_family_steps():
+    """One family carry: no loop of the package indexes a family's steps but
+    ``EvolutionFamily.carry``."""
+    offenders = [f"{path.name}:{line}" for path in sorted(SRC.glob("*.py"))
+                 for line in _loop_step_subscripts(path)]
+    assert offenders == []
 
 
 def test_adjoint_backward_family(rng):

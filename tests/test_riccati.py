@@ -233,6 +233,24 @@ def test_residual_of_converged_solution_is_roundoff():
     assert sol.residual <= 1e-12
 
 
+@pytest.mark.parametrize("check", [
+    riccati_residual, lambda P, problem: flow_consistency(P, problem, 0, 1),
+    representation_check_one_sided, representation_check_two_sided],
+    ids=["residual", "flow", "one_sided", "two_sided"])
+def test_diagnostics_reject_p_off_the_problem_grid(check, monkeypatch):
+    """Each diagnostic checks P's grid first, before any family is built."""
+    problem, _ = random_symmetric_problem(seed=2, n=2, steps=20)
+
+    def no_family(spec):
+        raise AssertionError("a family was built before the grid check")
+
+    monkeypatch.setattr(riccati, "perturb_forward", no_family)
+    monkeypatch.setattr(riccati, "perturb_backward", no_family)
+    off_grid = OperatorFunction.zero(TimeGrid(1.0, 21), 2)
+    with pytest.raises(ValueError, match="P must be sampled on the problem grid"):
+        check(off_grid, problem)
+
+
 # ---------------------------------------------------------------- flow identity
 
 def test_flow_consistency_degenerate_pairs():

@@ -120,6 +120,47 @@ def test_cross_form_check():
     assert res <= 1e-4
 
 
+def _pairwise_cross_form(spec, starts):
+    """Max over the given starts s and every node t reached from s of the
+    largest singular value of the two forms' difference, pair by pair."""
+    forward = spec.base.direction == "forward"
+    solve = perturb_forward if forward else perturb_backward
+    first = solve(PerturbationSpec(spec.base, spec.Q, spec.sign, "first"))
+    second = solve(PerturbationSpec(spec.base, spec.Q, spec.sign, "second"))
+    return max(float(np.linalg.svd(first.value(t, s) - second.value(t, s), compute_uv=False).max())
+               for s in starts
+               for t in (range(s, spec.base.grid.num_nodes) if forward else range(s, -1, -1)))
+
+
+@pytest.mark.parametrize("direction", ["forward", "backward"])
+def test_cross_form_check_equals_every_pair(rng, direction):
+    """With a start per step, forward starts are nodes 0...N-1 and backward
+    starts nodes 1...N, each carried to the end of the grid."""
+    grid = TimeGrid(1.0, 12)
+    base = build_forward_family(OperatorFunction.constant(grid, 0.5 * rng.standard_normal((2, 2))))
+    q = OperatorFunction(grid, rng.standard_normal((13, 2, 2)))
+    if direction == "backward":
+        base = adjoint_backward_family(base)
+    starts = range(12) if direction == "forward" else range(1, 13)
+    spec = PerturbationSpec(base, q, -1, "first")
+    assert cross_form_check(spec) == _pairwise_cross_form(spec, starts)
+
+
+def test_cross_form_check_starts_a_backward_family_at_the_terminal():
+    """Q = 5 at node N only: the two backward forms differ in step N-1 alone,
+    which only a start at node N carries."""
+    grid = TimeGrid(1.0, 10)
+    bwd = adjoint_backward_family(build_forward_family(OperatorFunction.constant(grid, [[0.3]])))
+    q_values = np.zeros((11, 1, 1))
+    q_values[10] = 5.0
+    spec = PerturbationSpec(bwd, OperatorFunction(grid, q_values))
+    gap = abs(perturb_backward(PerturbationSpec(bwd, spec.Q, 1, "first")).value(0, 10)
+              - perturb_backward(PerturbationSpec(bwd, spec.Q, 1, "second")).value(0, 10))[0, 0]
+    # exp(0.3) (1 / (1 - 0.25) - 1.25): steps 0...8 agree, step 9 differs
+    assert_allclose(gap, math.exp(0.3) * (4.0 / 3.0 - 1.25), rtol=1e-12)
+    assert_allclose(cross_form_check(spec), gap, rtol=1e-12)
+
+
 def test_cross_form_refinement(rng):
     a = 0.5 * rng.standard_normal((2, 2))
     qm = rng.standard_normal((2, 2))
@@ -200,3 +241,20 @@ def test_continuous_dependence_dimension_mismatch():
     q = OperatorFunction.zero(base.grid, 2)
     with pytest.raises(ValueError):
         continuous_dependence_gap(base, [q], q, [1.0, 0.0, 0.0], 0)
+
+
+def test_continuous_dependence_reports_the_slack_it_used():
+    grid = TimeGrid(1.0, 20)
+    base = build_forward_family(
+        OperatorFunction.constant(grid, 0.3 * np.array([[0.0, 1.0], [-1.0, 0.0]])))
+    limit = OperatorFunction.constant(grid, 0.4 * np.eye(2))
+    seq = [OperatorFunction.constant(grid, (0.4 + 1.0 / k) * np.eye(2)) for k in (1, 2)]
+    res = continuous_dependence_gap(base, seq, limit, [1.0, -0.5])
+    h = grid.h
+    for rec in res.records:
+        assert rec.slack == 1e-10 + 50.0 * h * h * (1.0 + rec.sup_majorant)
+    assert res.slack == max(r.slack for r in res.records) == res.records[0].slack
+    assert_allclose(res.slack, 0.822, atol=1e-3)
+    given = continuous_dependence_gap(base, seq, limit, [1.0, -0.5], slack=1e-3)
+    assert given.slack == 1e-3 and all(r.slack == 1e-3 for r in given.records)
+    assert continuous_dependence_gap(base, [], limit, [1.0, -0.5]).slack == 1e-10
