@@ -32,7 +32,7 @@ from .evolution import EvolutionFamily, OperatorFunction, TimeGrid, build_forwar
 from .linops import quadratic_form, sup_opnorm
 from .oracle import solve_differential_riccati
 from .riccati import (ConvergenceError, HypothesisViolation, RiccatiProblem,
-                      RiccatiSolution, _require_hypotheses, flow_consistency,
+                      RiccatiSolution, _lane, _require_hypotheses, flow_consistency,
                       representation_check_one_sided,
                       representation_check_two_sided, riccati_residual,
                       solve_monotone, solve_picard_stepped)
@@ -250,12 +250,14 @@ class ProblemFile:
         with open(path, "r", encoding="utf-8") as fh:
             return cls.from_dict(json.load(fh))
 
-    def build(self, steps: Optional[int] = None
+    def build(self, steps: Optional[int] = None, midpoints: bool = True
               ) -> tuple[RiccatiProblem, Optional[OperatorFunction]]:
-        """Instantiate the problem, optionally overriding the grid resolution."""
+        """Instantiate the problem, optionally overriding the grid resolution.
+        Only with ``midpoints`` are B and C sampled at the step midpoints and the
+        sampled generator kept: the RK4 integrators read them, nothing else."""
         grid = TimeGrid(self.horizon, self.steps if steps is None else steps)
-        c_fun = OperatorFunction.from_sampler(grid, self.c_sampler)
-        b_fun = OperatorFunction.from_sampler(grid, self.b_sampler)
+        c_fun = OperatorFunction.from_sampler(grid, self.c_sampler, midpoints)
+        b_fun = OperatorFunction.from_sampler(grid, self.b_sampler, midpoints)
         generator = None
         if self.generator is not None:
             generator = OperatorFunction.from_sampler(grid, self.generator)
@@ -264,7 +266,8 @@ class ProblemFile:
             if steps is not None and steps != self.steps:
                 raise ValueError("propagator-table problems cannot be re-gridded")
             u_fwd = EvolutionFamily(grid, "forward", self.propagators)
-        return RiccatiProblem.symmetric(u_fwd, c_fun, b_fun, self.g), generator
+        return RiccatiProblem.symmetric(u_fwd, c_fun, b_fun, self.g), \
+            generator if midpoints else None
 
 
 def _csv_header(n_rows: int, n_cols: int) -> str:
@@ -404,11 +407,11 @@ def cmd_solve(problem_path, out_dir, tol_abs: Optional[float] = None,
               safety: Optional[float] = None, solver: Optional[str] = None) -> int:
     """Solve the problem file and write CSV + JSON outputs into out_dir."""
     pfile = ProblemFile.from_path(problem_path)
-    problem, generator = pfile.build()
+    chosen = solver if solver is not None else pfile.solver
+    problem, generator = pfile.build(midpoints=chosen == "oracle")
     symmetric = problem.symmetric_mode      # the one hypothesis check, off the timer
     settings = _settings(pfile, tol_abs=tol_abs, tol_rel=tol_rel, max_iter=max_iter,
                          safety=safety)
-    chosen = solver if solver is not None else pfile.solver
     start = time.perf_counter()
     solution = _run_solver(chosen, problem, generator, **settings)
     wall = time.perf_counter() - start
@@ -445,22 +448,28 @@ def cmd_solve(problem_path, out_dir, tol_abs: Optional[float] = None,
 
 def cmd_check(problem_path, solution_path, threshold: Optional[float] = None,
               flow_pairs: int = 100) -> int:
-    """Residual checks of a stored solution against its problem file."""
+    """Residual checks of a stored solution against its problem file.  The flow
+    gate runs on ``riccati._lane`` while this thread runs the other three in
+    order; the output, and the error raised first, are the serial order's."""
     pfile = ProblemFile.from_path(problem_path)
-    problem, _ = pfile.build()
+    problem, _ = pfile.build(midpoints=False)
     p_fun = read_solution_csv(solution_path, problem.grid, pfile.dimension)
     limit = threshold if threshold is not None else _residual_threshold(problem.grid, p_fun)
 
     pairs = np.random.default_rng(20240).integers(
         0, problem.grid.num_nodes, size=(flow_pairs, 2))
-    flow = flow_consistency(p_fun, problem, pairs.min(axis=1), pairs.max(axis=1))
-
-    checks = {
-        "riccati_residual": riccati_residual(p_fun, problem),
-        "flow_consistency_max": float(flow.max()),
-        "representation_one_sided": representation_check_one_sided(p_fun, problem),
-        "representation_two_sided": representation_check_two_sided(p_fun, problem),
-    }
+    with _lane(pfile.dimension) as lane:
+        flow = lane.submit(flow_consistency, p_fun, problem, pairs.min(1), pairs.max(1))
+        try:
+            checks = {
+                "riccati_residual": riccati_residual(p_fun, problem),
+                "flow_consistency_max": flow,      # its value once the lane is done
+                "representation_one_sided": representation_check_one_sided(p_fun, problem),
+                "representation_two_sided": representation_check_two_sided(p_fun, problem),
+            }
+        finally:        # an error of the flow gate, first in serial order, wins
+            flow.result()
+    checks["flow_consistency_max"] = float(flow.result().max())
     ok = True
     for name, value in checks.items():
         passed = value <= limit
@@ -490,7 +499,7 @@ def cmd_study(problem_path, grids: List[int], solver: Optional[str] = None) -> i
         generator_f, problem_f.B, problem_f.C, problem_f.G, problem_f.grid)
     rows = []
     for n_steps in grids:
-        problem, generator = pfile.build(steps=n_steps)
+        problem, generator = pfile.build(steps=n_steps, midpoints=chosen == "oracle")
         values = _run_solver(chosen, problem, generator, **settings).P.values
         stride = finest // n_steps
         err = sup_opnorm(values - reference.values[::stride])

@@ -98,12 +98,14 @@ class OperatorFunction:
             object.__setattr__(self, "midpoint_values", _freeze(mids))
 
     @classmethod
-    def from_sampler(cls, grid: TimeGrid,
-                     sample: Callable[[np.ndarray], np.ndarray]) -> "OperatorFunction":
+    def from_sampler(cls, grid: TimeGrid, sample: Callable[[np.ndarray], np.ndarray],
+                     midpoints: bool = True) -> "OperatorFunction":
         """Sample from whole time arrays: ``sample(ts)`` returns one matrix per
         time, so the nodes and the midpoints cost one call each (none for the
-        midpoints of a zero-step grid)."""
+        midpoints of a zero-step grid, or without ``midpoints``)."""
         values = sample(grid.nodes())
+        if not midpoints:
+            return cls(grid, values)
         mids = sample(grid.midpoints()) if grid.steps else np.zeros((0,) + values.shape[1:])
         return cls(grid, values, mids)
 

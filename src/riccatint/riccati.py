@@ -439,6 +439,25 @@ def _spectra(new: np.ndarray, diff: Optional[np.ndarray]) -> tuple[np.ndarray, n
     return diff_eigs, diff_eigs if diff is None else np.linalg.eigvalsh(new)
 
 
+def _lane_open(n: int) -> bool:
+    """Whether jobs beside work on n x n stacks get a thread (below 16 they hold the GIL)."""
+    return n >= 16
+
+
+class _Inline(futures.Executor):
+    """Executor running each job at submit, which raises the job's error."""
+
+    def submit(self, fn, *args) -> futures.Future:
+        done = futures.Future()
+        done.set_result(fn(*args))
+        return done
+
+
+def _lane(n: int) -> futures.Executor:
+    """Executor for jobs beside work on n x n stacks: one thread if ``_lane_open(n)``."""
+    return futures.ThreadPoolExecutor(max_workers=1) if _lane_open(n) else _Inline()
+
+
 def solve_monotone(problem: RiccatiProblem, tol_abs: float = 1e-10,
                    tol_rel: float = 1e-8, max_iter: int = 50) -> RiccatiSolution:
     """Monotone iteration from P_0 = 0 with per-iterate invariant bookkeeping.
@@ -450,11 +469,11 @@ def solve_monotone(problem: RiccatiProblem, tol_abs: float = 1e-10,
     records are the only per-iterate list: ``sup_differences`` and the history
     of a ``ConvergenceError`` are read from them.
 
-    One helper thread, open for this call only, runs :func:`_spectra` on each
-    iterate while this thread runs the next step ahead, unless the previous
-    update d has d^2 <= tol_abs + tol_rel ||P|| (by quadratic convergence the
-    iterate is then the last).  A step not needed is dropped with any error
-    it raised, so results, records and errors are the serial loop's, bitwise.
+    The lane of :func:`_lane` runs :func:`_spectra` on each iterate while this
+    thread runs the next step ahead, unless the previous update d has d^2 <=
+    tol_abs + tol_rel ||P|| (by quadratic convergence the iterate is then the
+    last).  A step not needed is dropped with any error it raised, so results,
+    records and errors are the serial loop's, bitwise, threaded or inline.
     """
     _require_hypotheses(problem)
 
@@ -467,7 +486,7 @@ def solve_monotone(problem: RiccatiProblem, tol_abs: float = 1e-10,
     cur = np.zeros((grid.num_nodes, problem.U_backward.dim, problem.U_forward.dim))
     records: List[IterationRecord] = []
     sup_diff, max_norm, prev_norms, ahead = math.inf, 0.0, None, None
-    with futures.ThreadPoolExecutor(max_workers=1) as pool:
+    with _lane(problem.U_forward.dim) as pool:
         for n in range(1, max_iter + 1):
             if isinstance(ahead, Exception):
                 raise ahead

@@ -3,7 +3,9 @@ import copy
 import io
 import json
 import math
+import threading
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -461,6 +463,157 @@ def test_cmd_check_oracle_output(tmp_path):
     out = tmp_path / "out"
     assert main(["oracle", path, "--out", str(out)]) == EXIT_OK
     assert cmd_check(path, out / "tanh_P.csv") == EXIT_OK
+
+
+def _lane_doc(n, steps):
+    """A symmetric problem on n x n blocks with time-dependent A and C, a
+    constant B and its Cholesky factor as B_factor; ``steps = 0`` is the zero
+    horizon."""
+    rng = np.random.default_rng(n)
+    a0, a1, c0, b0, g0 = rng.standard_normal((5, n, n)) / (2.0 * n)
+    psd = [0.2 * (m @ m.T + 0.5 * np.eye(n)) for m in (c0, b0, g0)]
+    return {"dimension": n, "horizon": 1.0 if steps else 0.0, "steps": steps,
+            "generator": {"kind": "polynomial", "coefficients": [a0.tolist(), a1.tolist()]},
+            "C": {"kind": "polynomial", "coefficients": [psd[0].tolist(), np.eye(n).tolist()]},
+            "B": {"kind": "constant", "matrix": psd[1].tolist()},
+            "G": psd[2].tolist(), "B_factor": np.linalg.cholesky(psd[1]).tolist()}
+
+
+def _run(argv, capsys):
+    """Exit code, stdout and stderr of one command; no thread may outlive it."""
+    threads = threading.active_count()
+    code = main(argv)
+    assert threading.active_count() == threads
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def _flow_threads(monkeypatch, lane):
+    """Force the lane predicate to ``lane``; returns the list of the thread
+    idents that ``check``'s flow gate ran on."""
+    monkeypatch.setattr(riccatint.riccati, "_lane_open", lambda n: lane)
+    real, threads = riccatint.cli.flow_consistency, []
+
+    def flow(*args):
+        threads.append(threading.get_ident())
+        return real(*args)
+
+    monkeypatch.setattr(riccatint.cli, "flow_consistency", flow)
+    return threads
+
+
+@pytest.mark.parametrize("n", [1, 3])
+@pytest.mark.parametrize("steps", [1, 40, 0], ids=["N1", "N40", "zero-horizon"])
+def test_check_prints_the_same_on_the_lane_and_inline(tmp_path, capsys, monkeypatch, n,
+                                                      steps):
+    path = write_doc(tmp_path / "p.json", _lane_doc(n, steps))
+    assert main(["solve", path, "--out", str(tmp_path)]) == EXIT_OK
+    capsys.readouterr()
+    runs = []
+    for lane in (True, False):
+        threads = _flow_threads(monkeypatch, lane)
+        runs.append(_run(["check", path, str(tmp_path / "p_P.csv")], capsys))
+        assert len(threads) == 1 and (threads[0] == threading.get_ident()) != lane
+    assert runs[0] == runs[1]
+    assert runs[0][0] == EXIT_OK and runs[0][1].count(" PASS\n") == 4
+
+
+@pytest.mark.parametrize("lane", [True, False], ids=["thread", "inline"])
+@pytest.mark.parametrize("failing, message", [
+    (("flow_consistency", "representation_check_two_sided"), "flow_consistency gate failed"),
+    (("representation_check_two_sided",), "representation_check_two_sided gate failed"),
+])
+def test_check_raises_gate_errors_in_serial_order(tmp_path, capsys, monkeypatch, lane,
+                                                  failing, message):
+    """With the flow gate and the two-sided gate both failing, exit 2 carries
+    the flow gate's message (it runs first in serial order) on either lane;
+    with the two-sided gate failing alone, that gate's message."""
+    path = write_doc(tmp_path / "p.json", _lane_doc(3, 20))
+    assert main(["solve", path, "--out", str(tmp_path)]) == EXIT_OK
+    capsys.readouterr()
+    _flow_threads(monkeypatch, lane)
+
+    def failed(name):
+        def gate(*args):
+            raise ValueError(f"{name} gate failed")
+        return gate
+
+    for name in failing:
+        monkeypatch.setattr(riccatint.cli, name, failed(name))
+    assert _run(["check", path, str(tmp_path / "p_P.csv")], capsys) == \
+        (EXIT_INVALID, "", f"error: {message}\n")
+
+
+def _sampling(monkeypatch):
+    """Record, per coefficient spec name, whether each sampler call was at the
+    grid nodes (the first time is 0) or at the midpoints; and, per build, whether
+    the generator samples outlive it."""
+    calls, kept = [], []
+    real_sampler, real_build = riccatint.cli._spec_sampler, ProblemFile.build
+    real_family, samples = riccatint.cli.build_forward_family, []
+
+    def spec_sampler(spec, n, name):
+        sample = real_sampler(spec, n, name)
+
+        def counted(ts):
+            calls.append((name, "nodes" if ts[0] == 0.0 else "midpoints"))
+            return sample(ts)
+        return counted
+
+    def family(generator):
+        samples.append(weakref.ref(generator))
+        return real_family(generator)
+
+    def build(self, *args, **kwargs):
+        result = real_build(self, *args, **kwargs)
+        kept.append(samples.pop()() is not None)
+        return result
+
+    monkeypatch.setattr(riccatint.cli, "_spec_sampler", spec_sampler)
+    monkeypatch.setattr(riccatint.cli, "build_forward_family", family)
+    monkeypatch.setattr(ProblemFile, "build", build)
+    return calls, kept
+
+
+_COMMANDS = {
+    "solve-monotone": (["solve", "{p}", "--out", "{out}", "--solver", "monotone"], False),
+    "solve-picard": (["solve", "{p}", "--out", "{out}", "--solver", "picard"], False),
+    "check": (["check", "{p}", "{csv}"], False),
+    "oracle": (["oracle", "{p}", "--out", "{out}"], True),
+    "study": (["study", "{p}", "--grids", "10,20,40"], True),
+    "lqr-demo": (["lqr-demo", "{p}", "--x0", "1,0.5,-1"], True),
+}
+
+
+@pytest.mark.parametrize("command", _COMMANDS)
+def test_each_command_samples_only_what_it_reads(tmp_path, capsys, monkeypatch, command):
+    """``check`` and the monotone and Picard ``solve`` sample B and C at the
+    nodes alone and release the generator after the family build; the RK4
+    commands (oracle, study's reference, lqr-demo) sample midpoints too.
+    Outputs are those of the full build, byte for byte."""
+    argv, rk4 = _COMMANDS[command]
+    path = write_doc(tmp_path / "p.json", _lane_doc(3, 40))
+    assert main(["solve", path, "--out", str(tmp_path)]) == EXIT_OK
+    outputs = []
+    for diet in (True, False):
+        out = tmp_path / f"out-{diet}"
+        fill = [arg.format(p=path, out=out, csv=tmp_path / "p_P.csv") for arg in argv]
+        with monkeypatch.context() as patch:
+            if diet:
+                calls, kept = _sampling(patch)
+            else:
+                full = ProblemFile.build
+                patch.setattr(ProblemFile, "build", lambda self, steps=None, midpoints=True:
+                              full(self, steps))
+            capsys.readouterr()
+            code, stdout, _ = _run(fill, capsys)
+        csv = out / "p_P.csv"
+        outputs.append((code, stdout.replace(str(out), "OUT"),
+                        csv.read_bytes() if csv.exists() else None))
+    assert outputs[0] == outputs[1] and outputs[0][0] == EXIT_OK
+    coefficient = [where for name, where in calls if name in ("B", "C")]
+    assert coefficient.count("nodes") == 2 * len(kept)
+    assert ("midpoints" in coefficient) == rk4 == any(kept)
 
 
 def test_cmd_study(tmp_path, capsys):

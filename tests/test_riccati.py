@@ -1,6 +1,8 @@
+import ast
 import dataclasses
 import math
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -836,6 +838,89 @@ def test_needed_step_error_surfaces_as_in_serial_loop(discarding, monkeypatch, c
     calls.clear()
     want = _outcome(solve_monotone_reference, problem)
     assert got == want == (type(exc), str(exc), getattr(exc, "history", None))
+
+
+def _spectra_threads(monkeypatch, lane):
+    """Force the lane predicate to ``lane``; returns the list of the thread
+    idents that ``riccati._spectra`` ran on."""
+    monkeypatch.setattr(riccati, "_lane_open", lambda n: lane)
+    real, threads = riccati._spectra, []
+
+    def spectra(*args):
+        threads.append(threading.get_ident())
+        return real(*args)
+
+    monkeypatch.setattr(riccati, "_spectra", spectra)
+    return threads
+
+
+@pytest.mark.parametrize("lane", [True, False], ids=["thread", "inline"])
+def test_dropped_step_leaves_no_trace_on_either_lane(discarding, monkeypatch, lane):
+    """The predicate forced on and off at n = 2: the spectra run on a helper
+    thread or on the calling thread, and a step run ahead, dropped and failing
+    leaves the serial loop's solution either way."""
+    problem, want = discarding
+    threads = _spectra_threads(monkeypatch, lane)
+    calls = _fail_call(monkeypatch, want.iterations + 1, ValueError("boom"))
+    got = _outcome(solve_monotone, problem)
+    assert not isinstance(got, tuple), got
+    _assert_same_solution(got, want)
+    assert calls == [1, 2, 3, 4, 5]
+    assert len(threads) == want.iterations
+    assert (threading.get_ident() in threads) != lane
+
+
+@pytest.mark.parametrize("lane", [True, False], ids=["thread", "inline"])
+@pytest.mark.parametrize("call", [2, 4])
+def test_needed_step_error_surfaces_on_either_lane(discarding, monkeypatch, lane, call):
+    problem, _ = discarding
+    _spectra_threads(monkeypatch, lane)
+    calls = _fail_call(monkeypatch, call, ConvergenceError("implicit endpoint solve is diverging"))
+    got = _outcome(solve_monotone, problem)
+    assert calls == list(range(1, call + 1))
+    calls.clear()
+    assert got == _outcome(solve_monotone_reference, problem)
+
+
+def test_lane_opens_from_n_16():
+    """The one rule: jobs beside work on n x n stacks get a thread for n >= 16."""
+    assert [riccati._lane_open(n) for n in (1, 2, 8, 15, 16, 32)] == \
+        [False, False, False, False, True, True]
+    assert isinstance(riccati._lane(2), riccati._Inline)
+    with riccati._lane(16) as lane:
+        assert not isinstance(lane, riccati._Inline)
+
+
+def _functions_naming(tree, name, prefix):
+    """Qualified names of the functions (the module itself for top-level code)
+    whose own body refers to ``name``."""
+    found = set()
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, f"{owner}.{child.name}")
+                continue
+            if (isinstance(child, ast.Name) and child.id == name
+                    or isinstance(child, ast.Attribute) and child.attr == name
+                    or isinstance(child, ast.alias) and name in (child.name, child.asname)):
+                found.add(owner)
+            visit(child, owner)
+
+    visit(tree, prefix)
+    return found
+
+
+def test_only_the_lane_starts_threads():
+    """One owner of threads: ``ThreadPoolExecutor`` and ``threading`` appear in
+    the package only inside ``riccati._lane``."""
+    src = Path(__file__).resolve().parents[1] / "src" / "riccatint"
+    owners = set()
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for name in ("ThreadPoolExecutor", "threading", "Thread"):
+            owners |= _functions_naming(tree, name, path.stem)
+    assert owners == {"riccati._lane"}
 
 
 def _scaled_problem(seed, n, steps, k_c, k_b, k_g):
