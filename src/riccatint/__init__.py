@@ -14,8 +14,7 @@ from .lyapunov import LinearIntegralProblem, solve_linear
 from .oracle import compare, solve_differential_riccati
 from .riccati import (ContractionParams, ConvergenceError, HypothesisViolation,
                       RiccatiProblem, check_hypotheses, compute_delta,
-                      flow_consistency, monotone_step,
-                      representation_check_one_sided,
+                      flow_consistency, representation_check_one_sided,
                       representation_check_two_sided, riccati_residual,
                       solve_monotone, solve_picard_stepped)
 from .volterra import (GronwallBound, PerturbationSpec, continuous_dependence_gap,
@@ -32,7 +31,7 @@ __all__ = [
     "continuous_dependence_gap",
     "LinearIntegralProblem", "solve_linear",
     "RiccatiProblem", "HypothesisViolation", "ConvergenceError", "ContractionParams",
-    "check_hypotheses", "monotone_step", "solve_monotone", "riccati_residual",
+    "check_hypotheses", "solve_monotone", "riccati_residual",
     "flow_consistency", "representation_check_one_sided",
     "representation_check_two_sided", "compute_delta", "solve_picard_stepped",
     "solve_differential_riccati", "compare",

@@ -294,7 +294,11 @@ def _require_hypotheses(problem: RiccatiProblem) -> None:
 
 def _monotone_step_core(p_values: np.ndarray, problem: RiccatiProblem
                         ) -> tuple[np.ndarray, float]:
-    """One linearized step; returns the symmetrized iterate and the raw defect."""
+    """One linearized step; returns the symmetrized iterate and the raw defect.
+
+    The quadratic kernel is replaced by its linearization
+    C + P_n B P_n - P B P_n - P_n B P, P_n = ``p_values``, and the resulting
+    linear equation is solved exactly on the grid."""
     q1 = problem.B.values @ p_values            # acts on the domain space
     q2 = p_values @ problem.B.values            # acts on the codomain space
     kernel = problem.C.values + q2 @ p_values   # q2 @ P is P @ B @ P, bitwise
@@ -302,26 +306,6 @@ def _monotone_step_core(p_values: np.ndarray, problem: RiccatiProblem
                  kernel, problem.G, problem.grid.h, q1=q1, q2=q2)
     defect = sup_opnorm(raw - np.swapaxes(raw, -1, -2))
     return symmetrize(raw), defect
-
-
-def monotone_step(P_n: OperatorFunction, problem: RiccatiProblem) -> OperatorFunction:
-    """One step of the monotone scheme: solve the equation linearized at P_n.
-
-    The quadratic kernel is replaced by its linearization
-    C + P_n B P_n - P B P_n - P_n B P and the resulting linear equation is
-    solved exactly on the grid.  With self-adjoint nonnegative data this
-    preserves symmetry and nonnegativity of the iterates and, from the second
-    iterate on, the nonincreasing Loewner chain.
-    """
-    _require_hypotheses(problem)
-    if P_n.grid != problem.grid:
-        raise ValueError("P_n must be sampled on the problem grid")
-    node = _first_asymmetric_node(P_n.values, _HYPOTHESIS_TOL)
-    if node is not None:
-        raise HypothesisViolation("P-symmetry", node,
-                                  f"iterate is not self-adjoint at node {node}")
-    values, _ = _monotone_step_core(P_n.values, problem)
-    return OperatorFunction(problem.grid, values)
 
 
 @dataclass(frozen=True)

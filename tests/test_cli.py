@@ -19,6 +19,7 @@ from riccatint.cli import (EXIT_CHECK_FAILED, EXIT_HYPOTHESIS, EXIT_INVALID,
                            cmd_check, cmd_lqr_demo, cmd_solve, cmd_study, main,
                            read_solution_csv, write_solution_csv)
 from riccatint.evolution import OperatorFunction, TimeGrid
+from riccatint.linops import symmetrize
 
 from conftest import (flow_consistency_per_window, read_solution_csv_reference,
                       sample_per_time, spec_callable_reference,
@@ -1040,3 +1041,62 @@ def test_fuzzed_options_end_in_documented_codes(fuzz_dir, command, data):
     if code not in (EXIT_OK, EXIT_CHECK_FAILED):
         lines = err.getvalue().splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
+def _random_symmetric_doc(seed, n, steps, k_c, k_b, k_g, solver):
+    """A symmetric polynomial-spec document with C, B and G scaled by 10^k_c,
+    10^k_b and 10^k_g; ``steps = 0`` is the zero horizon."""
+    rng = np.random.default_rng(seed)
+    a0, a1 = 0.5 * rng.standard_normal((2, n, n))
+    psd = [symmetrize(m @ m.T) / n for m in rng.standard_normal((5, n, n))]
+
+    def poly(scale, c0, c1):
+        return {"kind": "polynomial", "coefficients": [(scale * c0).tolist(),
+                                                       (scale * c1).tolist()]}
+
+    return {"dimension": n, "horizon": 1.0 if steps else 0.0, "steps": steps,
+            "generator": {"kind": "polynomial", "coefficients": [a0.tolist(), a1.tolist()]},
+            "C": poly(10.0 ** k_c, psd[0], psd[1]), "B": poly(10.0 ** k_b, psd[2], psd[3]),
+            "G": (10.0 ** k_g * psd[4]).tolist(), "solver": solver}
+
+
+def _main_quietly(argv):
+    """Exit code and stdout of one command, which ends in a documented code:
+    with one ``error:`` line for codes 2-4, on an otherwise empty stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(record=True) as caught, \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        warnings.simplefilter("always")
+        code = main(argv)
+    assert [str(w.message) for w in caught] == []      # they would print too
+    assert "Traceback" not in err.getvalue()
+    lines = err.getvalue().splitlines()
+    if code in (EXIT_OK, EXIT_CHECK_FAILED):
+        assert lines == []
+    else:
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+    return code, out.getvalue()
+
+
+_SCALE = st.floats(-6.0, 3.0)
+
+
+@pytest.mark.parametrize("steps", [1, 2, 40, 0], ids=["N1", "N2", "N40", "zero-horizon"])
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.sampled_from([1, 2, 3]),
+       k_c=_SCALE, k_b=_SCALE, k_g=_SCALE, solver=st.sampled_from(["monotone", "picard"]))
+def test_random_symmetric_documents_solve_then_check(tmp_path_factory, steps, seed, n,
+                                                     k_c, k_b, k_g, solver):
+    """A valid document ends in a documented code through ``main``, and a
+    solution ``solve`` accepts passes ``check``'s residual gate: both gate the
+    residual with ``_residual_threshold``."""
+    root = tmp_path_factory.mktemp("random-doc")
+    path = write_doc(root / "p.json",
+                     _random_symmetric_doc(seed, n, steps, k_c, k_b, k_g, solver))
+    solved, _ = _main_quietly(["solve", path, "--out", str(root)])
+    assert solved in (EXIT_OK, EXIT_NO_CONVERGENCE, EXIT_HYPOTHESIS)
+    if solved != EXIT_OK:
+        return
+    checked, out = _main_quietly(["check", path, str(root / "p_P.csv")])
+    assert checked in (EXIT_OK, EXIT_CHECK_FAILED)
+    residual = [line for line in out.splitlines() if line.startswith("riccati_residual ")]
+    assert len(residual) == 1 and residual[0].endswith(" PASS")

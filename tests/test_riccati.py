@@ -18,8 +18,7 @@ from riccatint.lyapunov import LinearIntegralProblem, solve_linear
 from riccatint.riccati import (ContractionParams, ConvergenceError,
                                HypothesisViolation, RiccatiProblem,
                                check_hypotheses, compute_delta,
-                               flow_consistency, monotone_step,
-                               representation_check_one_sided,
+                               flow_consistency, representation_check_one_sided,
                                representation_check_two_sided,
                                riccati_residual, solve_monotone,
                                solve_picard_stepped)
@@ -70,29 +69,26 @@ def test_monotone_step_zero_data():
     problem = RiccatiProblem.symmetric(fwd, OperatorFunction.zero(grid, 2),
                                        OperatorFunction.constant(grid, np.eye(2)),
                                        np.zeros((2, 2)))
-    p0 = OperatorFunction(grid, np.zeros((grid.num_nodes, 2, 2)))
-    p1 = monotone_step(p0, problem)
-    assert np.abs(p1.values).max() == 0.0
+    p1, _ = riccati._monotone_step_core(np.zeros((grid.num_nodes, 2, 2)), problem)
+    assert np.abs(p1).max() == 0.0
 
 
 def test_first_step_equals_linear_solver():
     """With P_0 = 0 the linearized equation is the plain linear one."""
     problem, _ = random_symmetric_problem(seed=5, n=3, steps=120)
-    p0 = OperatorFunction(problem.grid, np.zeros((problem.grid.num_nodes, 3, 3)))
-    p1 = monotone_step(p0, problem)
+    p1, _ = riccati._monotone_step_core(np.zeros((problem.grid.num_nodes, 3, 3)), problem)
     zero_q = OperatorFunction.zero(problem.grid, 3)
     linear = solve_linear(LinearIntegralProblem(
         problem.U_forward, problem.U_backward, problem.C, problem.G,
         Q1=zero_q, Q2=zero_q))
-    assert np.abs(p1.values - linear.values).max() <= 1e-14
+    assert np.abs(p1 - linear.values).max() <= 1e-14
 
 
 def test_first_step_transports_terminal_unchanged():
     # A = 0, C = 0: with P_0 = 0 the perturbations vanish and G rides along
     problem, _ = inverse_linear_problem(100)
-    p0 = OperatorFunction(problem.grid, np.zeros((problem.grid.num_nodes, 1, 1)))
-    p1 = monotone_step(p0, problem)
-    assert_allclose(p1.values[:, 0, 0], np.ones(101), atol=1e-14)
+    p1, _ = riccati._monotone_step_core(np.zeros((problem.grid.num_nodes, 1, 1)), problem)
+    assert_allclose(p1[:, 0, 0], np.ones(101), atol=1e-14)
 
 
 @pytest.mark.parametrize("n", [1, 3, 8])
@@ -106,16 +102,6 @@ def test_monotone_step_kernel_reuses_p_b_bitwise(n):
                           q1=b @ p, q2=p @ b)
     values, _ = riccati._monotone_step_core(p, problem)
     assert values.tobytes() == symmetrize(raw).tobytes()
-
-
-def test_monotone_step_rejects_asymmetric_iterate():
-    problem, _ = random_symmetric_problem(seed=1, n=2, steps=20)
-    bad = np.zeros((21, 2, 2))
-    bad[7] = [[0.0, 1.0], [0.0, 0.0]]
-    with pytest.raises(HypothesisViolation) as err:
-        monotone_step(OperatorFunction(problem.grid, bad), problem)
-    assert err.value.kind == "P-symmetry"
-    assert err.value.node == 7
 
 
 def _indefinite(problem):
@@ -138,11 +124,9 @@ def test_monotone_requires_symmetric_mode():
         assert got.sup_differences == want.sup_differences
     indefinite = _indefinite(tanh_problem(20)[0])
     assert not indefinite.symmetric_mode
-    for run in (lambda: solve_monotone(indefinite),
-                lambda: monotone_step(OperatorFunction.zero(indefinite.grid, 1), indefinite)):
-        with pytest.raises(HypothesisViolation) as err:
-            run()
-        assert (err.value.kind, err.value.node) == ("C-nonnegativity", 0)
+    with pytest.raises(HypothesisViolation) as err:
+        solve_monotone(indefinite)
+    assert (err.value.kind, err.value.node) == ("C-nonnegativity", 0)
 
 
 def test_hypothesis_check_runs_once_per_problem(monkeypatch):
@@ -155,18 +139,16 @@ def test_hypothesis_check_runs_once_per_problem(monkeypatch):
 
     monkeypatch.setattr(riccati, "check_hypotheses", counted_check)
     problem, _ = tanh_problem(20)
-    zero = OperatorFunction.zero(problem.grid, 1)
-    # a problem checks itself once, however often it is solved, stepped or asked
+    # a problem checks itself once, however often it is solved or asked
     indefinite = _indefinite(problem)
-    for run in (lambda: solve_monotone(indefinite), lambda: monotone_step(zero, indefinite),
-                lambda: monotone_step(zero, indefinite)):
+    for _ in range(3):
         with pytest.raises(HypothesisViolation) as err:
-            run()
+            solve_monotone(indefinite)
         assert (err.value.kind, err.value.node) == ("C-nonnegativity", 0)
     assert not indefinite.symmetric_mode and len(calls) == 1
     fresh = dataclasses.replace(problem)
     solve_monotone(fresh)
-    monotone_step(zero, fresh)
+    solve_monotone(fresh)
     assert fresh.symmetric_mode and fresh.hypotheses.passed
     assert len(calls) == 2
     # the Picard solver needs no check
@@ -891,9 +873,9 @@ def test_lane_opens_from_n_16():
         assert not isinstance(lane, riccati._Inline)
 
 
-def _functions_naming(tree, name, prefix):
+def _functions_holding(tree, prefix, hit):
     """Qualified names of the functions (the module itself for top-level code)
-    whose own body refers to ``name``."""
+    whose own body holds a node for which ``hit`` is true."""
     found = set()
 
     def visit(node, owner):
@@ -901,9 +883,7 @@ def _functions_naming(tree, name, prefix):
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 visit(child, f"{owner}.{child.name}")
                 continue
-            if (isinstance(child, ast.Name) and child.id == name
-                    or isinstance(child, ast.Attribute) and child.attr == name
-                    or isinstance(child, ast.alias) and name in (child.name, child.asname)):
+            if hit(child):
                 found.add(owner)
             visit(child, owner)
 
@@ -911,16 +891,33 @@ def _functions_naming(tree, name, prefix):
     return found
 
 
+def _naming(*names):
+    return lambda node: (isinstance(node, ast.Name) and node.id in names
+                         or isinstance(node, ast.Attribute) and node.attr in names
+                         or isinstance(node, ast.alias)
+                         and (node.name in names or node.asname in names))
+
+
+def _package_owners(hit):
+    src = Path(__file__).resolve().parents[1] / "src" / "riccatint"
+    return set().union(*(_functions_holding(ast.parse(path.read_text()), path.stem, hit)
+                         for path in sorted(src.glob("*.py"))))
+
+
 def test_only_the_lane_starts_threads():
     """One owner of threads: ``ThreadPoolExecutor`` and ``threading`` appear in
     the package only inside ``riccati._lane``."""
-    src = Path(__file__).resolve().parents[1] / "src" / "riccatint"
-    owners = set()
-    for path in sorted(src.glob("*.py")):
-        tree = ast.parse(path.read_text())
-        for name in ("ThreadPoolExecutor", "threading", "Thread"):
-            owners |= _functions_naming(tree, name, path.stem)
-    assert owners == {"riccati._lane"}
+    assert _package_owners(_naming("ThreadPoolExecutor", "threading", "Thread")) \
+        == {"riccati._lane"}
+
+
+def test_only_require_hypotheses_builds_violations():
+    """One hypothesis gate: ``HypothesisViolation(...)`` is called in the
+    package only inside ``riccati._require_hypotheses``, so every violation
+    is a failing kind of the problem's own cached check."""
+    named = _naming("HypothesisViolation")
+    assert _package_owners(lambda node: isinstance(node, ast.Call) and named(node.func)) \
+        == {"riccati._require_hypotheses"}
 
 
 def _scaled_problem(seed, n, steps, k_c, k_b, k_g):
