@@ -32,8 +32,8 @@ from .evolution import EvolutionFamily, OperatorFunction, TimeGrid, build_forwar
 from .linops import quadratic_form, sup_opnorm
 from .oracle import solve_differential_riccati
 from .riccati import (ConvergenceError, HypothesisViolation, RiccatiProblem,
-                      RiccatiSolution, _lane, _require_hypotheses, flow_consistency,
-                      representation_check_one_sided,
+                      RiccatiSolution, _lane, _psi_forward, _require_hypotheses,
+                      flow_consistency, representation_check_one_sided,
                       representation_check_two_sided, riccati_residual,
                       solve_monotone, solve_picard_stepped)
 from .riccati import check_hypotheses  # bench/test_bench.py reads cli.check_hypotheses
@@ -450,7 +450,8 @@ def cmd_check(problem_path, solution_path, threshold: Optional[float] = None,
               flow_pairs: int = 100) -> int:
     """Residual checks of a stored solution against its problem file.  The flow
     gate runs on ``riccati._lane`` while this thread runs the other three in
-    order; the output, and the error raised first, are the serial order's."""
+    order, building the -BP family both representation gates read once; the
+    output, and the error raised first, are the serial order's."""
     pfile = ProblemFile.from_path(problem_path)
     problem, _ = pfile.build(midpoints=False)
     p_fun = read_solution_csv(solution_path, problem.grid, pfile.dimension)
@@ -461,11 +462,15 @@ def cmd_check(problem_path, solution_path, threshold: Optional[float] = None,
     with _lane(pfile.dimension) as lane:
         flow = lane.submit(flow_consistency, p_fun, problem, pairs.min(1), pairs.max(1))
         try:
+            residual = riccati_residual(p_fun, problem)
+            psi_fwd = _psi_forward(problem, p_fun.values)
             checks = {
-                "riccati_residual": riccati_residual(p_fun, problem),
+                "riccati_residual": residual,
                 "flow_consistency_max": flow,      # its value once the lane is done
-                "representation_one_sided": representation_check_one_sided(p_fun, problem),
-                "representation_two_sided": representation_check_two_sided(p_fun, problem),
+                "representation_one_sided": representation_check_one_sided(
+                    p_fun, problem, psi_forward=psi_fwd),
+                "representation_two_sided": representation_check_two_sided(
+                    p_fun, problem, psi_forward=psi_fwd),
             }
         finally:        # an error of the flow gate, first in serial order, wins
             flow.result()

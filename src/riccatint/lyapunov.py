@@ -117,9 +117,12 @@ def _window_defects(left_steps: np.ndarray, right_steps: np.ndarray,
     Window a starts from values[tau_a] and is carried back to node t_a by the
     explicit recursion of :func:`_march`; its defect is the spectral norm of
     values[t_a] minus that transport.  All windows of a chunk of at most
-    ``chunk`` pairs share one backward sweep: at node i every window with
-    t_a <= i < tau_a is advanced by one stacked product.  The per-node
-    arithmetic is that of ``_march``, so each transport is bitwise equal to
+    ``chunk`` pairs share one backward sweep.  The chunk's pair ends cut the
+    grid into stretches [lo, hi) between consecutive ends, on each of which
+    the same windows (t_a <= lo and hi <= tau_a) are active; they are
+    gathered once, advanced node by node from hi - 1 down to lo by one
+    stacked product each, and scattered back once.  The per-node arithmetic
+    is that of ``_march``, so each transport is bitwise equal to
     ``_march(left_steps[t:tau], right_steps[t:tau], kernel[t:tau + 1],
     values[tau], h)[0]``.
     """
@@ -128,9 +131,14 @@ def _window_defects(left_steps: np.ndarray, right_steps: np.ndarray,
     for start in range(0, len(t_index), chunk):
         t, tau = t_index[start:start + chunk], tau_index[start:start + chunk]
         cur = values[tau]
-        for i in range(int(tau.max()) - 1, int(t.min()) - 1, -1):
-            active = (t <= i) & (i < tau)
-            cur[active] = left_steps[i] @ cur[active] @ right_steps[i] + src[i]
+        ends = np.unique(np.concatenate((t, tau)))
+        for lo, hi in zip(ends[-2::-1].tolist(), ends[:0:-1].tolist()):
+            active = np.flatnonzero((t <= lo) & (hi <= tau))
+            if active.size:
+                part = cur[active]
+                for i in range(hi - 1, lo - 1, -1):
+                    part = left_steps[i] @ part @ right_steps[i] + src[i]
+                cur[active] = part
         defects[start:start + chunk] = node_opnorms(values[t] - cur)
     return defects
 

@@ -229,8 +229,10 @@ def flow_consistency(P: OperatorFunction, problem: RiccatiProblem,
     A solution transported from its own value at tau must reproduce the value
     at t; for tau = T this reduces to the equation residual at t.  Scalar
     indices give a ``float``; equal-length integer arrays give one residual
-    per pair, all pairs sharing one backward sweep in chunks of at most
-    ``num_nodes`` pairs, so their state is at most one extra P-sized stack.
+    per pair.  The pairs share one backward sweep in chunks of at most
+    ``num_nodes`` pairs, marched by stretches between the chunk's pair ends
+    (see ``lyapunov._window_defects``): the chunk's transports and the
+    windows gathered for one stretch are each at most one P-sized stack.
     """
     p = _on_grid(P, problem)
     scalar = np.ndim(t_index) == 0
@@ -265,22 +267,29 @@ def _psi_backward(problem: RiccatiProblem, p_values: np.ndarray) -> EvolutionFam
     return perturb_backward(PerturbationSpec(problem.U_backward, coeff, -1, "first"))
 
 
-def representation_check_one_sided(P: OperatorFunction, problem: RiccatiProblem) -> float:
+def representation_check_one_sided(P: OperatorFunction, problem: RiccatiProblem, *,
+                                   psi_forward: Optional[EvolutionFamily] = None) -> float:
     """Residual of the one-sided representation with the -BP perturbed family.
 
-    Builds the forward family perturbed by the feedback term and evaluates
-    P(t) = V_{t,T} G Psi_{T,t} + int_t^T V_{t,r} C(r) Psi_{r,t} dr by
-    trapezoidal quadrature; for a solution the residual is O(h^2).
+    Evaluates P(t) = V_{t,T} G Psi_{T,t} + int_t^T V_{t,r} C(r) Psi_{r,t} dr
+    by trapezoidal quadrature, with Psi = ``psi_forward`` if given (as
+    ``_psi_forward(problem, P.values)`` builds it), else built here; for a
+    solution the residual is O(h^2).
     """
     p = _on_grid(P, problem)
-    return _transport_defect(p, problem.U_backward.steps, _psi_forward(problem, p).steps,
+    psi_fwd = psi_forward if psi_forward is not None else _psi_forward(problem, p)
+    return _transport_defect(p, problem.U_backward.steps, psi_fwd.steps,
                              problem.C.values, problem)
 
 
-def representation_check_two_sided(P: OperatorFunction, problem: RiccatiProblem) -> float:
-    """Residual of the two-sided representation with kernel C + P B P."""
+def representation_check_two_sided(P: OperatorFunction, problem: RiccatiProblem, *,
+                                   psi_forward: Optional[EvolutionFamily] = None) -> float:
+    """Residual of the two-sided representation with kernel C + P B P; the
+    -BP forward family is ``psi_forward`` when given, as in
+    :func:`representation_check_one_sided`."""
     p = _on_grid(P, problem)
-    psi_fwd = _psi_forward(problem, p)     # first: a singular correction names this family
+    # built first: a singular correction names the forward family
+    psi_fwd = psi_forward if psi_forward is not None else _psi_forward(problem, p)
     return _transport_defect(p, _psi_backward(problem, p).steps, psi_fwd.steps,
                              problem.C.values + p @ problem.B.values @ p, problem)
 
@@ -298,12 +307,14 @@ def _monotone_step_core(p_values: np.ndarray, problem: RiccatiProblem
 
     The quadratic kernel is replaced by its linearization
     C + P_n B P_n - P B P_n - P_n B P, P_n = ``p_values``, and the resulting
-    linear equation is solved exactly on the grid."""
+    linear equation is solved exactly on the grid.  At P_n = 0 (the first
+    step) Q1 = Q2 = 0, so the equation is marched explicitly."""
     q1 = problem.B.values @ p_values            # acts on the domain space
     q2 = p_values @ problem.B.values            # acts on the codomain space
     kernel = problem.C.values + q2 @ p_values   # q2 @ P is P @ B @ P, bitwise
-    raw = _march(problem.U_backward.steps, problem.U_forward.steps,
-                 kernel, problem.G, problem.grid.h, q1=q1, q2=q2)
+    coupled = bool(p_values.any())
+    raw = _march(problem.U_backward.steps, problem.U_forward.steps, kernel, problem.G,
+                 problem.grid.h, q1=q1 if coupled else None, q2=q2 if coupled else None)
     defect = sup_opnorm(raw - np.swapaxes(raw, -1, -2))
     return symmetrize(raw), defect
 

@@ -341,7 +341,7 @@ def test_cmd_check_runs_no_hypothesis_check_or_family_svd(tmp_path, monkeypatch)
     assert main(["solve", path, "--out", str(out)]) == EXIT_OK
 
     hypothesis_calls = []
-    perturbed, svd_args = [], []
+    perturbed, svd_args, passed_families = [], [], []
     real_check, real_svd = riccatint.cli.check_hypotheses, np.linalg.svd
 
     def record_family(perturb):
@@ -358,15 +358,26 @@ def test_cmd_check_runs_no_hypothesis_check_or_family_svd(tmp_path, monkeypatch)
         svd_args.append(a)
         return real_svd(a, *args, **kwargs)
 
+    def record_gate(gate):
+        def wrapper(*args, psi_forward):
+            passed_families.append(psi_forward)
+            return gate(*args, psi_forward=psi_forward)
+        return wrapper
+
     monkeypatch.setattr(riccatint.cli, "check_hypotheses", counted_check)
     monkeypatch.setattr(riccatint.riccati, "check_hypotheses", counted_check)
     for name in ("perturb_forward", "perturb_backward"):
         monkeypatch.setattr(riccatint.riccati, name,
                             record_family(getattr(riccatint.riccati, name)))
+    for name in ("representation_check_one_sided", "representation_check_two_sided"):
+        monkeypatch.setattr(riccatint.cli, name, record_gate(getattr(riccatint.cli, name)))
     monkeypatch.setattr(np.linalg, "svd", recorded_svd)
     assert main(["check", path, str(out / "lin_P.csv")]) == EXIT_OK
     assert hypothesis_calls == []
-    assert len(perturbed) == 3      # one-sided: -BP forward; two-sided: both
+    assert len(perturbed) == 2      # the -BP forward family once, the -PB backward one
+    assert [fam.direction for fam in perturbed] == ["forward", "backward"]
+    assert len(passed_families) == 2
+    assert passed_families[0] is passed_families[1] is perturbed[0]
     assert not any(a.shape == fam.steps.shape and np.array_equal(a, fam.steps)
                    for fam in perturbed for a in svd_args)
 
@@ -535,7 +546,7 @@ def test_check_raises_gate_errors_in_serial_order(tmp_path, capsys, monkeypatch,
     _flow_threads(monkeypatch, lane)
 
     def failed(name):
-        def gate(*args):
+        def gate(*args, **kwargs):
             raise ValueError(f"{name} gate failed")
         return gate
 
@@ -543,6 +554,22 @@ def test_check_raises_gate_errors_in_serial_order(tmp_path, capsys, monkeypatch,
         monkeypatch.setattr(riccatint.cli, name, failed(name))
     assert _run(["check", path, str(tmp_path / "p_P.csv")], capsys) == \
         (EXIT_INVALID, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("lane", [True, False], ids=["thread", "inline"])
+def test_check_names_the_forward_family_when_both_corrections_are_singular(
+        tmp_path, capsys, monkeypatch, lane):
+    """P = -2/h at node 0 makes the implicit correction singular in both the
+    -BP forward and the -PB backward family; check builds the forward one
+    first and exits 2 naming its steps."""
+    path = write_doc(tmp_path / "p.json", tanh_doc(steps=4))
+    csv = tmp_path / "p_P.csv"
+    grid = TimeGrid(1.0, 4)
+    write_solution_csv(csv, grid, np.array([-8.0, 0.5, 0.4, 0.2, 0.0]).reshape(5, 1, 1))
+    _flow_threads(monkeypatch, lane)
+    assert _run(["check", path, str(csv)], capsys) == (
+        EXIT_INVALID, "", "error: implicit trapezoidal correction is singular while "
+        "building forward/second steps; h * ||Q|| is too large for this grid\n")
 
 
 def _sampling(monkeypatch):

@@ -210,3 +210,29 @@ def test_window_defects_bitwise_equal_per_node_reference(n, steps, pairs, chunk,
     t_index, tau_index = ends[:, 0], ends[:, 1]
     args = (left, right, kernel, values, 1.0 / steps, t_index, tau_index, chunk)
     assert outcome(_window_defects, *args) == outcome(window_defects_reference, *args)
+
+
+_STRETCH_CASES = {
+    "t-equals-tau": ([3, 0, 10, 10], [3, 0, 10, 10], 8),
+    "identical-pairs": ([2, 2, 2], [7, 7, 7], 8),
+    "shared-endpoints": ([2, 5, 2, 0, 5, 9], [5, 9, 9, 5, 5, 10], 8),
+    "one-full-span": ([0], [10], 8),
+    "full-span-among-others": ([4, 0, 6, 0], [8, 10, 6, 3], 8),
+    "chunk-1": ([2, 5, 0, 3, 3], [9, 5, 10, 4, 7], 1),
+    "chunk-at-least-pairs": ([2, 5, 0, 3, 3], [9, 5, 10, 4, 7], 5),
+    "chunk-past-pairs": ([2, 5, 0, 3, 3], [9, 5, 10, 4, 7], 64),
+    "chunk-splits-shared-ends": ([1, 1, 4, 4, 0], [4, 8, 8, 10, 1], 2),
+}
+
+
+@pytest.mark.parametrize("n", [1, 3])
+@pytest.mark.parametrize("case", list(_STRETCH_CASES))
+def test_window_defects_stretches_bitwise_equal_per_node_reference(case, n):
+    """Pair layouts whose ends coincide, repeat or span the grid: the march by
+    stretches between pair ends gives the per-node reference's bits."""
+    t_index, tau_index, chunk = _STRETCH_CASES[case]
+    rng = np.random.default_rng(17)
+    left, right, kernel, _, _, _ = _march_data(rng, n, 10, False, 0.0)
+    values = rng.standard_normal((11, n, n))
+    args = (left, right, kernel, values, 0.1, np.array(t_index), np.array(tau_index), chunk)
+    assert outcome(_window_defects, *args) == outcome(window_defects_reference, *args)

@@ -10,10 +10,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from riccatint import riccati
+from riccatint import lyapunov, riccati
 from riccatint.evolution import (EvolutionFamily, OperatorFunction, TimeGrid,
                                  adjoint_backward_family, build_forward_family)
-from riccatint.linops import symmetrize
+from riccatint.linops import sup_opnorm, symmetrize
 from riccatint.lyapunov import LinearIntegralProblem, solve_linear
 from riccatint.riccati import (ContractionParams, ConvergenceError,
                                HypothesisViolation, RiccatiProblem,
@@ -89,6 +89,24 @@ def test_first_step_transports_terminal_unchanged():
     problem, _ = inverse_linear_problem(100)
     p1, _ = riccati._monotone_step_core(np.zeros((problem.grid.num_nodes, 1, 1)), problem)
     assert_allclose(p1[:, 0, 0], np.ones(101), atol=1e-14)
+
+
+def test_first_step_marches_explicitly(monkeypatch):
+    """At P_0 = 0 no node fixed-point sweep runs, and the step is the implicit
+    march with Q1 = Q2 = 0, symmetrized."""
+    problem, _ = random_symmetric_problem(seed=5, n=3, steps=120)
+    zeros = np.zeros((problem.grid.num_nodes, 3, 3))
+    implicit = lyapunov._march(problem.U_backward.steps, problem.U_forward.steps,
+                               problem.C.values, problem.G, problem.grid.h,
+                               q1=zeros, q2=zeros)
+
+    def no_coupling(*args):
+        raise AssertionError("the first step ran a node fixed-point sweep")
+
+    monkeypatch.setattr(lyapunov, "_coupling", no_coupling)
+    p1, defect = riccati._monotone_step_core(zeros, problem)
+    assert np.array_equal(p1, symmetrize(implicit))
+    assert defect == sup_opnorm(implicit - np.swapaxes(implicit, -1, -2))
 
 
 @pytest.mark.parametrize("n", [1, 3, 8])
@@ -335,6 +353,17 @@ def test_representation_checks_on_solution():
     h2 = problem.grid.h ** 2
     assert representation_check_one_sided(sol.P, problem) <= 5.0 * h2
     assert representation_check_two_sided(sol.P, problem) <= 5.0 * h2
+
+
+@pytest.mark.parametrize("check", [representation_check_one_sided,
+                                   representation_check_two_sided],
+                         ids=["one_sided", "two_sided"])
+def test_representation_checks_read_a_passed_family_bitwise(check):
+    """A passed -BP family gives the same bits as the one each check builds."""
+    problem, _ = random_symmetric_problem(seed=4, n=3, steps=80)
+    P = solve_monotone(problem).P
+    psi = riccati._psi_forward(problem, P.values)
+    assert check(P, problem, psi_forward=psi) == check(P, problem)
 
 
 def test_representation_checks_degenerate_b():
