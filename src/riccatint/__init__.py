@@ -9,24 +9,23 @@ helper is imported from its module.
 
 from .evolution import (EvolutionFamily, OperatorFunction, TimeGrid,
                         adjoint_backward_family, build_forward_family)
-from .linops import adjoint, is_nonnegative, quadratic_form
+from .linops import is_nonnegative, quadratic_form
 from .lyapunov import LinearIntegralProblem, solve_linear
-from .oracle import compare, solve_differential_riccati
+from .oracle import solve_differential_riccati
 from .riccati import (ContractionParams, ConvergenceError, HypothesisViolation,
                       RiccatiProblem, check_hypotheses, compute_delta,
                       flow_consistency, representation_check_one_sided,
                       representation_check_two_sided, riccati_residual,
                       solve_monotone, solve_picard_stepped)
-from .volterra import (GronwallBound, PerturbationSpec, continuous_dependence_gap,
-                       cross_form_check, perturb_backward, perturb_forward)
+from .volterra import (GronwallBound, continuous_dependence_gap, cross_form_check,
+                       perturb_backward, perturb_forward)
 
 __version__ = "0.1.0"
 
 __all__ = [
     "TimeGrid", "OperatorFunction", "EvolutionFamily",
     "build_forward_family", "adjoint_backward_family",
-    "adjoint", "is_nonnegative", "quadratic_form",
-    "PerturbationSpec", "GronwallBound",
+    "is_nonnegative", "quadratic_form", "GronwallBound",
     "perturb_forward", "perturb_backward", "cross_form_check",
     "continuous_dependence_gap",
     "LinearIntegralProblem", "solve_linear",
@@ -34,6 +33,5 @@ __all__ = [
     "check_hypotheses", "solve_monotone", "riccati_residual",
     "flow_consistency", "representation_check_one_sided",
     "representation_check_two_sided", "compute_delta", "solve_picard_stepped",
-    "solve_differential_riccati", "compare",
-    "__version__",
+    "solve_differential_riccati", "__version__",
 ]

@@ -399,7 +399,7 @@ def _run_solver(solver: str, problem: RiccatiProblem,
 
 def _residual_threshold(grid: TimeGrid, p_fun: OperatorFunction) -> float:
     """The residual gate of ``check``, and of ``solve`` for its iterative solvers."""
-    return max(1e-9, 25.0 * grid.h * grid.h * (1.0 + p_fun.sup_norm()))
+    return max(1e-9, 25.0 * grid.h * grid.h * (1.0 + sup_opnorm(p_fun.values)))
 
 
 def cmd_solve(problem_path, out_dir, tol_abs: Optional[float] = None,

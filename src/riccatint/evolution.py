@@ -22,7 +22,7 @@ from typing import Callable, Iterator, Optional
 import numpy as np
 import scipy.linalg
 
-from .linops import node_opnorms, sup_opnorm
+from .linops import node_opnorms
 
 
 @dataclass(frozen=True)
@@ -128,10 +128,6 @@ class OperatorFunction:
     @property
     def shape(self) -> tuple[int, int]:
         return self.values.shape[1], self.values.shape[2]
-
-    def sup_norm(self) -> float:
-        """max over nodes of the spectral norm."""
-        return sup_opnorm(self.values)
 
 
 def _certified_product_bound(step_norms: np.ndarray) -> float:

@@ -1,4 +1,4 @@
-"""Dense matrix primitives: adjoints, spectral norms, definiteness predicates.
+"""Dense matrix primitives: spectral norms, definiteness predicates, quadratic forms.
 
 All operators are real matrices and the pairing is the Euclidean one, so the
 adjoint is the transpose.  Symmetry and nonnegativity predicates use the
@@ -16,26 +16,16 @@ import math
 import numpy as np
 
 
-def require_matrix(value, name: str = "matrix") -> np.ndarray:
-    """Coerce to a 2-D float array with finite entries, or raise ValueError."""
+def _require_square(value, name: str = "matrix") -> np.ndarray:
+    """Coerce to a square 2-D float array with finite entries, or raise ValueError."""
     mat = np.asarray(value, dtype=float)
     if mat.ndim != 2 or mat.shape[0] < 1 or mat.shape[1] < 1:
         raise ValueError(f"{name} must be a nonempty 2-D matrix, got shape {mat.shape}")
     if not np.all(np.isfinite(mat)):
         raise ValueError(f"{name} contains non-finite entries")
-    return mat
-
-
-def _require_square(value, name: str = "matrix") -> np.ndarray:
-    mat = require_matrix(value, name)
     if mat.shape[0] != mat.shape[1]:
         raise ValueError(f"{name} must be square, got shape {mat.shape}")
     return mat
-
-
-def adjoint(mat) -> np.ndarray:
-    """Adjoint with respect to the real Euclidean pairing: the transpose."""
-    return require_matrix(mat).T.copy()
 
 
 def node_opnorms(values: np.ndarray) -> np.ndarray:

@@ -19,7 +19,7 @@ from __future__ import annotations
 import numpy as np
 
 from .evolution import OperatorFunction, TimeGrid
-from .linops import node_opnorms, sup_opnorm, symmetrize
+from .linops import node_opnorms, symmetrize
 
 
 def _symmetric_stack(values: np.ndarray, tol: float) -> bool:
@@ -88,12 +88,3 @@ def solve_differential_riccati(generator: OperatorFunction, B: OperatorFunction,
     if node >= 0:
         raise RuntimeError(f"backward integration blew up at node {node}")
     return OperatorFunction(grid, values)
-
-
-def compare(P: OperatorFunction, oracle_p: OperatorFunction) -> float:
-    """Sup over nodes of the spectral-norm gap between P and the oracle's P."""
-    if P.grid != oracle_p.grid:
-        raise ValueError("grids do not match")
-    if P.shape != oracle_p.shape:
-        raise ValueError("shapes do not match")
-    return sup_opnorm(P.values - oracle_p.values)

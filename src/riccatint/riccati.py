@@ -33,7 +33,7 @@ import numpy as np
 from .evolution import EvolutionFamily, OperatorFunction, adjoint_backward_family
 from .linops import node_opnorms, sup_opnorm, symmetrize
 from .lyapunov import ConvergenceError, _checked_terminal, _march, _window_defects
-from .volterra import PerturbationSpec, perturb_backward, perturb_forward
+from .volterra import perturb_backward, perturb_forward
 
 _HYPOTHESIS_TOL = 1e-10
 
@@ -258,13 +258,13 @@ def flow_consistency(P: OperatorFunction, problem: RiccatiProblem,
 def _psi_forward(problem: RiccatiProblem, p_values: np.ndarray) -> EvolutionFamily:
     """Forward family perturbed by -B P (unknown to the left of the coefficient)."""
     coeff = OperatorFunction(problem.grid, problem.B.values @ p_values)
-    return perturb_forward(PerturbationSpec(problem.U_forward, coeff, -1, "second"))
+    return perturb_forward(problem.U_forward, coeff, -1, "second")
 
 
 def _psi_backward(problem: RiccatiProblem, p_values: np.ndarray) -> EvolutionFamily:
     """Backward family perturbed by -P B (unknown to the right of the coefficient)."""
     coeff = OperatorFunction(problem.grid, p_values @ problem.B.values)
-    return perturb_backward(PerturbationSpec(problem.U_backward, coeff, -1, "first"))
+    return perturb_backward(problem.U_backward, coeff, -1, "first")
 
 
 def representation_check_one_sided(P: OperatorFunction, problem: RiccatiProblem, *,

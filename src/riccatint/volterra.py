@@ -15,7 +15,6 @@ the composite trapezoidal form of the full equation at every grid pair.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
@@ -25,34 +24,6 @@ from .evolution import EvolutionFamily, OperatorFunction
 from .linops import sup_opnorm
 
 _FORMS = ("first", "second")
-
-
-@dataclass(frozen=True)
-class PerturbationSpec:
-    """Datum of a perturbed-family equation.
-
-    ``form='first'`` puts the unknown family to the right of Q inside the
-    integral, ``form='second'`` to the left.  ``sign`` is the sign of the
-    integral term.
-    """
-
-    base: EvolutionFamily
-    Q: OperatorFunction
-    sign: int = 1
-    form: str = "first"
-
-    def __post_init__(self):
-        if self.sign not in (1, -1):
-            raise ValueError(f"sign must be +1 or -1, got {self.sign}")
-        if self.form not in _FORMS:
-            raise ValueError(f"form must be one of {_FORMS}, got {self.form!r}")
-        rows, cols = self.Q.shape
-        if rows != cols or rows != self.base.dim:
-            raise ValueError(
-                f"Q must be square of dimension {self.base.dim}, got shape {(rows, cols)}"
-            )
-        if self.Q.grid != self.base.grid:
-            raise ValueError("Q must be sampled on the base family's grid")
 
 
 def _inv_or_report(mats: np.ndarray, what: str) -> np.ndarray:
@@ -68,16 +39,27 @@ def _inv_or_report(mats: np.ndarray, what: str) -> np.ndarray:
     return out
 
 
-def _perturbed_steps(spec: PerturbationSpec, direction: str) -> np.ndarray:
-    base = spec.base
-    c = 0.5 * spec.sign * base.grid.h
+def _perturbed_steps(base: EvolutionFamily, Q: OperatorFunction, sign: int, form: str,
+                     direction: str) -> np.ndarray:
+    if sign not in (1, -1):
+        raise ValueError(f"sign must be +1 or -1, got {sign}")
+    if form not in _FORMS:
+        raise ValueError(f"form must be one of {_FORMS}, got {form!r}")
+    rows, cols = Q.shape
+    if rows != cols or rows != base.dim:
+        raise ValueError(f"Q must be square of dimension {base.dim}, got shape {(rows, cols)}")
+    if Q.grid != base.grid:
+        raise ValueError("Q must be sampled on the base family's grid")
+    if base.direction != direction:
+        raise ValueError(f"perturb_{direction} needs a {direction} base family")
+    c = 0.5 * sign * base.grid.h
     eye = np.eye(base.dim)
     # Q where a step maps to and from: forward i -> i + 1, backward i + 1 -> i
-    q_to, q_from = spec.Q.values[1:], spec.Q.values[:-1]
+    q_to, q_from = Q.values[1:], Q.values[:-1]
     if direction == "backward":
         q_to, q_from = q_from, q_to
-    what = f"{direction}/{spec.form} steps"
-    if spec.form == "first":
+    what = f"{direction}/{form} steps"
+    if form == "first":
         # X = (I - c Q_to)^-1 S (I + c Q_from)
         left = _inv_or_report(eye - c * q_to, what)
         return left @ base.steps @ (eye + c * q_from)
@@ -86,18 +68,18 @@ def _perturbed_steps(spec: PerturbationSpec, direction: str) -> np.ndarray:
     return (eye + c * q_to) @ base.steps @ right
 
 
-def perturb_forward(spec: PerturbationSpec) -> EvolutionFamily:
-    """Forward family solving the selected Volterra form over the base family."""
-    if spec.base.direction != "forward":
-        raise ValueError("perturb_forward needs a forward base family")
-    return EvolutionFamily(spec.base.grid, "forward", _perturbed_steps(spec, "forward"))
+def perturb_forward(base: EvolutionFamily, Q: OperatorFunction, sign: int = 1,
+                    form: str = "first") -> EvolutionFamily:
+    """Forward family solving a Volterra form over ``base``: ``form='first'`` puts the
+    unknown family to the right of Q inside the integral, ``form='second'`` to the
+    left; ``sign`` is the sign of the integral term."""
+    return EvolutionFamily(base.grid, "forward", _perturbed_steps(base, Q, sign, form, "forward"))
 
 
-def perturb_backward(spec: PerturbationSpec) -> EvolutionFamily:
+def perturb_backward(base: EvolutionFamily, Q: OperatorFunction, sign: int = 1,
+                     form: str = "first") -> EvolutionFamily:
     """Backward analogue of :func:`perturb_forward`."""
-    if spec.base.direction != "backward":
-        raise ValueError("perturb_backward needs a backward base family")
-    return EvolutionFamily(spec.base.grid, "backward", _perturbed_steps(spec, "backward"))
+    return EvolutionFamily(base.grid, "backward", _perturbed_steps(base, Q, sign, form, "backward"))
 
 
 def _pair_sweep_max_diff(fam_a: EvolutionFamily, fam_b: EvolutionFamily,
@@ -116,17 +98,19 @@ def _pair_sweep_max_diff(fam_a: EvolutionFamily, fam_b: EvolutionFamily,
                           - np.stack(list(fam_b.carry(j, eye)))) for j in starts)
 
 
-def cross_form_check(spec: PerturbationSpec, tol: Optional[float] = None, *,
-                     max_starts: int = 64) -> float:
+def cross_form_check(base: EvolutionFamily, Q: OperatorFunction, sign: int = 1,
+                     tol: Optional[float] = None, *, max_starts: int = 64) -> float:
     """Max grid-pair discrepancy between the two Volterra forms.
 
     Both forms discretize the same family to second order, so at a fixed grid
     the discrepancy is O(h^2).  When ``tol`` is given a ValueError is raised
     if it is exceeded.
     """
-    solve = perturb_forward if spec.base.direction == "forward" else perturb_backward
-    fam_first = solve(PerturbationSpec(spec.base, spec.Q, spec.sign, "first"))
-    fam_second = solve(PerturbationSpec(spec.base, spec.Q, spec.sign, "second"))
+    if max_starts < 1:
+        raise ValueError(f"max_starts must be >= 1, got {max_starts}")
+    solve = perturb_forward if base.direction == "forward" else perturb_backward
+    fam_first = solve(base, Q, sign, "first")
+    fam_second = solve(base, Q, sign, "second")
     residual = _pair_sweep_max_diff(fam_first, fam_second, max_starts)
     if tol is not None and residual > tol:
         raise ValueError(f"cross-form residual {residual:.3e} exceeds tol {tol:.3e}")
@@ -146,10 +130,11 @@ class GronwallBound:
         if self.M_Q < 0.0:
             raise ValueError("M_Q must be >= 0")
 
-    def majorant(self, dt: float, driving_integral: float) -> float:
-        if dt < 0:
+    def majorant(self, dt, driving_integral):
+        """The majorant at elapsed time ``dt``; elementwise over arrays."""
+        if np.any(dt < 0):
             raise ValueError("dt must be nonnegative")
-        return self.M_U * math.exp(self.M_U * self.M_Q * dt) * driving_integral
+        return self.M_U * np.exp(self.M_U * self.M_Q * dt) * driving_integral
 
 
 @dataclass(frozen=True)
@@ -200,15 +185,15 @@ def continuous_dependence_gap(base: EvolutionFamily, Q_seq: Sequence[OperatorFun
         if q.shape != (base.dim, base.dim) or q.grid != grid:
             raise ValueError("all Q samples must be square on the base grid")
 
-    limit_family = perturb_forward(PerturbationSpec(base, Q_limit, 1, "first"))
+    limit_family = perturb_forward(base, Q_limit)
     limit_vectors = np.stack(list(limit_family.carry(s_index, vec)))
 
-    bound = GronwallBound(M_U=base.bound, M_Q=max(q.sup_norm() for q in list(Q_seq) + [Q_limit]))
+    bound = GronwallBound(M_U=base.bound, M_Q=max(sup_opnorm(q.values) for q in list(Q_seq) + [Q_limit]))
     h = grid.h
     dts = grid.nodes()[s_index:] - grid.nodes()[s_index]
     records = []
     for q_n in Q_seq:
-        fam_n = perturb_forward(PerturbationSpec(base, q_n, 1, "first"))
+        fam_n = perturb_forward(base, q_n)
         vec_n = np.stack(list(fam_n.carry(s_index, vec)))
         gaps = np.linalg.norm(vec_n - limit_vectors, axis=1)
         drive = np.linalg.norm(
@@ -217,7 +202,7 @@ def continuous_dependence_gap(base: EvolutionFamily, Q_seq: Sequence[OperatorFun
         )
         # cumulative trapezoid of the driving integrand
         cum = np.concatenate(([0.0], np.cumsum(0.5 * h * (drive[1:] + drive[:-1]))))
-        majorants = bound.M_U * np.exp(bound.M_U * bound.M_Q * dts) * cum
+        majorants = bound.majorant(dts, cum)
         sup_majorant = float(majorants.max(initial=0.0))
         used = 1e-10 + 50.0 * h * h * (1.0 + sup_majorant) if slack is None else slack
         records.append(GapRecord(sup_gap=float(gaps.max(initial=0.0)), sup_majorant=sup_majorant,

@@ -27,21 +27,6 @@ def rng():
     return np.random.default_rng(0)
 
 
-def brute_force_matmul(a, b):
-    """Triple-loop matrix product, independent of numpy's matmul path."""
-    n, k = a.shape
-    k2, m = b.shape
-    assert k == k2
-    out = np.zeros((n, m))
-    for i in range(n):
-        for j in range(m):
-            acc = 0.0
-            for r in range(k):
-                acc += a[i, r] * b[r, j]
-            out[i, j] = acc
-    return out
-
-
 def flow_consistency_per_window(P, problem, t_index, tau_index):
     """Flow residual of one pair by its own window march (the pre-sweep code)."""
     window = slice(t_index, tau_index + 1)

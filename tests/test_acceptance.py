@@ -17,15 +17,16 @@ import scipy.linalg
 from riccatint.cli import EXIT_OK, cmd_solve
 from riccatint.evolution import (OperatorFunction, TimeGrid,
                                  build_forward_family)
-from riccatint.oracle import compare, solve_differential_riccati
+from riccatint.linops import sup_opnorm
+from riccatint.oracle import solve_differential_riccati
 from riccatint.riccati import (ConvergenceError, flow_consistency,
                                representation_check_one_sided,
                                representation_check_two_sided,
                                solve_monotone, solve_picard_stepped)
 from riccatint.testing import (inverse_linear_problem, random_symmetric_problem,
                                tanh_problem)
-from riccatint.volterra import (PerturbationSpec, continuous_dependence_gap,
-                                cross_form_check, perturb_forward)
+from riccatint.volterra import (continuous_dependence_gap, cross_form_check,
+                                perturb_forward)
 
 from conftest import symmetry_defect
 
@@ -62,8 +63,8 @@ def suite():
             "n": n,
             "problem": prob,
             "solution": sol,
-            "gap": compare(sol.P, oracle_run),
-            "gap_fine": compare(sol_fine.P, oracle_fine),
+            "gap": sup_opnorm(sol.P.values - oracle_run.values),
+            "gap_fine": sup_opnorm(sol_fine.P.values - oracle_fine.values),
         })
     return {"entries": entries, "solve_seconds": solve_seconds}
 
@@ -190,16 +191,15 @@ def test_criterion_6_volterra_engine():
         def exp_error(steps):
             grid = TimeGrid(1.0, steps)
             base = build_forward_family(OperatorFunction.constant(grid, a))
-            spec = PerturbationSpec(base, OperatorFunction.constant(grid, q),
-                                    1, "first")
+            q_fun = OperatorFunction.constant(grid, q)
             worst = 0.0
             for form in ("first", "second"):
-                fam = (perturb_forward(PerturbationSpec(base, spec.Q, 1, form)))
+                fam = perturb_forward(base, q_fun, 1, form)
                 for i, j in ((steps, 0), (steps // 2, 0), (steps, steps // 2)):
                     exact = scipy.linalg.expm((a + q) * (i - j) * grid.h)
                     worst = max(worst, float(np.linalg.norm(
                         fam.value(i, j) - exact, 2)))
-            return worst, cross_form_check(spec)
+            return worst, cross_form_check(base, q_fun, 1)
 
         err_coarse, cross = exp_error(200)
         err_fine, _ = exp_error(400)

@@ -345,8 +345,8 @@ def test_cmd_check_runs_no_hypothesis_check_or_family_svd(tmp_path, monkeypatch)
     real_check, real_svd = riccatint.cli.check_hypotheses, np.linalg.svd
 
     def record_family(perturb):
-        def wrapper(spec):
-            perturbed.append(perturb(spec))
+        def wrapper(*args):
+            perturbed.append(perturb(*args))
             return perturbed[-1]
         return wrapper
 

@@ -9,37 +9,11 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from riccatint import linops
-from riccatint.linops import adjoint, is_nonnegative, quadratic_form, sup_opnorm
+from riccatint.linops import is_nonnegative, quadratic_form, sup_opnorm
 
-from conftest import (brute_force_matmul, is_nonnegative_reference, outcome,
-                      sup_opnorm_reference)
+from conftest import is_nonnegative_reference, outcome, sup_opnorm_reference
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "riccatint"
-
-
-def test_adjoint_transposes():
-    assert_allclose(adjoint([[0.0, 1.0], [0.0, 0.0]]), [[0.0, 0.0], [1.0, 0.0]])
-
-
-def test_adjoint_fixes_symmetric():
-    m = np.array([[2.0, -1.0], [-1.0, 3.0]])
-    assert np.array_equal(adjoint(m), m)
-
-
-def test_adjoint_reverses_products(rng):
-    # oracle: entrywise product computed by explicit loops
-    for _ in range(5):
-        a = rng.standard_normal((3, 3))
-        b = rng.standard_normal((3, 3))
-        lhs = adjoint(brute_force_matmul(a, b))
-        rhs = brute_force_matmul(adjoint(b), adjoint(a))
-        assert_allclose(lhs, rhs, atol=1e-13)
-
-
-def test_adjoint_is_involution(rng):
-    for _ in range(10):
-        m = rng.standard_normal((4, 2))
-        assert np.array_equal(adjoint(adjoint(m)), m)
 
 
 def test_is_self_adjoint_basic():

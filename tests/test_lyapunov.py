@@ -8,7 +8,7 @@ from riccatint.evolution import (OperatorFunction, TimeGrid,
                                  adjoint_backward_family, build_forward_family)
 from riccatint.lyapunov import (LinearIntegralProblem, _march, _window_defects,
                                 solve_linear)
-from riccatint.volterra import PerturbationSpec, perturb_forward
+from riccatint.volterra import perturb_forward
 
 from conftest import (linear_picard_reference, march_reference, outcome,
                       window_defects_reference)
@@ -113,7 +113,7 @@ def test_omega_representation_equivalence():
     g = np.array([[0.7]])
     problem = LinearIntegralProblem(fwd, bwd, q12, g, Q1=q1)
     sol = solve_linear(problem)
-    omega = perturb_forward(PerturbationSpec(fwd, q1, -1, "second"))
+    omega = perturb_forward(fwd, q1, -1, "second")
     rep = _march(bwd.steps, omega.steps, q12.values, g, grid.h)
     assert np.abs(sol.values - rep).max() <= 5.0 * grid.h ** 2
 

@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 from riccatint import oracle
 from riccatint.evolution import OperatorFunction, TimeGrid
-from riccatint.linops import node_opnorms
-from riccatint.oracle import compare, solve_differential_riccati
+from riccatint.linops import node_opnorms, sup_opnorm
+from riccatint.oracle import solve_differential_riccati
 from riccatint.testing import (inverse_linear_problem, random_symmetric_problem,
                                tanh_problem)
 
@@ -48,17 +48,6 @@ def test_oracle_preserves_symmetry_and_positivity():
     assert np.linalg.eigvalsh(vals).min() >= -1e-10
 
 
-def test_compare():
-    problem, gen = tanh_problem(200)
-    p_oracle = solve_differential_riccati(gen, problem.B, problem.C, problem.G,
-                                          problem.grid)
-    assert compare(p_oracle, p_oracle) == 0.0
-    other_grid = TimeGrid(1.0, 100)
-    other = OperatorFunction(other_grid, np.zeros((101, 1, 1)))
-    with pytest.raises(ValueError):
-        compare(other, p_oracle)
-
-
 def test_oracle_gap_refines_at_second_order():
     """The gap to the order-2 integral solver is dominated by the h^2 side."""
     from riccatint.riccati import solve_monotone
@@ -69,7 +58,7 @@ def test_oracle_gap_refines_at_second_order():
         sol = solve_monotone(problem)
         p_oracle = solve_differential_riccati(gen, problem.B, problem.C,
                                               problem.G, problem.grid)
-        gaps[n_steps] = compare(sol.P, p_oracle)
+        gaps[n_steps] = sup_opnorm(sol.P.values - p_oracle.values)
     assert math.log2(gaps[500] / gaps[1000]) >= 1.8
 
 

@@ -7,6 +7,8 @@ import io
 import re
 from pathlib import Path
 
+import pytest
+
 import riccatint
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -37,14 +39,14 @@ def test_public_names_resolve():
         assert name in riccatint.__all__, name
 
 
-def test_library_api_names_resolve():
-    """Every dotted name the "Library API" paragraph cites (``linops.sup_opnorm``,
+def _check_library_api_names(section):
+    """Every dotted name the section cites (``linops.sup_opnorm``,
     ``riccati.HypothesisReport``, ``OperatorFunction.from_sampler``, ...)
-    exists: its head is ``riccatint``, a submodule or a public name."""
-    text = README.read_text(encoding="utf-8")
-    section = text.split("### Library API", 1)[1].split("\n## ", 1)[0]
+    exists: its head is ``riccatint``, a submodule or a public name.  Every
+    name cited in call form without a dot (``solve_linear(``) is public or the
+    last part of a dotted name the section also cites (``carry(`` beside
+    ``EvolutionFamily.carry``)."""
     cited = re.findall(r"`(\w+(?:\.\w+)+)", section)
-    assert "riccati.HypothesisReport" in cited
     for dotted in cited:
         head, *rest = dotted.split(".")
         if head == "riccatint":
@@ -56,3 +58,24 @@ def test_library_api_names_resolve():
         for name in rest:
             assert hasattr(obj, name), dotted
             obj = getattr(obj, name)
+    tails = {dotted.rsplit(".", 1)[1] for dotted in cited}
+    for name in re.findall(r"`(\w+)\(", section):
+        assert name in riccatint.__all__ or name in tails, name
+    return cited
+
+
+def _library_api_section():
+    text = README.read_text(encoding="utf-8")
+    return text.split("### Library API", 1)[1].split("\n## ", 1)[0]
+
+
+def test_library_api_names_resolve():
+    section = _library_api_section()
+    assert "riccati.HypothesisReport" in _check_library_api_names(section)
+    assert "`solve_linear(" in section and "`carry(" in section
+
+
+def test_library_api_guard_rejects_a_retired_call_name():
+    section = _library_api_section() + "\n`compare(P, oracle_P)` takes two of them.\n"
+    with pytest.raises(AssertionError, match="compare"):
+        _check_library_api_names(section)

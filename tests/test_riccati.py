@@ -243,7 +243,7 @@ def test_diagnostics_reject_p_off_the_problem_grid(check, monkeypatch):
     """Each diagnostic checks P's grid first, before any family is built."""
     problem, _ = random_symmetric_problem(seed=2, n=2, steps=20)
 
-    def no_family(spec):
+    def no_family(*args):
         raise AssertionError("a family was built before the grid check")
 
     monkeypatch.setattr(riccati, "perturb_forward", no_family)
