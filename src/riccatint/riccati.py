@@ -467,8 +467,10 @@ def solve_monotone(problem: RiccatiProblem, tol_abs: float = 1e-10,
     The lane of :func:`_lane` runs :func:`_spectra` on each iterate while this
     thread runs the next step ahead, unless the previous update d has d^2 <=
     tol_abs + tol_rel ||P|| (by quadratic convergence the iterate is then the
-    last).  A step not needed is dropped with any error it raised, so results,
-    records and errors are the serial loop's, bitwise, threaded or inline.
+    last), in which case this thread computes the iterate's residual instead.
+    A step or residual not needed is dropped with any error it raised, so
+    results, records and errors are the serial loop's, bitwise, threaded or
+    inline.
     """
     _require_hypotheses(problem)
 
@@ -487,12 +489,19 @@ def solve_monotone(problem: RiccatiProblem, tol_abs: float = 1e-10,
                 raise ahead
             new, defect = ahead or _monotone_step_core(cur, problem)
             spectra = pool.submit(_spectra, new, None if n == 1 else new - cur)
-            cur, ahead = new, None      # P_{n-1} is not held while the next step runs
+            # P_{n-1}, and a dropped residual's P, are not held while the next step runs
+            cur, ahead, p_final, residual = new, None, None, None
             if n < max_iter and sup_diff * sup_diff > tol_abs + tol_rel * max_norm:
                 try:
                     ahead = _monotone_step_core(new, problem)
                 except Exception as exc:    # surfaces only if the loop goes on
                     ahead = exc
+            else:       # predicted to be the last iterate: its residual
+                try:
+                    p_final = OperatorFunction(grid, new)
+                    residual = riccati_residual(p_final, problem)
+                except Exception as exc:    # surfaces only if the loop ends here
+                    residual = exc
             diff_eigs, new_eigs = spectra.result()
             sup_diff = float(np.abs(diff_eigs).max())
             norms = np.abs(new_eigs).max(axis=1)
@@ -509,9 +518,13 @@ def solve_monotone(problem: RiccatiProblem, tol_abs: float = 1e-10,
         else:
             raise ConvergenceError(f"monotone iteration did not converge in {max_iter} steps",
                                    history=[r.sup_difference for r in records])
-    p_final = OperatorFunction(grid, cur)
+    if isinstance(residual, Exception):
+        raise residual
+    if residual is None:        # the loop ended where a step ran ahead
+        p_final = OperatorFunction(grid, cur)
+        residual = riccati_residual(p_final, problem)
     return RiccatiSolution(P=p_final, sup_differences=[r.sup_difference for r in records],
-                           residual=riccati_residual(p_final, problem), invariant_report=records)
+                           residual=residual, invariant_report=records)
 
 
 class _BallEscape(Exception):

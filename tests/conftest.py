@@ -252,7 +252,55 @@ def _coupling_reference(x, q1, q2, i):
 
 def march_reference(left_steps, right_steps, kernel, terminal, h, q1=None, q2=None):
     """``lyapunov._march`` with the source term (h/2)(K_i + L_i K_{i+1} R_i)
-    formed node by node inside the loops."""
+    formed node by node inside the loops: each node's right-hand side
+    transports x + d of the node before, d = x - rhs its converged correction,
+    and its fixed point starts from rhs + 2 d_{i+1} - d_{i+2}.  Without
+    coefficients it is the cold reference's explicit march."""
+    m = left_steps.shape[0]
+    if m == 0 or (q1 is None and q2 is None):
+        return march_reference_cold(left_steps, right_steps, kernel, terminal, h)
+    out = np.empty((m + 1,) + terminal.shape)
+    out[m] = terminal
+    folded = left_steps @ kernel[1:] @ right_steps
+    alpha = 0.5 * h
+    carried = out[m] - alpha * _coupling_reference(out[m], q1, q2, m)
+    corrections = []
+    for i in range(m - 1, -1, -1):
+        rhs = left_steps[i] @ carried @ right_steps[i] + alpha * (kernel[i] + folded[i])
+        scale = 1.0 + float(np.abs(rhs).max())
+        if not corrections:
+            x = rhs
+        elif len(corrections) == 1:
+            x = rhs + corrections[-1]
+        else:
+            x = rhs + (2.0 * corrections[-1] - corrections[-2])
+        prev = math.inf
+        for _ in range(64):
+            x_new = rhs - alpha * _coupling_reference(x, q1, q2, i)
+            diff = float(np.abs(x_new - x).max())
+            x = x_new
+            if diff <= 1e-15 * scale:
+                break
+            if diff >= prev:
+                if diff <= 1e-12 * scale:
+                    break
+                raise ConvergenceError(
+                    "implicit endpoint solve is diverging; h * ||Q|| is too large")
+            prev = diff
+        else:
+            raise ConvergenceError(
+                "implicit endpoint solve did not converge; h * ||Q|| is too large")
+        out[i] = x
+        corrections.append(x - rhs)
+        carried = x + corrections[-1]
+    return out
+
+
+def march_reference_cold(left_steps, right_steps, kernel, terminal, h, q1=None, q2=None):
+    """``lyapunov._march`` with the source term (h/2)(K_i + L_i K_{i+1} R_i)
+    formed node by node inside the loops, and the node solve it had before
+    the warm start: each node's right-hand side forms the coupling of the
+    node before, and its fixed point starts from that right-hand side."""
     m = left_steps.shape[0]
     out = np.empty((m + 1,) + terminal.shape)
     out[m] = terminal

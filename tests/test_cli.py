@@ -780,11 +780,21 @@ def _piecewise_c(t1):
     return {"kind": "piecewise", "times": [0.0, t1], "matrices": [[[1.0]], [[2.0]]]}
 
 
+def _stiff_doc(steps, solver):
+    """The 1-D stiff case B = C = 400, G = 50: the trapezoid's node solve
+    diverges (monotone) and the certified window is shorter than h (Picard)."""
+    return tanh_doc(steps=steps, B={"kind": "constant", "matrix": [[400.0]]},
+                    C={"kind": "constant", "matrix": [[400.0]]}, G=[[50.0]], solver=solver)
+
+
+_STIFF_CASES = {f"stiff-{solver}-N{steps}": ("solve", _stiff_doc(steps, solver), [],
+                                              EXIT_NO_CONVERGENCE)
+                for solver in ("monotone", "picard") for steps in (4, 400, 4000, 10000)}
+# the name the case had when it was the only one
+_STIFF_CASES["stiff-implicit-endpoint"] = _STIFF_CASES.pop("stiff-monotone-N4")
+
 BOUNDARY_CASES = {
-    "stiff-implicit-endpoint": (
-        "solve", tanh_doc(steps=4, B={"kind": "constant", "matrix": [[400.0]]},
-                          C={"kind": "constant", "matrix": [[400.0]]}, G=[[50.0]]),
-        [], EXIT_NO_CONVERGENCE),
+    **_STIFF_CASES,
     "safety-out-of-range": ("solve", tanh_doc(steps=20),
                             ["--solver", "picard", "--safety", "1.5"], EXIT_INVALID),
     "zero-grid-size": ("study", tanh_doc(steps=20), ["--grids", "0,2,4"], EXIT_INVALID),
@@ -872,6 +882,14 @@ def test_error_boundary_one_line(tmp_path, capsys, command, doc, extra, expected
     assert len(err.splitlines()) == 1 and err.startswith("error:")
     assert "Traceback" not in err
     assert option is None or option in err      # an option out of range is named
+
+
+@pytest.mark.parametrize("case", [case for case, (_, doc, _, _) in _STIFF_CASES.items()
+                                  if doc["solver"] == "monotone"])
+def test_stiff_monotone_names_the_diverging_endpoint_solve(tmp_path, capsys, case):
+    path = write_doc(tmp_path / "problem.json", _STIFF_CASES[case][1])
+    assert main(["solve", path, "--out", str(tmp_path / "out")]) == EXIT_NO_CONVERGENCE
+    assert "implicit endpoint solve is diverging" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("n", [1, 2])

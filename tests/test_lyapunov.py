@@ -4,13 +4,16 @@ from hypothesis import given
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from riccatint import lyapunov, riccati
 from riccatint.evolution import (OperatorFunction, TimeGrid,
                                  adjoint_backward_family, build_forward_family)
 from riccatint.lyapunov import (LinearIntegralProblem, _march, _window_defects,
                                 solve_linear)
+from riccatint.testing import random_symmetric_problem
 from riccatint.volterra import perturb_forward
 
-from conftest import (linear_picard_reference, march_reference, outcome,
+import conftest
+from conftest import (linear_picard_reference, march_reference, march_reference_cold, outcome,
                       window_defects_reference)
 
 
@@ -196,6 +199,79 @@ def test_march_bitwise_equals_per_node_reference(n, steps, coefficients, symmetr
     h = 1.0 / max(steps, 1)
     assert outcome(_march, left, right, kernel, terminal, h, **coeffs) \
         == outcome(march_reference, left, right, kernel, terminal, h, **coeffs)
+
+
+def _smooth_march_data(rng, n, steps, coefficients, hq):
+    """Steps, kernel, terminal and coefficients that vary smoothly from node to
+    node, as a monotone step passes them; every node has h ||Q|| <= ``hq``."""
+    h = 1.0 / steps
+    t = np.linspace(0.0, 1.0, steps + 1)[:, None, None]
+
+    def smooth(first):
+        a, b = rng.standard_normal((2, n, n))
+        return a + np.cos(np.pi * t[1:] if first else np.pi * t) * b
+
+    left = np.eye(n) + h * smooth(True) / np.sqrt(n)
+    right = np.eye(n) + h * smooth(True) / np.sqrt(n)
+    kernel, q1, q2 = smooth(False), smooth(False), smooth(False)
+    sup = max(float(np.linalg.norm(q, 2, axis=(1, 2)).max()) for q in (q1, q2))
+    q1, q2 = (hq / (h * sup) * q for q in (q1, q2))
+    return (left, right, kernel, rng.standard_normal((n, n)), h,
+            {"q1": q1 if coefficients in ("q1", "both") else None,
+             "q2": q2 if coefficients in ("q2", "both") else None})
+
+
+@given(n=st.sampled_from([1, 2, 3, 8, 32]), steps=st.sampled_from([1, 2, 50]),
+       coefficients=st.sampled_from(["q1", "q2", "both"]),
+       hq=st.floats(1e-6, 0.05), seed=st.integers(0, 2 ** 32 - 1))
+def test_march_warm_start_matches_cold_reference(n, steps, coefficients, hq, seed):
+    """The warm-started node solve with the carried coupling lands on the
+    cold-started one's fixed point to sweep tolerance."""
+    left, right, kernel, terminal, h, coeffs = _smooth_march_data(
+        np.random.default_rng(seed), n, steps, coefficients, hq)
+    got = _march(left, right, kernel, terminal, h, **coeffs)
+    want = march_reference_cold(left, right, kernel, terminal, h, **coeffs)
+    assert float(np.abs(got - want).max()) <= 1e-13 * (1.0 + float(np.abs(want).max()))
+
+
+@given(n=st.sampled_from([1, 2, 3, 8, 32]), steps=st.sampled_from([1, 2, 50]),
+       coefficients=st.sampled_from(["q1", "q2", "both"]), symmetric=st.booleans(),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_march_diverges_where_cold_reference_does(n, steps, coefficients, symmetric, seed):
+    """At h ||Q|| past the contraction (scale 3.0) the warm-started march
+    raises a ``ConvergenceError`` where the cold loop does; which of its two
+    messages may differ, as the sweeps start from other points."""
+    rng = np.random.default_rng(seed)
+    left, right, kernel, terminal, q1, q2 = _march_data(rng, n, steps, symmetric, 3.0)
+    coeffs = {"q1": q1 if coefficients in ("q1", "both") else None,
+              "q2": q2 if coefficients in ("q2", "both") else None}
+    h = 1.0 / steps
+    want = outcome(march_reference_cold, left, right, kernel, terminal, h, **coeffs)
+    if want[0] == "ConvergenceError":
+        assert outcome(_march, left, right, kernel, terminal, h, **coeffs)[0] == want[0]
+
+
+def test_monotone_step_makes_fewer_coupling_calls_than_cold_reference(monkeypatch):
+    """The warm start and the carried coupling cut the node sweeps of one
+    coupled monotone step."""
+    problem, _ = random_symmetric_problem(seed=0, n=8, steps=500)
+    p1, _ = riccati._monotone_step_core(np.zeros((501, 8, 8)), problem)
+
+    def counted(real, calls):
+        def coupling(*args):
+            calls.append(1)
+            return real(*args)
+        return coupling
+
+    warm, cold = [], []
+    monkeypatch.setattr(lyapunov, "_coupling", counted(lyapunov._coupling, warm))
+    monkeypatch.setattr(conftest, "_coupling_reference",
+                        counted(conftest._coupling_reference, cold))
+    got, _ = riccati._monotone_step_core(p1, problem)
+    monkeypatch.setattr(riccati, "_march", march_reference_cold)
+    want, _ = riccati._monotone_step_core(p1, problem)
+    assert 0 < len(warm) < len(cold)
+    assert float(np.abs(got - want).max()) <= 1e-13 * (1.0 + float(np.abs(want).max()))
 
 
 @given(n=st.sampled_from([1, 2, 3, 8, 32]), steps=st.sampled_from([1, 2, 50]),

@@ -893,6 +893,80 @@ def test_needed_step_error_surfaces_on_either_lane(discarding, monkeypatch, lane
     assert got == _outcome(solve_monotone_reference, problem)
 
 
+def _count_residuals(monkeypatch):
+    """Count the calls of ``riccati.riccati_residual`` that ``solve_monotone`` makes."""
+    real, calls = riccati.riccati_residual, []
+
+    def residual(*args):
+        calls.append(threading.get_ident())
+        return real(*args)
+
+    monkeypatch.setattr(riccati, "riccati_residual", residual)
+    return calls
+
+
+@pytest.mark.parametrize("lane", [True, False], ids=["thread", "inline"])
+@pytest.mark.parametrize("n", [3, 32])
+def test_last_residual_beside_spectra_bitwise_equals_serial_loop(monkeypatch, n, lane):
+    """The residual of the iterate predicted to be the last runs on the calling
+    thread beside its spectra, once, and gives the serial loop's bits."""
+    problem, _ = random_symmetric_problem(seed=n, n=n, steps=100)
+    threads = _spectra_threads(monkeypatch, lane)
+    residuals = _count_residuals(monkeypatch)
+    got = _assert_same_outcome(problem)
+    assert isinstance(got, riccati.RiccatiSolution)
+    assert residuals == [threading.get_ident()]
+    assert len(threads) == got.iterations
+
+
+@pytest.fixture(scope="module")
+def mispredicted():
+    """A problem and tolerance (tol_rel = 0) on which the iterate predicted to
+    be the last is not: d_4^2 <= tol_abs < d_5, so iterate 5 has its residual
+    computed and dropped, and iterate 6 (d_6 <= tol_abs) is the last."""
+    problem, _ = random_symmetric_problem(seed=0, n=2, steps=200)
+    kwargs = {"tol_abs": 1e-15, "tol_rel": 0.0}
+    want = solve_monotone_reference(problem, **kwargs)
+    d = want.sup_differences
+    assert len(d) == 6 and d[3] ** 2 <= 1e-15 < d[4] and d[5] <= 1e-15
+    return problem, kwargs, want
+
+
+@pytest.mark.parametrize("lane", [True, False], ids=["thread", "inline"])
+def test_dropped_residual_leaves_no_trace(mispredicted, monkeypatch, lane):
+    problem, kwargs, want = mispredicted
+    _spectra_threads(monkeypatch, lane)
+    residuals = _count_residuals(monkeypatch)
+    got = _outcome(solve_monotone, problem, **kwargs)
+    assert not isinstance(got, tuple), got
+    _assert_same_solution(got, want)
+    assert len(residuals) == 2
+    residuals.clear()
+    _assert_same_solution(solve_monotone(problem), solve_monotone_reference(problem))
+    assert len(residuals) == 1
+
+
+def test_dropped_residual_error_leaves_no_trace(mispredicted, monkeypatch):
+    """A residual that raises for a mispredicted iterate is dropped with its
+    error; one that raises for the last iterate surfaces, as after the serial
+    loop."""
+    problem, kwargs, want = mispredicted
+    real, calls = riccati.riccati_residual, []
+
+    def residual(*args):
+        calls.append(1)
+        if len(calls) == 1:
+            raise ValueError("boom")
+        return real(*args)
+
+    monkeypatch.setattr(riccati, "riccati_residual", residual)
+    _assert_same_solution(solve_monotone(problem, **kwargs), want)
+    calls.clear()
+    with pytest.raises(ValueError, match="boom"):
+        solve_monotone(problem)
+    assert calls == [1]
+
+
 def test_lane_opens_from_n_16():
     """The one rule: jobs beside work on n x n stacks get a thread for n >= 16."""
     assert [riccati._lane_open(n) for n in (1, 2, 8, 15, 16, 32)] == \
