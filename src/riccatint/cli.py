@@ -46,6 +46,7 @@ EXIT_HYPOTHESIS = 4
 
 _SPEC_KINDS = ("zero", "constant", "polynomial", "piecewise")
 _SOLVERS = ("monotone", "picard", "oracle")
+_LQR_PERTURBATIONS = 10     # seeded open-loop controls lqr-demo compares against
 
 
 def _float_array(data, name: str) -> np.ndarray:
@@ -559,8 +560,7 @@ def _simulate_lqr(generator: OperatorFunction, c_fun: OperatorFunction,
     return cost, states
 
 
-def cmd_lqr_demo(problem_path, x0: List[float], tol: Optional[float] = None,
-                 perturbations: int = 10) -> int:
+def cmd_lqr_demo(problem_path, x0: List[float], tol: Optional[float] = None) -> int:
     """Closed-loop cost check: realized cost matches <P(0) x0, x0> and no
     sampled perturbed control does better."""
     pfile = ProblemFile.from_path(problem_path)
@@ -600,7 +600,7 @@ def cmd_lqr_demo(problem_path, x0: List[float], tol: Optional[float] = None,
         horizon = max(problem.grid.horizon, 1e-300)
         u_scale = max(1.0, float(np.abs(u_nodes).max()))
         perturbed_costs = []
-        for j in range(perturbations):
+        for j in range(_LQR_PERTURBATIONS):
             rng = np.random.default_rng(1000 + j)
             amps = 0.1 * u_scale * rng.standard_normal((3, bu.shape[1]))
             phases = rng.uniform(0, 2 * np.pi, size=3)
@@ -620,7 +620,7 @@ def cmd_lqr_demo(problem_path, x0: List[float], tol: Optional[float] = None,
         raise ValueError("the quadratic cost overflows; scale --x0 down")
 
     gap = abs(cost - predicted)
-    worst = min(perturbed_costs) - cost if perturbed_costs else 0.0
+    worst = min(perturbed_costs) - cost
     report = {
         "predicted_cost": predicted,
         "realized_cost": cost,

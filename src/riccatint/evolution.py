@@ -197,12 +197,14 @@ class EvolutionFamily:
 
     def carry(self, start: int, x: np.ndarray) -> Iterator[np.ndarray]:
         """Yield x, then ``steps[k] @ x`` one step at a time from node ``start``:
-        up to node N for a forward family, down to node 0 for a backward one."""
-        yield x
-        for k in (range(start, self.grid.steps) if self.direction == "forward"
-                  else range(start - 1, -1, -1)):
-            x = self.steps[k] @ x
-            yield x
+        up to node N for a forward family, down to node 0 for a backward one.
+
+        A start outside 0 <= start <= N raises IndexError at the call."""
+        if not 0 <= start <= self.grid.steps:
+            raise IndexError(f"start node out of range: {start}")
+        order = (range(start, self.grid.steps) if self.direction == "forward"
+                 else range(start - 1, -1, -1))
+        return itertools.accumulate(order, lambda y, k: self.steps[k] @ y, initial=x)
 
     def value(self, i: int, j: int) -> np.ndarray:
         """Ordered product of step propagators between nodes i and j.

@@ -12,6 +12,7 @@ scaled inputs, and eigenvalue queries always go through the symmetrized part
 from __future__ import annotations
 
 import math
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -33,6 +34,25 @@ def node_opnorms(values: np.ndarray) -> np.ndarray:
     if values.shape[0] == 0:
         return np.zeros(0)
     return np.linalg.svd(values, compute_uv=False).max(axis=1)
+
+
+def first_defect(a: np.ndarray, b: np.ndarray, scale: Callable[[np.ndarray], np.ndarray | float],
+                 tol: float) -> Optional[int]:
+    """First node k of two equal stacks with ||a[k] - b[k]|| > tol * scale(part), or None.
+
+    ``scale`` maps an index array ``part`` to the scales of those nodes (or to
+    one scale for all).  A node where a and b are equal passes (for tol >= 0)
+    without LAPACK; only the others are decomposed, each with the norm it has
+    in any batch.  The first of them goes alone, as a defective stack usually
+    fails there, and ``scale`` is evaluated on the decomposed nodes only.
+    """
+    undecided = np.flatnonzero((a != b).any(axis=(1, 2)) | (tol < 0))
+    for part in (undecided[:1], undecided[1:]):
+        if part.size:
+            failed = part[node_opnorms(a[part] - b[part]) > tol * scale(part)]
+            if failed.size:
+                return int(failed[0])
+    return None
 
 
 def _opnorm_bounds(stack: np.ndarray) -> np.ndarray:

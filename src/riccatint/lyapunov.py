@@ -71,10 +71,8 @@ def _march(left_steps: np.ndarray, right_steps: np.ndarray, kernel: np.ndarray,
     x_i + d_i (= x_i - (h/2)(x_i Q1_i + Q2_i x_i) to sweep tolerance), so the
     coupling is formed only at the terminal node and in the sweeps, and the
     sweep starts from rhs_i + 2 d_{i+1} - d_{i+2} (rhs_i + d_{i+1} at the
-    second node solved, rhs_i at the first).  On a coupled monotone step this
-    takes 3.0 sweeps per node at n = 32, N = 500 and 2.0 at n = 2, N = 4000,
-    against 4.8 and 4.0 from rhs_i.  A sweep that stalls above roundoff
-    raises :class:`ConvergenceError`.
+    second node solved, rhs_i at the first).  A sweep that stalls above
+    roundoff raises :class:`ConvergenceError`.
     """
     m = left_steps.shape[0]
     out = np.empty((m + 1,) + terminal.shape)

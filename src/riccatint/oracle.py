@@ -19,16 +19,7 @@ from __future__ import annotations
 import numpy as np
 
 from .evolution import OperatorFunction, TimeGrid
-from .linops import node_opnorms, symmetrize
-
-
-def _symmetric_stack(values: np.ndarray, tol: float) -> bool:
-    """sup_n ||V_n - V_n^T|| <= tol (1 + max |V|), decomposing only the nodes whose
-    V_n - V_n^T is not exactly zero, the first of them alone."""
-    undecided = np.flatnonzero((values != np.swapaxes(values, -1, -2)).any(axis=(1, 2)))
-    bound = tol * (1.0 + float(np.abs(values).max()))
-    return all((node_opnorms(values[part] - np.swapaxes(values[part], -1, -2)) <= bound).all()
-               for part in (undecided[:1], undecided[1:]))
+from .linops import first_defect, symmetrize
 
 
 def solve_differential_riccati(generator: OperatorFunction, B: OperatorFunction,
@@ -56,7 +47,9 @@ def solve_differential_riccati(generator: OperatorFunction, B: OperatorFunction,
 
     sym_tol = 1e-12
     symmetric = (float(np.abs(g - g.T).max()) <= sym_tol * (1.0 + float(np.abs(g).max()))
-                 and _symmetric_stack(B.values, sym_tol) and _symmetric_stack(C.values, sym_tol))
+                 and all(first_defect(v, np.swapaxes(v, -1, -2),
+                                      lambda part: 1.0 + float(np.abs(v).max()), sym_tol) is None
+                         for v in (B.values, C.values)))
 
     def rhs(a_t, b_t, neg_c_t, p):
         return neg_c_t - a_t.T @ p - p @ a_t + p @ b_t @ p

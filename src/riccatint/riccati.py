@@ -31,7 +31,7 @@ from typing import List, Optional, Union
 import numpy as np
 
 from .evolution import EvolutionFamily, OperatorFunction, adjoint_backward_family
-from .linops import node_opnorms, sup_opnorm, symmetrize
+from .linops import first_defect, sup_opnorm, symmetrize
 from .lyapunov import ConvergenceError, _checked_terminal, _march, _window_defects
 from .volterra import perturb_backward, perturb_forward
 
@@ -96,12 +96,6 @@ class RiccatiProblem:
         return self.C.values - p_values @ self.B.values @ p_values
 
 
-def _sym_stats(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per-node (asymmetry, norm of the symmetric part)."""
-    asym = node_opnorms(values - np.swapaxes(values, -1, -2))
-    return asym, np.abs(np.linalg.eigvalsh(symmetrize(values))).max(axis=1)
-
-
 @dataclass(frozen=True)
 class HypothesisReport:
     """Outcome of the symmetric-setting hypothesis check (report, never raises):
@@ -109,28 +103,6 @@ class HypothesisReport:
 
     passed: bool
     first_violation: Optional[tuple]
-
-
-def _first(nodes: np.ndarray) -> Optional[int]:
-    return int(nodes[0]) if nodes.size else None
-
-
-def _first_asymmetric_node(values: np.ndarray, tol: float) -> Optional[int]:
-    """First node with ||A - A^T|| > tol (1 + ||sym A||), or None.
-
-    A node whose A - A^T is exactly zero passes (for tol >= 0) without LAPACK;
-    only the others are decomposed, each with the result it has in any batch.
-    The first of them goes alone, as a non-symmetric stack usually fails there.
-    """
-    undecided = np.flatnonzero((values != np.swapaxes(values, -1, -2)).any(axis=(1, 2))
-                               | (tol < 0))
-    for part in (undecided[:1], undecided[1:]):
-        if part.size:
-            asym, norms = _sym_stats(values[part])
-            node = _first(part[asym > tol * (1.0 + norms)])
-            if node is not None:
-                return node
-    return None
 
 
 def _first_negative_node(values: np.ndarray, tol: float) -> Optional[int]:
@@ -164,20 +136,20 @@ def _first_negative_node(values: np.ndarray, tol: float) -> Optional[int]:
             except np.linalg.LinAlgError:
                 pass
     eigs = np.linalg.eigvalsh(sym)
-    return _first(np.flatnonzero(eigs[:, 0] < -tol * (1.0 + np.abs(eigs).max(axis=1))))
+    nodes = np.flatnonzero(eigs[:, 0] < -tol * (1.0 + np.abs(eigs).max(axis=1)))
+    return int(nodes[0]) if nodes.size else None
 
 
 def _first_violation(problem: RiccatiProblem, tol: float) -> Optional[tuple]:
-    duality = problem.U_backward.steps - np.swapaxes(problem.U_forward.steps, -1, -2)
-    steps = np.flatnonzero(duality.any(axis=(1, 2)) | (tol < 0))
-    if steps.size:
-        scale = 1.0 + problem.U_forward.step_norms[steps]
-        node = _first(steps[node_opnorms(duality[steps]) > tol * scale])
-        if node is not None:
-            return "duality", node
+    forward = problem.U_forward
+    node = first_defect(problem.U_backward.steps, np.swapaxes(forward.steps, -1, -2),
+                        lambda part: 1.0 + forward.step_norms[part], tol)
+    if node is not None:
+        return "duality", node
     for name, values in (("C", problem.C.values), ("B", problem.B.values),
                          ("G", problem.G[None, :, :])):
-        node = _first_asymmetric_node(values, tol)
+        node = first_defect(values, np.swapaxes(values, -1, -2), lambda part: 1.0 + np.abs(
+            np.linalg.eigvalsh(symmetrize(values[part]))).max(axis=1), tol)
         if node is not None:
             return f"{name}-symmetry", node
         node = _first_negative_node(values, tol)
@@ -194,8 +166,8 @@ def check_hypotheses(problem: RiccatiProblem, tol: float = _HYPOTHESIS_TOL) -> H
     at distant pairs are products of steps.  The kinds are tested in the order
     duality, C-symmetry, C-nonnegativity, B-..., G-..., and the first kind with
     a failing node is reported at its first such node.  Steps and nodes with an
-    exactly zero defect pass without LAPACK, and nonnegativity is decided by
-    one batched Cholesky where it can be (see ``_first_negative_node``).
+    exactly zero defect pass without LAPACK (``first_defect``), and one batched
+    Cholesky decides nonnegativity where it can (``_first_negative_node``).
     """
     first = (("dimension", -1) if problem.U_forward.dim != problem.U_backward.dim
              else _first_violation(problem, tol))
@@ -332,6 +304,14 @@ class IterationRecord:
     norm_decrease_margin: Optional[float] = None      # min over nodes of ||P_{n-1}|| - ||P_n||
 
 
+def _check_window_bounds(M1: float, M2: float, r_G: float, r_C: float, r_B: float) -> None:
+    """Refuse family bounds below 1 and negative norm caps, and NaN or inf in either."""
+    if not (1.0 <= M1 < math.inf and 1.0 <= M2 < math.inf):
+        raise ValueError("family bounds must be >= 1 and finite")
+    if not all(0.0 <= r < math.inf for r in (r_G, r_C, r_B)):
+        raise ValueError("norm caps must be nonnegative and finite")
+
+
 @dataclass(frozen=True)
 class ContractionParams:
     """Certified parameters of one contraction window.
@@ -349,10 +329,7 @@ class ContractionParams:
     delta: float
 
     def __post_init__(self):
-        if self.M1 < 1.0 or self.M2 < 1.0:
-            raise ValueError("family bounds must be >= 1")
-        if min(self.r_G, self.r_C, self.r_B) < 0.0:
-            raise ValueError("norm caps must be nonnegative")
+        _check_window_bounds(self.M1, self.M2, self.r_G, self.r_C, self.r_B)
         if not (self.delta > 0.0 and math.isfinite(self.delta)):
             raise ValueError("delta must be a positive finite step")
         if self.contraction_lhs >= 1.0:
@@ -406,13 +383,10 @@ def compute_delta(M1: float, M2: float, r_G: float, r_C: float, r_B: float,
     1 - safety.  For r_B = 0 the condition is vacuous and the full horizon is
     returned (infinite when no horizon is given).
     """
-    if M1 < 1.0 or M2 < 1.0:
-        raise ValueError("family bounds must be >= 1")
-    if min(r_G, r_C, r_B) < 0.0:
-        raise ValueError("norm caps must be nonnegative")
+    _check_window_bounds(M1, M2, r_G, r_C, r_B)
     if not (0.0 < safety < 1.0):
         raise ValueError("safety must lie in (0, 1)")
-    if horizon is not None and horizon <= 0.0:
+    if horizon is not None and not horizon > 0.0:
         raise ValueError("horizon must be positive when given")
     cap = math.inf if horizon is None else horizon
     if r_B == 0.0:

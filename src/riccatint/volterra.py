@@ -125,10 +125,10 @@ class GronwallBound:
     M_Q: float
 
     def __post_init__(self):
-        if self.M_U < 1.0:
-            raise ValueError("M_U must be >= 1")
-        if self.M_Q < 0.0:
-            raise ValueError("M_Q must be >= 0")
+        if not 1.0 <= self.M_U < np.inf:
+            raise ValueError("M_U must be >= 1 and finite")
+        if not 0.0 <= self.M_Q < np.inf:
+            raise ValueError("M_Q must be >= 0 and finite")
 
     def majorant(self, dt, driving_integral):
         """The majorant at elapsed time ``dt``; elementwise over arrays."""

@@ -132,6 +132,16 @@ def test_carry_yields_each_node_value_applied_to_x(rng, direction, start):
                               list(fam.carry(start, np.eye(2)))[abs(end - start)])
 
 
+@pytest.mark.parametrize("direction", ["forward", "backward"])
+def test_carry_refuses_starts_off_the_grid(rng, direction):
+    fwd = EvolutionFamily(TimeGrid(1.0, 4), "forward", rng.standard_normal((4, 2, 2)))
+    fam = fwd if direction == "forward" else adjoint_backward_family(fwd)
+    for start in (-1, 5, 7):
+        with pytest.raises(IndexError, match=f"start node out of range: {start}"):
+            fam.carry(start, np.ones(2))
+    assert len(list(fam.carry(4, np.ones(2)))) == (1 if direction == "forward" else 5)
+
+
 def _loop_step_subscripts(path):
     """Lines of ``<...>.steps[...]`` inside a for/while loop or a comprehension,
     outside ``EvolutionFamily.carry``."""

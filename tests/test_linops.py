@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from riccatint import linops
-from riccatint.linops import is_nonnegative, quadratic_form, sup_opnorm
+from riccatint.linops import (first_defect, is_nonnegative, node_opnorms, quadratic_form,
+                              sup_opnorm)
 
 from conftest import is_nonnegative_reference, outcome, sup_opnorm_reference
 
@@ -273,4 +274,48 @@ def test_only_linops_calls_the_svd():
                       if re.search(r"\bsvd\b", line)]
         offenders += [f"{path.name}:{node.lineno}: norm(..., 2)"
                       for node in ast.walk(ast.parse(text)) if _is_matrix_two_norm(node)]
+    assert offenders == []
+
+
+def test_first_defect_decomposes_and_scales_only_unequal_nodes(monkeypatch, rng):
+    a = rng.standard_normal((10, 3, 3))
+    b = a.copy()
+    b[3, 0, 1] += 1e-9
+    b[7, 2, 0] += 1.0
+    decomposed, scaled = [], []
+
+    def counting(values):
+        decomposed.append(len(values))
+        return node_opnorms(values)
+
+    monkeypatch.setattr(linops, "node_opnorms", counting)
+
+    def scale(part):
+        scaled.append(part.tolist())
+        return np.ones(part.size)
+
+    assert first_defect(a, b, scale, 1e-6) == 7      # node 3 alone, then the rest
+    assert decomposed == [1, 1] and scaled == [[3], [7]]
+    decomposed.clear()
+    assert first_defect(a, a.copy(), scale, 0.0) is None and decomposed == []
+    assert first_defect(a, a.copy(), scale, -1.0) == 0      # tol < 0 decides every node
+
+
+def _swapaxes_inequalities(tree):
+    """Lines of a ``!=`` comparison with an operand that calls ``swapaxes``."""
+    def calls_swapaxes(operand):
+        return any(isinstance(call, ast.Call)
+                   and getattr(call.func, "attr", getattr(call.func, "id", None)) == "swapaxes"
+                   for call in ast.walk(operand))
+    return [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Compare) and any(isinstance(op, ast.NotEq) for op in node.ops)
+            and any(calls_swapaxes(operand) for operand in [node.left, *node.comparators])]
+
+
+def test_only_linops_scans_for_defects():
+    """One exact-zero-skipping defect scan: outside linops, no module compares a stack
+    with its ``swapaxes`` by ``!=`` (``first_defect`` does); ``==`` on bits is allowed."""
+    offenders = [f"{path.name}:{line}" for path in sorted(SRC.glob("*.py"))
+                 if path.name != "linops.py"
+                 for line in _swapaxes_inequalities(ast.parse(path.read_text()))]
     assert offenders == []

@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from riccatint import oracle
+from riccatint import linops
 from riccatint.evolution import OperatorFunction, TimeGrid
-from riccatint.linops import node_opnorms, sup_opnorm
+from riccatint.linops import first_defect, node_opnorms, sup_opnorm
 from riccatint.oracle import solve_differential_riccati
 from riccatint.testing import (inverse_linear_problem, random_symmetric_problem,
                                tanh_problem)
@@ -166,7 +166,7 @@ def test_symmetric_decision_decomposes_only_the_first_asymmetric_node(monkeypatc
         decomposed.append(len(values))
         return node_opnorms(values)
 
-    monkeypatch.setattr(oracle, "node_opnorms", counting)
+    monkeypatch.setattr(linops, "node_opnorms", counting)
     p_oracle = solve_differential_riccati(symmetric, symmetric, general, np.eye(2), grid)
     assert sum(decomposed) == 1         # B exactly symmetric, C fails at node 0
     assert symmetry_defect(p_oracle) > 0.0      # not symmetrized
@@ -183,4 +183,6 @@ def test_symmetric_decision_equals_sup_norm_test(nodes, n, defect, where, seed):
         values[where % nodes, 0, 1] += defect * (1.0 + np.abs(values).max())
     bound = 1e-12 * (1.0 + float(np.abs(values).max()))
     want = sup_opnorm_reference(values - np.swapaxes(values, -1, -2)) <= bound
-    assert oracle._symmetric_stack(values, 1e-12) == want
+    scale = 1.0 + float(np.abs(values).max())
+    got = first_defect(values, np.swapaxes(values, -1, -2), lambda part: scale, 1e-12) is None
+    assert got == want

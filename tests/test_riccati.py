@@ -555,6 +555,13 @@ def test_compute_delta_rejects_bad_inputs():
         compute_delta(1.0, 1.0, -1.0, 0.0, 1.0)
     with pytest.raises(ValueError):
         compute_delta(1.0, 1.0, 1.0, 0.0, 1.0, safety=1.5)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="family bounds must be >= 1"):
+            compute_delta(bad, 1.0, 1.0, 1.0, 1.0)
+        with pytest.raises(ValueError, match="norm caps must be nonnegative"):
+            compute_delta(1.0, 1.0, 1.0, bad, 1.0)
+    with pytest.raises(ValueError, match="horizon must be positive"):
+        compute_delta(1.0, 1.0, 1.0, 1.0, 1.0, horizon=math.nan)
 
 
 def test_contraction_params_validation():
@@ -563,6 +570,11 @@ def test_contraction_params_validation():
     assert params.rho == 2.0        # 2 M1 M2 (r_G + delta r_C), derived
     with pytest.raises(ValueError):
         ContractionParams(1.0, 1.0, 1.0, 0.0, 1.0, delta=0.3)  # lhs >= 1
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="family bounds must be >= 1"):
+            ContractionParams(1.0, bad, 1.0, 1.0, 1.0, delta=0.1)
+        with pytest.raises(ValueError, match="norm caps must be nonnegative"):
+            ContractionParams(1.0, 1.0, bad, 1.0, 1.0, delta=0.1)
 
 
 # ---------------------------------------------------------------- picard solver

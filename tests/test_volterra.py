@@ -244,6 +244,11 @@ def test_gronwall_bound_shape():
     assert np.all(np.diff(values) >= 0)
     with pytest.raises(ValueError):
         GronwallBound(M_U=0.5, M_Q=1.0)
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="M_U must be >= 1"):
+            GronwallBound(M_U=bad, M_Q=1.0)
+        with pytest.raises(ValueError, match="M_Q must be >= 0"):
+            GronwallBound(M_U=2.0, M_Q=bad)
     with pytest.raises(ValueError):
         bound.majorant(-1.0, 1.0)
 
