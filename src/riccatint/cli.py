@@ -380,27 +380,35 @@ def _settings(pfile: ProblemFile, **overrides) -> dict:
     return settings
 
 
+def _residual_threshold(grid: TimeGrid, p_fun: OperatorFunction) -> float:
+    """The residual gate of ``check``, and of every solve with an iterative solver."""
+    return max(1e-9, 25.0 * grid.h * grid.h * (1.0 + sup_opnorm(p_fun.values)))
+
+
 def _run_solver(solver: str, problem: RiccatiProblem,
                 generator: Optional[OperatorFunction], tol_abs: float,
                 tol_rel: float, max_iter: int, safety: float) -> RiccatiSolution:
-    """The one dispatch over the monotone, Picard and oracle solvers."""
+    """The one dispatch over the monotone, Picard and oracle solvers.  A monotone
+    or Picard solution whose residual exceeds the gate of ``check`` stopped on
+    its tolerances before convergence and raises; the oracle has no stopping
+    tolerance and is not gated."""
+    if solver == "oracle":
+        if generator is None:
+            raise ValueError("the oracle solver needs a generator-driven problem")
+        p_oracle = solve_differential_riccati(generator, problem.B, problem.C,
+                                              problem.G, problem.grid)
+        return RiccatiSolution(P=p_oracle, sup_differences=[],
+                               residual=riccati_residual(p_oracle, problem))
     if solver == "monotone":
-        return solve_monotone(problem, tol_abs=tol_abs, tol_rel=tol_rel,
-                              max_iter=max_iter)
-    if solver == "picard":
-        return solve_picard_stepped(problem, tol_abs=tol_abs, tol_rel=tol_rel,
-                                    max_iter=max_iter, safety=safety)
-    if generator is None:
-        raise ValueError("the oracle solver needs a generator-driven problem")
-    p_oracle = solve_differential_riccati(generator, problem.B, problem.C,
-                                          problem.G, problem.grid)
-    return RiccatiSolution(P=p_oracle, sup_differences=[],
-                           residual=riccati_residual(p_oracle, problem))
-
-
-def _residual_threshold(grid: TimeGrid, p_fun: OperatorFunction) -> float:
-    """The residual gate of ``check``, and of ``solve`` for its iterative solvers."""
-    return max(1e-9, 25.0 * grid.h * grid.h * (1.0 + sup_opnorm(p_fun.values)))
+        solution = solve_monotone(problem, tol_abs=tol_abs, tol_rel=tol_rel, max_iter=max_iter)
+    else:
+        solution = solve_picard_stepped(problem, tol_abs=tol_abs, tol_rel=tol_rel,
+                                        max_iter=max_iter, safety=safety)
+    limit = _residual_threshold(problem.grid, solution.P)
+    if not solution.residual <= limit:
+        raise ConvergenceError("stopped before convergence: residual "
+                               f"{solution.residual:.3e} > {limit:.3e}")
+    return solution
 
 
 def cmd_solve(problem_path, out_dir, tol_abs: Optional[float] = None,
@@ -416,11 +424,6 @@ def cmd_solve(problem_path, out_dir, tol_abs: Optional[float] = None,
     start = time.perf_counter()
     solution = _run_solver(chosen, problem, generator, **settings)
     wall = time.perf_counter() - start
-    if chosen != "oracle":          # the oracle has no stopping tolerance
-        limit = _residual_threshold(problem.grid, solution.P)
-        if not solution.residual <= limit:
-            raise ConvergenceError("stopped before convergence: residual "
-                                   f"{solution.residual:.3e} > {limit:.3e}")
 
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -580,7 +583,7 @@ def cmd_lqr_demo(problem_path, x0: List[float], tol: Optional[float] = None) -> 
     if x_init.shape != (pfile.dimension,):
         raise ValueError(f"x0 must have length {pfile.dimension}")
 
-    solution = solve_monotone(problem)
+    solution = _run_solver("monotone", problem, generator, **_settings(pfile))
     with np.errstate(over="ignore", invalid="ignore"):  # reported once, below
         predicted = quadratic_form(solution.P.values[0], x_init)
         cost, states = _simulate_lqr(generator, problem.C, problem.G, bu, problem.grid,

@@ -110,10 +110,10 @@ def is_nonnegative(mat, tol: float = 1e-12) -> bool:
 
     Raises ValueError when ||M - M^T|| exceeds the same bound (a definiteness
     query on a genuinely non-self-adjoint operator is a usage bug) or when
-    ``tol`` is negative.
+    ``tol`` is negative or NaN.
     """
     square = _require_square(mat)
-    if tol < 0:
+    if not tol >= 0:
         raise ValueError("tol must be nonnegative")
     bound = tol * (1.0 + sup_opnorm(square))
     if not sup_opnorm(square - square.T) <= bound:

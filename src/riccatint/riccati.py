@@ -52,9 +52,9 @@ class RiccatiProblem:
     """Full problem datum: families, coefficients, terminal operator, grid.
 
     The problem is in the symmetric setting, ``symmetric_mode``, when
-    :func:`check_hypotheses` passes: the backward family is the adjoint dual
-    of the forward one and C, B, G are self-adjoint nonnegative.  The monotone
-    solver requires it; the Picard solver does not.
+    :func:`check_hypotheses` finds no violation: the backward family is the
+    adjoint dual of the forward one and C, B, G are self-adjoint nonnegative.
+    The monotone solver requires it; the Picard solver does not.
     """
 
     U_forward: EvolutionFamily
@@ -82,27 +82,18 @@ class RiccatiProblem:
         return self.U_forward.grid
 
     @cached_property
-    def hypotheses(self) -> "HypothesisReport":
+    def first_violation(self) -> Optional[tuple]:
         """``check_hypotheses(self)`` at the default tolerance, run on first use."""
         return check_hypotheses(self)
 
     @property
     def symmetric_mode(self) -> bool:
-        """Whether the problem passes its hypothesis check (``hypotheses``)."""
-        return self.hypotheses.passed
+        """Whether the problem passes its hypothesis check (``first_violation``)."""
+        return self.first_violation is None
 
     def kernel(self, p_values: np.ndarray) -> np.ndarray:
         """C - P B P sampled on the nodes."""
         return self.C.values - p_values @ self.B.values @ p_values
-
-
-@dataclass(frozen=True)
-class HypothesisReport:
-    """Outcome of the symmetric-setting hypothesis check (report, never raises):
-    whether it passed and, when not, the first failing (kind, node index)."""
-
-    passed: bool
-    first_violation: Optional[tuple]
 
 
 def _first_negative_node(values: np.ndarray, tol: float) -> Optional[int]:
@@ -140,8 +131,24 @@ def _first_negative_node(values: np.ndarray, tol: float) -> Optional[int]:
     return int(nodes[0]) if nodes.size else None
 
 
-def _first_violation(problem: RiccatiProblem, tol: float) -> Optional[tuple]:
+def check_hypotheses(problem: RiccatiProblem, tol: float = _HYPOTHESIS_TOL) -> Optional[tuple]:
+    """The first failing hypothesis of the symmetric setting as (kind, node), or None.
+
+    Duality is checked step by step: equality of every backward step with the
+    transposed forward step extends to all grid pairs exactly, because values
+    at distant pairs are products of steps.  The kinds are tested in the order
+    dimension (node -1), duality, C-symmetry, C-nonnegativity, B-..., G-...,
+    and the first kind with a failing node is reported at its first such node.
+    Steps and nodes with an exactly zero defect pass without LAPACK
+    (``first_defect``), and one batched Cholesky decides nonnegativity where it
+    can (``_first_negative_node``).  A NaN or negative ``tol`` certifies
+    nothing and is refused.
+    """
+    if not tol >= 0.0:
+        raise ValueError("tol must be nonnegative")
     forward = problem.U_forward
+    if forward.dim != problem.U_backward.dim:
+        return "dimension", -1
     node = first_defect(problem.U_backward.steps, np.swapaxes(forward.steps, -1, -2),
                         lambda part: 1.0 + forward.step_norms[part], tol)
     if node is not None:
@@ -156,22 +163,6 @@ def _first_violation(problem: RiccatiProblem, tol: float) -> Optional[tuple]:
         if node is not None:
             return f"{name}-nonnegativity", node
     return None
-
-
-def check_hypotheses(problem: RiccatiProblem, tol: float = _HYPOTHESIS_TOL) -> HypothesisReport:
-    """Verify adjoint duality of the families and symmetry/PSD of C, B, G.
-
-    Duality is checked step by step: equality of every backward step with the
-    transposed forward step extends to all grid pairs exactly, because values
-    at distant pairs are products of steps.  The kinds are tested in the order
-    duality, C-symmetry, C-nonnegativity, B-..., G-..., and the first kind with
-    a failing node is reported at its first such node.  Steps and nodes with an
-    exactly zero defect pass without LAPACK (``first_defect``), and one batched
-    Cholesky decides nonnegativity where it can (``_first_negative_node``).
-    """
-    first = (("dimension", -1) if problem.U_forward.dim != problem.U_backward.dim
-             else _first_violation(problem, tol))
-    return HypothesisReport(first is None, first)
 
 
 def _on_grid(P: OperatorFunction, problem: RiccatiProblem) -> np.ndarray:
@@ -269,7 +260,7 @@ def representation_check_two_sided(P: OperatorFunction, problem: RiccatiProblem,
 def _require_hypotheses(problem: RiccatiProblem) -> None:
     """Raise the first failing hypothesis of the problem's cached check."""
     if not problem.symmetric_mode:
-        kind, node = problem.hypotheses.first_violation
+        kind, node = problem.first_violation
         raise HypothesisViolation(kind, node, f"hypothesis {kind} fails at node {node}")
 
 

@@ -696,6 +696,23 @@ def test_cmd_lqr_demo(tmp_path, capsys):
         "error: hypothesis violation (C-nonnegativity at node 0)\n"
 
 
+@pytest.mark.parametrize("tolerances", [{"max_iter": 1}, {"tol_abs": 1e300}])
+def test_monotone_commands_stop_as_solve_does(tmp_path, capsys, tolerances):
+    """``lqr-demo`` and ``study`` solve with the document's tolerances and the
+    residual gate of ``solve``: a cap too low to converge, or a tolerance so
+    loose that the iteration stops after one iterate, ends each command in exit
+    3 with one message and no output."""
+    path = write_doc(tmp_path / "tanh.json", tanh_doc(steps=200, tolerances=tolerances))
+    assert main(["solve", path, "--out", str(tmp_path / "out")]) == EXIT_NO_CONVERGENCE
+    err = capsys.readouterr().err
+    assert err.startswith("error: monotone iteration did not converge in 1 steps"
+                          if "max_iter" in tolerances else
+                          "error: stopped before convergence: residual ")
+    for argv in (["lqr-demo", path, "--x0", "1.0"], ["study", path, "--grids", "200,400,800"]):
+        assert main(argv) == EXIT_NO_CONVERGENCE
+        assert capsys.readouterr() == ("", err)
+
+
 def test_propagator_table_problem(tmp_path):
     steps = 40
     doc = {

@@ -36,6 +36,9 @@ def test_is_self_adjoint_rejects_nonsquare():
         is_nonnegative(np.zeros((2, 3)))
     with pytest.raises(ValueError, match="tol must be nonnegative"):
         is_nonnegative(np.eye(2), -1e-12)
+    # a NaN tolerance certifies nothing: refused as such, not as an asymmetry
+    with pytest.raises(ValueError, match="tol must be nonnegative"):
+        is_nonnegative(np.eye(2), np.nan)
 
 
 def test_is_nonnegative_zero_and_identity():

@@ -41,7 +41,7 @@ def test_public_names_resolve():
 
 def _check_library_api_names(section):
     """Every dotted name the section cites (``linops.sup_opnorm``,
-    ``riccati.HypothesisReport``, ``OperatorFunction.from_sampler``, ...)
+    ``RiccatiProblem.first_violation``, ``OperatorFunction.from_sampler``, ...)
     exists: its head is ``riccatint``, a submodule or a public name.  Every
     name cited in call form without a dot (``solve_linear(``) is public or the
     last part of a dotted name the section also cites (``carry(`` beside
@@ -71,7 +71,7 @@ def _library_api_section():
 
 def test_library_api_names_resolve():
     section = _library_api_section()
-    assert "riccati.HypothesisReport" in _check_library_api_names(section)
+    assert "RiccatiProblem.first_violation" in _check_library_api_names(section)
     assert "`solve_linear(" in section and "`carry(" in section
 
 

@@ -167,7 +167,7 @@ def test_hypothesis_check_runs_once_per_problem(monkeypatch):
     fresh = dataclasses.replace(problem)
     solve_monotone(fresh)
     solve_monotone(fresh)
-    assert fresh.symmetric_mode and fresh.hypotheses.passed
+    assert fresh.symmetric_mode and fresh.first_violation is None
     assert len(calls) == 2
     # the Picard solver needs no check
     solve_picard_stepped(dataclasses.replace(problem))
@@ -396,9 +396,7 @@ def test_representation_check_detects_wrong_solution():
 
 def test_check_hypotheses_passes_canonical():
     problem, _ = random_symmetric_problem(seed=2, n=3, steps=50)
-    report = check_hypotheses(problem)
-    assert report.passed
-    assert report.first_violation is None
+    assert check_hypotheses(problem) is None
 
 
 def test_check_hypotheses_flags_asymmetric_node():
@@ -408,9 +406,7 @@ def test_check_hypotheses_flags_asymmetric_node():
     tampered = RiccatiProblem(problem.U_forward, problem.U_backward,
                               OperatorFunction(problem.grid, c_vals),
                               problem.B, problem.G)
-    report = check_hypotheses(tampered)
-    assert not report.passed
-    assert report.first_violation == ("C-symmetry", 17)
+    assert check_hypotheses(tampered) == ("C-symmetry", 17)
 
 
 def test_check_hypotheses_flags_independent_backward_family():
@@ -419,9 +415,7 @@ def test_check_hypotheses_flags_independent_backward_family():
         problem.grid, 0.3 * np.array([[0.0, 1.0], [1.0, 0.0]])))
     mismatched = RiccatiProblem(problem.U_forward, adjoint_backward_family(other),
                                 problem.C, problem.B, problem.G)
-    report = check_hypotheses(mismatched)
-    assert not report.passed
-    assert report.first_violation[0] == "duality"
+    assert check_hypotheses(mismatched)[0] == "duality"
 
 
 # Perturbations at one node, in units of the test's threshold tol (1 + ||A||):
@@ -479,10 +473,10 @@ def _hypothesis_problem(n, steps, seed, duality, perturbations, tol=1e-10):
                           OperatorFunction(grid, stacks["B"]), stacks["G"][0])
 
 
-def _assert_report_equals_reference(problem, tol=1e-10):
-    report = check_hypotheses(problem, tol)
-    assert (report.passed, report.first_violation) == check_hypotheses_reference(problem, tol)
-    return report
+def _assert_check_equals_reference(problem, tol=1e-10):
+    first = check_hypotheses(problem, tol)
+    assert (first is None, first) == check_hypotheses_reference(problem, tol)
+    return first
 
 
 _PERTURBATION = st.tuples(st.sampled_from(_SYMMETRY_DEFECTS),
@@ -496,22 +490,33 @@ _PERTURBATION = st.tuples(st.sampled_from(_SYMMETRY_DEFECTS),
 def test_check_hypotheses_equals_full_decomposition(n, steps, seed, duality, perturbations):
     """The exact-zero tests and the Cholesky give the verdict and the (kind,
     node) that decomposing every node gives."""
-    _assert_report_equals_reference(
+    _assert_check_equals_reference(
         _hypothesis_problem(n, steps, seed, duality, perturbations))
 
 
-@pytest.mark.parametrize("tol", [0.0, -1e-10, math.nan, 1e-17, 1e-30, 1e-3])
+@pytest.mark.parametrize("tol", [0.0, 1e-17, 1e-30, 1e-3])
 def test_check_hypotheses_equals_full_decomposition_at_other_tolerances(tol):
-    """Tolerances where the exact-zero or Cholesky tests do not apply (tol <= 0,
-    NaN, n (n+1) eps > tol / 4) take the full decomposition; a singular node
-    (eigenvalue factor 0) sits at the threshold of tol = 0."""
+    """Tolerances where the Cholesky test does not apply (n (n+1) eps > tol / 4)
+    take the full decomposition; a singular node (eigenvalue factor 0) sits at
+    the threshold of tol = 0."""
     for n, steps, perturbations in (
             (8, 20, {}), (3, 20, {"C": (None, 1.01)}), (2, 20, {"B": (0.99, None)}),
             (1, 20, {"G": (None, 2.0)}), (2, 0, {}), (8, 20, {"C": (None, 0.0)}),
             (32, 20, {"B": (None, 0.0)})):
         for seed in range(4):
-            _assert_report_equals_reference(
+            _assert_check_equals_reference(
                 _hypothesis_problem(n, steps, seed, None, perturbations), tol)
+
+
+@pytest.mark.parametrize("tol", [-1e-10, -1.0, math.nan])
+def test_check_hypotheses_refuses_a_tolerance_that_certifies_nothing(tol):
+    """A NaN tolerance passed every node (C = -1 included) and a negative one
+    failed exact duality; both are refused before any scan."""
+    indefinite = _indefinite(tanh_problem(20)[0])
+    for problem in (indefinite, tanh_problem(20)[0]):
+        with pytest.raises(ValueError, match="tol must be nonnegative"):
+            check_hypotheses(problem, tol)
+    assert check_hypotheses(indefinite, 0.0) == ("C-nonnegativity", 0)
 
 
 def test_hypothesis_report_for_mismatched_dimensions():
@@ -520,8 +525,7 @@ def test_hypothesis_report_for_mismatched_dimensions():
     backward = EvolutionFamily(grid, "backward", np.repeat(np.eye(3)[None], 4, axis=0))
     problem = RiccatiProblem(forward, backward, OperatorFunction.zero(grid, 3, 2),
                              OperatorFunction.zero(grid, 2, 3), np.zeros((3, 2)))
-    report = _assert_report_equals_reference(problem)
-    assert report.first_violation == ("dimension", -1)
+    assert _assert_check_equals_reference(problem) == ("dimension", -1)
     assert not problem.symmetric_mode
     with pytest.raises(HypothesisViolation) as err:
         solve_monotone(problem)
