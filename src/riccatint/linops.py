@@ -41,12 +41,15 @@ def first_defect(a: np.ndarray, b: np.ndarray, scale: Callable[[np.ndarray], np.
     """First node k of two equal stacks with ||a[k] - b[k]|| > tol * scale(part), or None.
 
     ``scale`` maps an index array ``part`` to the scales of those nodes (or to
-    one scale for all).  A node where a and b are equal passes (for tol >= 0)
-    without LAPACK; only the others are decomposed, each with the norm it has
-    in any batch.  The first of them goes alone, as a defective stack usually
-    fails there, and ``scale`` is evaluated on the decomposed nodes only.
+    one scale for all).  A node where a and b are equal passes without LAPACK;
+    only the others are decomposed, each with the norm it has in any batch.
+    The first of them goes alone, as a defective stack usually fails there, and
+    ``scale`` is evaluated on the decomposed nodes only.  A NaN or negative
+    ``tol``, which would pass every node or fail an equal one, is refused.
     """
-    undecided = np.flatnonzero((a != b).any(axis=(1, 2)) | (tol < 0))
+    if not tol >= 0:
+        raise ValueError("tol must be nonnegative")
+    undecided = np.flatnonzero((a != b).any(axis=(1, 2)))
     for part in (undecided[:1], undecided[1:]):
         if part.size:
             failed = part[node_opnorms(a[part] - b[part]) > tol * scale(part)]

@@ -9,7 +9,8 @@ with V a backward and U a forward evolution family.  The discretization is
 the composite trapezoidal rule; because the transports compose exactly, the
 whole quadrature collapses to a backward one-node-at-a-time recursion, and
 the coefficient terms at the newest node are solved implicitly, so the
-returned samples satisfy the discrete equation to machine precision.
+returned samples satisfy the discrete equation to machine precision.  Without
+coefficients the recursion is affine and small nodes march it by blocks.
 
 The same marching core doubles as the explicit evaluator used for residual
 checks and representation formulas.
@@ -33,6 +34,13 @@ class ConvergenceError(RuntimeError):
     def __init__(self, message: str, history: Optional[List[float]] = None):
         super().__init__(message)
         self.history = list(history) if history is not None else []
+
+
+def _wide(n: int) -> bool:
+    """The one dimension rule, n >= 16: below it a numpy call on one n x n node
+    costs more than its arithmetic, so the explicit march batches its steps
+    across blocks and work beside a stack is run inline, not on a thread."""
+    return n >= 16
 
 
 def _coupling(x: np.ndarray, q1: Optional[np.ndarray], q2: Optional[np.ndarray],
@@ -63,6 +71,11 @@ def _march(left_steps: np.ndarray, right_steps: np.ndarray, kernel: np.ndarray,
     by the recursion R_i = B_i R_{i+1} S_i + (h/2)(K_i + B_i K_{i+1} S_i),
     which unrolls to exactly the composite trapezoidal sum at every node.  The
     source terms (h/2)(...) need no earlier node and come as one stack (:func:`_sources`).
+    The steps compose, so unless ``_wide`` (of the larger side) they go in
+    blocks of k = isqrt(m), as in a scan: k - 1 batched passes form each block's
+    composite map, the block starts are marched through those, and k - 1 batched
+    passes fill the interiors; the m mod k top steps go one node at a time.
+    This is the same unrolled sum, rounded otherwise.  If ``_wide``, k is 1.
 
     With Q1/Q2 the kernel gains -(P Q1 + Q2 P), and the endpoint term couples
     P_i to itself; the small affine system x = rhs_i - (h/2)(x Q1_i + Q2_i x)
@@ -81,9 +94,21 @@ def _march(left_steps: np.ndarray, right_steps: np.ndarray, kernel: np.ndarray,
         return out
     src = _sources(left_steps, right_steps, kernel, h)
     if q1 is None and q2 is None:
+        k = 1 if _wide(max(terminal.shape)) else math.isqrt(m)
+        top = m - m % k         # the leftover steps top..m-1 go one node at a time
         cur = out[m]
-        for i in range(m - 1, -1, -1):
+        for i in range(m - 1, top - 1, -1):
             cur = np.add(left_steps[i] @ cur @ right_steps[i], src[i], out=out[i])
+        lb, rb, sb, ob = (a[:top].reshape((-1, k) + a.shape[1:])
+                          for a in (left_steps, right_steps, src, out))
+        lc, rc, sc = lb[:, -1], rb[:, -1], sb[:, -1]
+        for j in range(k - 2, -1, -1):      # each block's composite map
+            lc, rc, sc = lb[:, j] @ lc, rc @ rb[:, j], lb[:, j] @ sc @ rb[:, j] + sb[:, j]
+        for b in range(top // k - 1, -1, -1):       # block starts
+            cur = np.add(lc[b] @ cur @ rc[b], sc[b], out=ob[b, 0])
+        nxt = out[k:top + 1:k]
+        for j in range(k - 1, 0, -1):       # block interiors
+            nxt = np.add(lb[:, j] @ nxt @ rb[:, j], sb[:, j], out=ob[:, j])
         return out
     alpha = 0.5 * h
     # x - alpha (x Q1 + Q2 x) at node i + 1: formed at the terminal node, then carried
@@ -129,10 +154,11 @@ def _window_defects(left_steps: np.ndarray, right_steps: np.ndarray,
     grid into stretches [lo, hi) between consecutive ends, on each of which
     the same windows (t_a <= lo and hi <= tau_a) are active; they are
     gathered once, advanced node by node from hi - 1 down to lo by one
-    stacked product each, and scattered back once.  The per-node arithmetic
-    is that of ``_march``, so each transport is bitwise equal to
+    stacked product each, and scattered back once.  So each transport has
+    the bits of the per-node loop over its window, which is
     ``_march(left_steps[t:tau], right_steps[t:tau], kernel[t:tau + 1],
-    values[tau], h)[0]``.
+    values[tau], h)[0]`` bitwise only where ``_wide`` holds (elsewhere the
+    march goes by blocks).
     """
     src = _sources(left_steps, right_steps, kernel, h)
     defects = np.empty(len(t_index))

@@ -32,7 +32,7 @@ import numpy as np
 
 from .evolution import EvolutionFamily, OperatorFunction, adjoint_backward_family
 from .linops import first_defect, sup_opnorm, symmetrize
-from .lyapunov import ConvergenceError, _checked_terminal, _march, _window_defects
+from .lyapunov import ConvergenceError, _checked_terminal, _march, _wide, _window_defects
 from .volterra import perturb_backward, perturb_forward
 
 _HYPOTHESIS_TOL = 1e-10
@@ -399,11 +399,6 @@ def _spectra(new: np.ndarray, diff: Optional[np.ndarray]) -> tuple[np.ndarray, n
     return diff_eigs, diff_eigs if diff is None else np.linalg.eigvalsh(new)
 
 
-def _lane_open(n: int) -> bool:
-    """Whether jobs beside work on n x n stacks get a thread (below 16 they hold the GIL)."""
-    return n >= 16
-
-
 class _Inline(futures.Executor):
     """Executor running each job at submit, which raises the job's error."""
 
@@ -414,8 +409,8 @@ class _Inline(futures.Executor):
 
 
 def _lane(n: int) -> futures.Executor:
-    """Executor for jobs beside work on n x n stacks: one thread if ``_lane_open(n)``."""
-    return futures.ThreadPoolExecutor(max_workers=1) if _lane_open(n) else _Inline()
+    """Executor for jobs beside work on n x n stacks: one thread if ``_wide(n)``."""
+    return futures.ThreadPoolExecutor(max_workers=1) if _wide(n) else _Inline()
 
 
 def solve_monotone(problem: RiccatiProblem, tol_abs: float = 1e-10,

@@ -28,13 +28,14 @@ def rng():
 
 
 def flow_consistency_per_window(P, problem, t_index, tau_index):
-    """Flow residual of one pair by its own window march (the pre-sweep code)."""
+    """Flow residual of one pair by its own window march, node by node (the
+    pre-sweep code, whose per-node steps the stacked sweep keeps)."""
     window = slice(t_index, tau_index + 1)
     p_vals = P.values[window]
     kernel = problem.C.values[window] - p_vals @ problem.B.values[window] @ p_vals
-    transported = _march(problem.U_backward.steps[t_index:tau_index],
-                         problem.U_forward.steps[t_index:tau_index],
-                         kernel, P.values[tau_index], problem.grid.h)
+    transported = march_reference_cold(problem.U_backward.steps[t_index:tau_index],
+                                       problem.U_forward.steps[t_index:tau_index],
+                                       kernel, P.values[tau_index], problem.grid.h)
     return float(np.linalg.norm(P.values[t_index] - transported[0], 2))
 
 
@@ -255,10 +256,10 @@ def march_reference(left_steps, right_steps, kernel, terminal, h, q1=None, q2=No
     formed node by node inside the loops: each node's right-hand side
     transports x + d of the node before, d = x - rhs its converged correction,
     and its fixed point starts from rhs + 2 d_{i+1} - d_{i+2}.  Without
-    coefficients it is the cold reference's explicit march."""
+    coefficients it is the blocked march of ``march_reference_blocked``."""
     m = left_steps.shape[0]
     if m == 0 or (q1 is None and q2 is None):
-        return march_reference_cold(left_steps, right_steps, kernel, terminal, h)
+        return march_reference_blocked(left_steps, right_steps, kernel, terminal, h)
     out = np.empty((m + 1,) + terminal.shape)
     out[m] = terminal
     folded = left_steps @ kernel[1:] @ right_steps
@@ -293,6 +294,46 @@ def march_reference(left_steps, right_steps, kernel, terminal, h, q1=None, q2=No
         out[i] = x
         corrections.append(x - rhs)
         carried = x + corrections[-1]
+    return out
+
+
+def march_reference_blocked(left_steps, right_steps, kernel, terminal, h):
+    """The explicit ``lyapunov._march`` block by block and node by node, with
+    the source term (h/2)(K_i + L_i K_{i+1} R_i) formed per node.
+
+    Below 16 x 16 the m steps go in blocks of k = isqrt(m), from 16 x 16 in
+    blocks of one, which is the per-node loop of ``march_reference_cold``.  The
+    m mod k top steps go one node at a time from the terminal value.  Each block
+    [bk, bk + k) is composed from its top step down into x_bk = A x_(b+1)k B + c;
+    the block starts are marched through these maps, and each block's interior
+    nodes are stepped down from the start of the block above.
+    """
+    m = left_steps.shape[0]
+    out = np.empty((m + 1,) + terminal.shape)
+    out[m] = terminal
+    if m == 0:
+        return out
+    alpha = 0.5 * h
+    src = [alpha * (kernel[i] + left_steps[i] @ kernel[i + 1] @ right_steps[i])
+           for i in range(m)]
+    k = 1 if max(terminal.shape) >= 16 else math.isqrt(m)
+    top = m - m % k
+    for i in range(m - 1, top - 1, -1):
+        out[i] = left_steps[i] @ out[i + 1] @ right_steps[i] + src[i]
+    maps = []
+    for b in range(top // k):
+        first = b * k + k - 1
+        a, c, s = left_steps[first], right_steps[first], src[first]
+        for i in range(first - 1, b * k - 1, -1):
+            a, c, s = left_steps[i] @ a, c @ right_steps[i], \
+                left_steps[i] @ s @ right_steps[i] + src[i]
+        maps.append((a, c, s))
+    for b in range(top // k - 1, -1, -1):
+        a, c, s = maps[b]
+        out[b * k] = a @ out[(b + 1) * k] @ c + s
+    for b in range(top // k):
+        for i in range(b * k + k - 1, b * k, -1):
+            out[i] = left_steps[i] @ out[i + 1] @ right_steps[i] + src[i]
     return out
 
 

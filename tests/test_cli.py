@@ -324,6 +324,29 @@ def test_cmd_check_flow_max_equals_per_window_loop(tmp_path, capsys):
     assert printed[1] == f"{want:.6e}"
 
 
+@pytest.mark.parametrize("g, p, code, verdicts", [
+    (1.0, 1.0, EXIT_CHECK_FAILED, ["FAIL"] * 4),
+    (1e300, 1e300, EXIT_INVALID, []),
+], ids=["transport-overflows-to-nan", "transport-leaves-the-svd-nothing-finite"])
+def test_check_of_an_overflowing_transport_keeps_its_verdicts(tmp_path, capsys, g, p,
+                                                              code, verdicts):
+    """``check`` of P = p on a 40-step grid with generator 400 and G = g, where a
+    step scales P by e^10 on each side, so a transport over 36 steps or more
+    overflows.  The blocked explicit march overflows where the per-node loop
+    does: the exit code and the gates' verdicts are those the per-node loop gave."""
+    path = write_doc(tmp_path / "growth.json", tanh_doc(
+        steps=40, generator={"kind": "constant", "matrix": [[400.0]]}, G=[[g]]))
+    csv = tmp_path / "P.csv"
+    csv.write_text("t,p0_0\n" + "".join(f"{t!r},{p!r}\n"
+                                        for t in TimeGrid(1.0, 40).nodes().tolist()))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)     # overflow in the marches
+        assert main(["check", path, str(csv)]) == code
+    out, err = capsys.readouterr()
+    assert [line.split()[-1] for line in out.splitlines()] == verdicts
+    assert err == ("" if verdicts else "error: SVD did not converge\n")
+
+
 def _indefinite_doc(steps=20):
     """A problem that violates C-nonnegativity; only the Picard solver takes it."""
     return {
@@ -503,7 +526,7 @@ def _run(argv, capsys):
 def _flow_threads(monkeypatch, lane):
     """Force the lane predicate to ``lane``; returns the list of the thread
     idents that ``check``'s flow gate ran on."""
-    monkeypatch.setattr(riccatint.riccati, "_lane_open", lambda n: lane)
+    monkeypatch.setattr(riccatint.riccati, "_wide", lambda n: lane)
     real, threads = riccatint.cli.flow_consistency, []
 
     def flow(*args):

@@ -1,4 +1,5 @@
 import ast
+import math
 import re
 from pathlib import Path
 
@@ -301,7 +302,17 @@ def test_first_defect_decomposes_and_scales_only_unequal_nodes(monkeypatch, rng)
     assert decomposed == [1, 1] and scaled == [[3], [7]]
     decomposed.clear()
     assert first_defect(a, a.copy(), scale, 0.0) is None and decomposed == []
-    assert first_defect(a, a.copy(), scale, -1.0) == 0      # tol < 0 decides every node
+
+
+@pytest.mark.parametrize("tol", [-1.0, math.nan])
+def test_first_defect_refuses_a_tolerance_that_certifies_nothing(tol):
+    """A NaN tol would pass every node (``norm > nan`` is False) and a negative
+    one would fail equal nodes: both are refused before any scan."""
+    a = np.zeros((2, 2, 2))
+    b = a.copy()
+    b[1] = -np.eye(2)
+    with pytest.raises(ValueError, match="tol must be nonnegative"):
+        first_defect(a, b, lambda part: 1.0, tol)
 
 
 def _swapaxes_inequalities(tree):

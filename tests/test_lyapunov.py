@@ -13,8 +13,8 @@ from riccatint.testing import random_symmetric_problem
 from riccatint.volterra import perturb_forward
 
 import conftest
-from conftest import (linear_picard_reference, march_reference, march_reference_cold, outcome,
-                      window_defects_reference)
+from conftest import (linear_picard_reference, march_reference, march_reference_blocked,
+                      march_reference_cold, outcome, window_defects_reference)
 
 
 def _scalar_setup(n_steps=200, horizon=1.0):
@@ -204,7 +204,7 @@ def test_march_bitwise_equals_per_node_reference(n, steps, coefficients, symmetr
 def _smooth_march_data(rng, n, steps, coefficients, hq):
     """Steps, kernel, terminal and coefficients that vary smoothly from node to
     node, as a monotone step passes them; every node has h ||Q|| <= ``hq``."""
-    h = 1.0 / steps
+    h = 1.0 / max(steps, 1)
     t = np.linspace(0.0, 1.0, steps + 1)[:, None, None]
 
     def smooth(first):
@@ -219,6 +219,41 @@ def _smooth_march_data(rng, n, steps, coefficients, hq):
     return (left, right, kernel, rng.standard_normal((n, n)), h,
             {"q1": q1 if coefficients in ("q1", "both") else None,
              "q2": q2 if coefficients in ("q2", "both") else None})
+
+
+@given(n=st.sampled_from([1, 2, 3, 8, 15, 16, 32]),
+       steps=st.sampled_from([0, 1, 2, 3, 15, 16, 17, 50, 300]),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_blocked_march_matches_per_node_loop(n, steps, seed):
+    """Below 16 x 16 the explicit march goes by blocks of isqrt(m) nodes and
+    lands within roundoff of the per-node loop (m < k, m a square and m mod
+    k != 0 included); from 16 x 16 it is the per-node loop, bitwise."""
+    left, right, kernel, terminal, h, _ = _smooth_march_data(
+        np.random.default_rng(seed), n, steps, "none", 0.0)
+    got = _march(left, right, kernel, terminal, h)
+    want = march_reference_cold(left, right, kernel, terminal, h)
+    if n >= 16:
+        assert np.array_equal(got, want)
+    else:
+        assert float(np.abs(got - want).max()) <= 1e-13 * (1.0 + float(np.abs(want).max()))
+
+
+@pytest.mark.parametrize("n1, n2", [(3, 5), (5, 3), (2, 16), (16, 2)])
+def test_non_square_march_reads_the_larger_side(n1, n2):
+    """Without coefficients ``solve_linear`` on an n2 x n1 unknown steps one
+    node at a time when max(n1, n2) >= 16 and by blocks below."""
+    rng = np.random.default_rng(n1 + 10 * n2)
+    grid = TimeGrid(1.0, 50)
+
+    def family(n):
+        return build_forward_family(OperatorFunction.constant(grid, rng.standard_normal((n, n))))
+
+    fwd, bwd = family(n1), adjoint_backward_family(family(n2))
+    q12 = OperatorFunction(grid, rng.standard_normal((51, n2, n1)))
+    got = solve_linear(LinearIntegralProblem(fwd, bwd, q12, rng.standard_normal((n2, n1))))
+    args = (bwd.steps, fwd.steps, q12.values, got.values[-1], grid.h)
+    assert np.array_equal(got.values, march_reference_blocked(*args))
+    assert np.array_equal(got.values, march_reference_cold(*args)) == (max(n1, n2) >= 16)
 
 
 @given(n=st.sampled_from([1, 2, 3, 8, 32]), steps=st.sampled_from([1, 2, 50]),

@@ -26,8 +26,8 @@ from riccatint.testing import (inverse_linear_problem, random_symmetric_problem,
                                tanh_problem)
 
 from conftest import (check_hypotheses_reference, flow_consistency_per_window,
-                      march_reference, solve_monotone_reference, sup_opnorm_reference,
-                      symmetry_defect)
+                      march_reference, march_reference_blocked, march_reference_cold,
+                      solve_monotone_reference, sup_opnorm_reference, symmetry_defect)
 
 
 def _exact_tanh(problem):
@@ -92,21 +92,24 @@ def test_first_step_transports_terminal_unchanged():
 
 
 def test_first_step_marches_explicitly(monkeypatch):
-    """At P_0 = 0 no node fixed-point sweep runs, and the step is the implicit
-    march with Q1 = Q2 = 0, symmetrized."""
+    """At P_0 = 0 no node fixed-point sweep runs: the step is the explicit
+    march, symmetrized, which is the implicit march with Q1 = Q2 = 0 to
+    roundoff."""
     problem, _ = random_symmetric_problem(seed=5, n=3, steps=120)
     zeros = np.zeros((problem.grid.num_nodes, 3, 3))
-    implicit = lyapunov._march(problem.U_backward.steps, problem.U_forward.steps,
-                               problem.C.values, problem.G, problem.grid.h,
-                               q1=zeros, q2=zeros)
+    args = (problem.U_backward.steps, problem.U_forward.steps, problem.C.values,
+            problem.G, problem.grid.h)
+    explicit = lyapunov._march(*args)
+    implicit = lyapunov._march(*args, q1=zeros, q2=zeros)
+    assert np.abs(explicit - implicit).max() <= 1e-13 * (1.0 + np.abs(implicit).max())
 
     def no_coupling(*args):
         raise AssertionError("the first step ran a node fixed-point sweep")
 
     monkeypatch.setattr(lyapunov, "_coupling", no_coupling)
     p1, defect = riccati._monotone_step_core(zeros, problem)
-    assert np.array_equal(p1, symmetrize(implicit))
-    assert defect == sup_opnorm(implicit - np.swapaxes(implicit, -1, -2))
+    assert np.array_equal(p1, symmetrize(explicit))
+    assert defect == sup_opnorm(explicit - np.swapaxes(explicit, -1, -2))
 
 
 @pytest.mark.parametrize("n", [1, 3, 8])
@@ -870,7 +873,7 @@ def test_needed_step_error_surfaces_as_in_serial_loop(discarding, monkeypatch, c
 def _spectra_threads(monkeypatch, lane):
     """Force the lane predicate to ``lane``; returns the list of the thread
     idents that ``riccati._spectra`` ran on."""
-    monkeypatch.setattr(riccati, "_lane_open", lambda n: lane)
+    monkeypatch.setattr(riccati, "_wide", lambda n: lane)
     real, threads = riccati._spectra, []
 
     def spectra(*args):
@@ -984,12 +987,28 @@ def test_dropped_residual_error_leaves_no_trace(mispredicted, monkeypatch):
 
 
 def test_lane_opens_from_n_16():
-    """The one rule: jobs beside work on n x n stacks get a thread for n >= 16."""
-    assert [riccati._lane_open(n) for n in (1, 2, 8, 15, 16, 32)] == \
+    """The one rule: jobs beside work on n x n stacks get a thread, and the
+    explicit march steps one node at a time, for n >= 16; below 16 the lane is
+    inline and the march goes by blocks.  Both read ``lyapunov._wide``, the one
+    comparison with 16 in the package."""
+    assert riccati._wide is lyapunov._wide
+    assert [lyapunov._wide(n) for n in (1, 2, 8, 15, 16, 32)] == \
         [False, False, False, False, True, True]
-    assert isinstance(riccati._lane(2), riccati._Inline)
+    assert isinstance(riccati._lane(15), riccati._Inline)
     with riccati._lane(16) as lane:
         assert not isinstance(lane, riccati._Inline)
+    rng = np.random.default_rng(16)
+    for n, blocked in ((15, True), (16, False)):
+        left, right = np.eye(n) + 0.1 * rng.standard_normal((2, 20, n, n))
+        args = (left, right, rng.standard_normal((21, n, n)), rng.standard_normal((n, n)),
+                0.05)
+        got = lyapunov._march(*args)
+        assert np.array_equal(got, march_reference_blocked(*args))
+        assert np.array_equal(got, march_reference_cold(*args)) is not blocked
+    sixteen = _package_owners(lambda node: isinstance(node, ast.Compare) and any(
+        isinstance(side, ast.Constant) and side.value == 16
+        for side in [node.left, *node.comparators]))
+    assert sixteen == {"lyapunov._wide"}
 
 
 def _functions_holding(tree, prefix, hit):
