@@ -19,8 +19,11 @@ import itertools
 import json
 import math
 import operator
+import os
+import signal
 import sys
 import time
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, List, Optional
@@ -286,10 +289,58 @@ def _mirror_columns(n: int) -> tuple[list, list]:
                          for i in range(n) for j in range(n)]
 
 
+_FORK_ENTRIES = 1 << 16     # rows x (1 + n^2) from which a CSV's second half is forked
+
+
+def _fork_half(rows: int, entries: int, work, send, take) -> int:
+    """Do a table's rows on two processes when it holds at least ``_FORK_ENTRIES``
+    entries, ``os.fork`` exists and two CPUs are usable: ``work(0, cut)`` runs
+    here while one forked child pipes the bytes of ``send(cut, rows)`` to
+    ``take(pipe, cut, rows)``, which says if they are whole.  Returns the row
+    from which the caller still runs ``work(row, rows)``: 0 unsplit (or if the
+    fork failed), ``rows`` once the child's rows arrived, ``cut`` if it failed.
+    The child ends in ``os._exit``, so it flushes nothing it inherited; it is
+    reaped before this returns, and killed first if this half raises."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") \
+        else os.cpu_count() or 1
+    if entries < _FORK_ENTRIES or not hasattr(os, "fork") or cpus < 2:
+        return 0
+    cut = rows // 2
+    read_end, write_end = os.pipe()
+    try:
+        with warnings.catch_warnings():   # Python >= 3.12 warns of BLAS threads
+            warnings.filterwarnings("ignore", ".*fork", DeprecationWarning)
+            pid = os.fork()
+    except OSError:
+        os.close(read_end)
+        os.close(write_end)
+        return 0
+    if pid == 0:
+        try:
+            os.close(read_end)
+            with open(write_end, "wb") as pipe:
+                pipe.write(send(cut, rows))
+            os._exit(0)
+        finally:
+            os._exit(1)
+    os.close(write_end)
+    whole = False
+    try:
+        with open(read_end, "rb") as pipe:      # closed first: a child writing fails
+            work(0, cut)
+            whole = take(pipe, cut, rows)
+    finally:
+        if not whole:
+            os.kill(pid, signal.SIGKILL)
+        status = os.waitpid(pid, 0)[1]
+    return rows if whole and status == 0 else cut
+
+
 def write_solution_csv(path, grid: TimeGrid, values: np.ndarray) -> None:
     """Row-major CSV of ``values`` at ``repr`` precision.  A node whose block
     is bitwise symmetric formats its upper triangle only and copies the text
-    to the mirrored entries: the same bytes for half the ``repr`` calls."""
+    to the mirrored entries: the same bytes for half the ``repr`` calls.  A
+    large table's second half is formatted in :func:`_fork_half`'s child."""
     table = np.column_stack([grid.nodes(), values.reshape(grid.num_nodes, -1)])
     n_rows, n_cols = values.shape[1], values.shape[2]
     symmetric = np.zeros(grid.num_nodes, dtype=bool)
@@ -299,20 +350,40 @@ def write_solution_csv(path, grid: TimeGrid, values: np.ndarray) -> None:
         symmetric = (bits == np.swapaxes(bits, 1, 2)).all(axis=(1, 2))
         upper, mirror = _mirror_columns(n_rows)
         mirrored = operator.itemgetter(*mirror)
+
+    def lines(lo, hi):
+        for row, sym in zip(table[lo:hi], symmetric[lo:hi]):
+            if sym:
+                yield ",".join(mirrored(list(map(repr, row[upper].tolist())))) + "\n"
+            else:
+                yield ",".join(map(repr, row.tolist())) + "\n"
+
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(_csv_header(n_rows, n_cols) + "\n")
-        for row, sym in zip(table, symmetric):    # the whole text is never held
-            if sym:
-                fh.write(",".join(mirrored(list(map(repr, row[upper].tolist())))) + "\n")
-            else:
-                fh.write(",".join(map(repr, row.tolist())) + "\n")
+        starts = []                     # where the child's text begins in the file
+
+        def take(pipe, lo, hi):         # in chunks: the whole text is never held
+            starts.append(fh.tell())
+            count = 0
+            while chunk := pipe.read(1 << 20):
+                fh.buffer.write(chunk)
+                count += chunk.count(b"\n")
+            return count == hi - lo
+
+        done = _fork_half(grid.num_nodes, table.size,
+                          lambda lo, hi: fh.writelines(lines(lo, hi)),
+                          lambda lo, hi: "".join(lines(lo, hi)).encode(), take)
+        if starts and done < grid.num_nodes:    # a failed child's rows are redone
+            fh.truncate(fh.seek(starts[0]))
+        fh.writelines(lines(done, grid.num_nodes))
 
 
 def read_solution_csv(path, grid: TimeGrid, n: int) -> OperatorFunction:
     """Parse a CSV that ``write_solution_csv`` wrote.  A row whose mirrored
     tokens are equal strings parses its upper triangle only.  The first bad
     token of such a row in row-major order lies there, so the errors and
-    their order are those of parsing every token."""
+    their order are those of parsing every token.  A large table's second
+    half is parsed in :func:`_fork_half`'s child and read into place."""
     text = Path(path).read_text(encoding="utf-8").strip().splitlines()
     if not text:
         raise ValueError("solution file is empty")
@@ -328,21 +399,29 @@ def read_solution_csv(path, grid: TimeGrid, n: int) -> OperatorFunction:
     half = np.empty((grid.num_nodes, len(upper)))
     symmetric = np.zeros(grid.num_nodes, dtype=bool)
     nodes = grid.nodes()
-    for i, line in enumerate(text[1:]):
-        parts = line.split(",")
-        if len(parts) != 1 + n * n:
-            raise ValueError(f"row {i} has {len(parts)} columns, expected {1 + n * n}")
-        t = float(parts[0])
-        if not abs(t - nodes[i]) <= 1e-12 * (1.0 + abs(nodes[i])):    # nan fails too
-            raise ValueError(f"row {i} has t={t}, expected {nodes[i]}")
-        # p0_1 against p1_0 first: a non-symmetric row is told at once
-        if n > 1 and parts[2] == parts[n + 1] and \
-                mirrored(upper_tokens(parts)) == tuple(parts):
-            symmetric[i] = True
-            half[i] = list(map(float, upper_tokens(parts)))
-        else:
-            values[i] = list(map(float, parts[1:]))
-    values[symmetric] = half[symmetric][:, mirror[1:]]
+
+    def parse(lo, hi):
+        for i in range(lo, hi):
+            parts = text[i + 1].split(",")
+            if len(parts) != 1 + n * n:
+                raise ValueError(f"row {i} has {len(parts)} columns, expected {1 + n * n}")
+            t = float(parts[0])
+            if not abs(t - nodes[i]) <= 1e-12 * (1.0 + abs(nodes[i])):    # nan fails too
+                raise ValueError(f"row {i} has t={t}, expected {nodes[i]}")
+            # p0_1 against p1_0 first: a non-symmetric row is told at once
+            if n > 1 and parts[2] == parts[n + 1] and \
+                    mirrored(upper_tokens(parts)) == tuple(parts):
+                symmetric[i] = True
+                half[i] = list(map(float, upper_tokens(parts)))
+            else:
+                values[i] = list(map(float, parts[1:]))
+        rows = symmetric[lo:hi]
+        values[lo:hi][rows] = half[lo:hi][rows][:, mirror[1:]]
+        return values[lo:hi]
+
+    done = _fork_half(grid.num_nodes, values.size + grid.num_nodes, parse, parse,
+                      lambda pipe, lo, hi: pipe.readinto(values[lo:hi]) == values[lo:hi].nbytes)
+    parse(done, grid.num_nodes)
     return OperatorFunction(grid, values.reshape(-1, n, n))
 
 

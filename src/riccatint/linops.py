@@ -65,7 +65,8 @@ def _opnorm_bounds(stack: np.ndarray) -> np.ndarray:
     practical size, and a node whose bound underflows has a norm far below
     that of the node holding the largest entry.
     """
-    power = np.swapaxes(stack, -1, -2) @ stack
+    # a contiguous copy of the transposes: a strided left operand multiplies ~4x slower
+    power = np.ascontiguousarray(np.swapaxes(stack, -1, -2)) @ stack
     for _ in range(3):
         power = power @ power
     return np.einsum("nij,nij->n", power, power) ** (1.0 / 32.0)

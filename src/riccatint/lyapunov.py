@@ -170,8 +170,10 @@ def _window_defects(left_steps: np.ndarray, right_steps: np.ndarray,
             active = np.flatnonzero((t <= lo) & (hi <= tau))
             if active.size:
                 part = cur[active]
+                step = np.empty_like(part)      # each step in place: no temporaries
                 for i in range(hi - 1, lo - 1, -1):
-                    part = left_steps[i] @ part @ right_steps[i] + src[i]
+                    np.matmul(left_steps[i], part, out=step)
+                    np.add(np.matmul(step, right_steps[i], out=part), src[i], out=part)
                 cur[active] = part
         defects[start:start + chunk] = node_opnorms(values[t] - cur)
     return defects

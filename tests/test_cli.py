@@ -3,7 +3,10 @@ import copy
 import io
 import json
 import math
+import os
+import signal
 import threading
+import time
 import warnings
 import weakref
 
@@ -244,8 +247,17 @@ def _solution_stacks(draw):
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     share = draw(st.sampled_from([0.0, 0.1, 0.5]))
     pool = _CSV_SPECIALS[:draw(st.sampled_from([2, 5, 8]))]   # finite ones first
-    scales = 10.0 ** rng.integers(-5, 6, (steps + 1, 1, 1))
-    values = rng.standard_normal((steps + 1, n, n)) * scales
+    values = _mixed_values(rng, n, kinds, share, pool)
+    respell = draw(st.booleans())
+    return TimeGrid(float(steps) / 4.0, steps), values, respell
+
+
+def _mixed_values(rng, n, kinds, share, pool):
+    """One n x n node per kind: "symmetric" (bitwise), "general", or symmetric
+    but for one mirrored pair of 0.0 and -0.0 ("signed-zero") or of two NaN
+    payloads ("nan-payload"); a ``share`` of the entries drawn from ``pool``."""
+    scales = 10.0 ** rng.integers(-5, 6, (len(kinds), 1, 1))
+    values = rng.standard_normal((len(kinds), n, n)) * scales
     specials = rng.random(values.shape) < share
     values[specials] = rng.choice(pool, size=int(specials.sum()))
     upper = np.triu_indices(n, 1)
@@ -257,8 +269,7 @@ def _solution_stacks(draw):
             pair = (0.0, -0.0) if kind == "signed-zero" else \
                 np.array([0x7FF8000000000000, 0x7FF8000000000001]).view(float)
             node[i, j], node[j, i] = pair[::rng.choice([1, -1])]
-    respell = draw(st.booleans())
-    return TimeGrid(float(steps) / 4.0, steps), values, respell
+    return values
 
 
 @given(_solution_stacks())
@@ -290,6 +301,175 @@ def test_solution_csv_matches_row_by_row_reference(tmp_path_factory, stack):
         with pytest.raises(ValueError) as want:
             read_solution_csv_reference(path, grid, n)
         assert str(got.value) == str(want.value)
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _counted_forks(monkeypatch, child=None):
+    """Record the pid of every ``os.fork`` of the CSV layer.  In each child,
+    ``child()`` runs first: it ends the process or returns to let the child
+    go on (an error in it exits 3, so no copy of the test run goes on)."""
+    pids, fork = [], os.fork
+
+    def counted():
+        pid = fork()
+        if pid == 0 and child is not None:
+            try:
+                child()
+            except BaseException:
+                os._exit(3)
+        pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counted)
+    return pids
+
+
+def _two_cpus(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+
+
+def _split_table(n, above=True, kinds=("symmetric", "general", "signed-zero", "nan-payload")):
+    """A grid and a stack of mixed nodes with just as many entries
+    rows x (1 + n^2) as reach the split rule, or one row fewer."""
+    rows = -(-riccatint.cli._FORK_ENTRIES // (1 + n * n)) - (not above)
+    values = _mixed_values(np.random.default_rng(0), n,
+                           [kinds[k % len(kinds)] for k in range(rows)], 0.05, _CSV_SPECIALS[:5])
+    return TimeGrid(1.0, rows - 1), values
+
+
+def _assert_like_reference(root, grid, values):
+    """The CSV written, and the floats or the error read back, are the
+    row-by-row reference's, and no child process is left."""
+    n = values.shape[1]
+    write_solution_csv(root / "new.csv", grid, values)
+    _no_child_left()
+    write_solution_csv_reference(root / "ref.csv", grid, values)
+    assert (root / "new.csv").read_bytes() == (root / "ref.csv").read_bytes()
+    _assert_read_like_reference(root / "ref.csv", grid, n)
+
+
+def _assert_read_like_reference(path, grid, n):
+    try:
+        want = read_solution_csv_reference(path, grid, n).values
+    except ValueError as exc:
+        with pytest.raises(ValueError) as got:
+            read_solution_csv(path, grid, n)
+        assert str(got.value) == str(exc)
+    else:
+        got = read_solution_csv(path, grid, n).values
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    _no_child_left()
+
+
+@pytest.mark.parametrize("above", [False, True], ids=["below-rule", "at-rule"])
+@pytest.mark.parametrize("n", [1, 8, 32])
+def test_split_csv_matches_row_by_row_reference(tmp_path, monkeypatch, n, above):
+    """Tables just below and at 2^16 entries: the writer's bytes and the
+    reader's bits are the reference's, forking once per call only at the rule.
+    Non-finite nodes make the read fail as the reference's does, so a finite
+    copy of the stack is read too."""
+    _two_cpus(monkeypatch)
+    pids = _counted_forks(monkeypatch)
+    grid, values = _split_table(n, above)
+    _assert_like_reference(tmp_path, grid, values)
+    finite = tmp_path / "finite"
+    finite.mkdir()
+    _assert_like_reference(finite, grid, np.where(np.isnan(values), -0.0, values))
+    assert len(pids) == (4 if above else 0)
+
+
+def _exit_status_plus_5():
+    real = os._exit
+    os._exit = lambda code: real(code + 5)
+
+
+@pytest.mark.parametrize("child", [
+    lambda: os._exit(1),
+    lambda: os.kill(os.getpid(), signal.SIGKILL),
+    lambda: os._exit(0),
+    _exit_status_plus_5,
+], ids=["exits-1", "killed", "exits-0-sending-nothing", "sends-all-then-exits-5"])
+def test_failed_csv_child_leaves_the_serial_result(tmp_path, monkeypatch, child):
+    """A child that fails leaves this process to do its rows: the same bytes,
+    bits and errors as the reference, and no child is left behind.  A child
+    that sent all its rows but exits non-zero is failed too: the writer cuts
+    its text back off the file before it writes those rows again."""
+    _two_cpus(monkeypatch)
+    pids = _counted_forks(monkeypatch, child)
+    grid, values = _split_table(8, kinds=("symmetric", "general", "signed-zero"))
+    _assert_like_reference(tmp_path, grid, values)
+    lines = (tmp_path / "ref.csv").read_text(encoding="utf-8").splitlines()
+    lines[-2] = lines[-2].replace(",", ",x", 1)
+    (tmp_path / "bad.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    _assert_read_like_reference(tmp_path / "bad.csv", grid, 8)
+    assert len(pids) == 3
+
+
+@pytest.mark.parametrize("bad_rows", [[-1], [1, -1], [1]],
+                         ids=["child-half", "both-halves", "own-half"])
+def test_split_read_reports_the_first_bad_row(tmp_path, monkeypatch, bad_rows):
+    """Bad tokens in the child's half, in this process's half or in both are
+    reported as the row-by-row reference reports them: the first in row order.
+    A child still parsing or blocked on a full pipe is killed and reaped."""
+    _two_cpus(monkeypatch)
+    grid, values = _split_table(8, kinds=("symmetric", "general"))
+    write_solution_csv(tmp_path / "p.csv", grid, values)
+    lines = (tmp_path / "p.csv").read_text(encoding="utf-8").splitlines()
+    for row in bad_rows:
+        k = row + 1 if row >= 0 else len(lines) + row
+        parts = lines[k].split(",")
+        parts[3 + k % 5] = f"bad{k}"
+        lines[k] = ",".join(parts)
+    (tmp_path / "p.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    _assert_read_like_reference(tmp_path / "p.csv", grid, 8)
+
+
+def _slow_payload(lo, hi):
+    time.sleep(60)
+    return b""
+
+
+@pytest.mark.parametrize("send", [lambda lo, hi: bytes(1 << 22), _slow_payload],
+                         ids=["blocked-on-a-full-pipe", "still-working"])
+def test_fork_half_kills_and_reaps_its_child_on_an_interrupt(monkeypatch, send):
+    """An interrupt in this process's half closes the pipe and kills the child
+    before reaping it, whether it is blocked on a payload larger than the pipe
+    holds or still working: the call ends at once and leaves no child."""
+    _two_cpus(monkeypatch)
+
+    def interrupted(lo, hi):
+        raise KeyboardInterrupt
+
+    start = time.monotonic()
+    with pytest.raises(KeyboardInterrupt):
+        riccatint.cli._fork_half(2, 1 << 16, interrupted, send, lambda pipe, lo, hi: True)
+    assert time.monotonic() - start < 30.0
+    _no_child_left()
+
+
+@pytest.mark.parametrize("host", ["no-fork", "fork-raises", "one-cpu", "one-cpu-no-affinity"])
+def test_csv_runs_serially_without_a_usable_fork(tmp_path, monkeypatch, host):
+    """Without ``os.fork``, when it raises, or with one usable CPU, nothing is
+    forked and the CSV is the reference's."""
+    pids = _counted_forks(monkeypatch)
+    if host == "no-fork":
+        monkeypatch.delattr(os, "fork")
+    elif host == "fork-raises":
+        def refuse():
+            raise BlockingIOError(11, "Resource temporarily unavailable")
+        monkeypatch.setattr(os, "fork", refuse)
+    elif host == "one-cpu":
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    else:
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 1)
+    grid, values = _split_table(8, kinds=("symmetric", "general", "signed-zero"))
+    _assert_like_reference(tmp_path, grid, values)
+    assert pids == []
 
 
 def test_cmd_check_self_and_mismatch(tmp_path):

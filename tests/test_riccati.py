@@ -1049,6 +1049,12 @@ def test_only_the_lane_starts_threads():
         == {"riccati._lane"}
 
 
+def test_only_the_csv_helper_forks():
+    """One owner of processes: ``os.fork`` appears in the package only inside
+    ``cli._fork_half``, the helper that hands half a CSV's rows to a child."""
+    assert _package_owners(_naming("fork")) == {"cli._fork_half"}
+
+
 def test_only_require_hypotheses_builds_violations():
     """One hypothesis gate: ``HypothesisViolation(...)`` is called in the
     package only inside ``riccati._require_hypotheses``, so every violation
