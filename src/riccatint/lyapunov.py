@@ -19,6 +19,7 @@ checks and representation formulas.
 from __future__ import annotations
 
 import math
+from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import List, Optional
 
@@ -38,8 +39,8 @@ class ConvergenceError(RuntimeError):
 
 def _wide(n: int) -> bool:
     """The one dimension rule, n >= 16: below it a numpy call on one n x n node
-    costs more than its arithmetic, so the explicit march batches its steps
-    across blocks and work beside a stack is run inline, not on a thread."""
+    costs more than its arithmetic, so runs of explicit steps are composed into
+    batched maps and work beside a stack is run inline, not on a thread."""
     return n >= 16
 
 
@@ -75,7 +76,8 @@ def _march(left_steps: np.ndarray, right_steps: np.ndarray, kernel: np.ndarray,
     blocks of k = isqrt(m), as in a scan: k - 1 batched passes form each block's
     composite map, the block starts are marched through those, and k - 1 batched
     passes fill the interiors; the m mod k top steps go one node at a time.
-    This is the same unrolled sum, rounded otherwise.  If ``_wide``, k is 1.
+    This is the same unrolled sum, rounded otherwise.  If ``_wide``, k is 1;
+    a march by blocks that is not all finite is redone with k = 1.
 
     With Q1/Q2 the kernel gains -(P Q1 + Q2 P), and the endpoint term couples
     P_i to itself; the small affine system x = rhs_i - (h/2)(x Q1_i + Q2_i x)
@@ -94,22 +96,24 @@ def _march(left_steps: np.ndarray, right_steps: np.ndarray, kernel: np.ndarray,
         return out
     src = _sources(left_steps, right_steps, kernel, h)
     if q1 is None and q2 is None:
-        k = 1 if _wide(max(terminal.shape)) else math.isqrt(m)
-        top = m - m % k         # the leftover steps top..m-1 go one node at a time
-        cur = out[m]
-        for i in range(m - 1, top - 1, -1):
-            cur = np.add(left_steps[i] @ cur @ right_steps[i], src[i], out=out[i])
-        lb, rb, sb, ob = (a[:top].reshape((-1, k) + a.shape[1:])
-                          for a in (left_steps, right_steps, src, out))
-        lc, rc, sc = lb[:, -1], rb[:, -1], sb[:, -1]
-        for j in range(k - 2, -1, -1):      # each block's composite map
-            lc, rc, sc = lb[:, j] @ lc, rc @ rb[:, j], lb[:, j] @ sc @ rb[:, j] + sb[:, j]
-        for b in range(top // k - 1, -1, -1):       # block starts
-            cur = np.add(lc[b] @ cur @ rc[b], sc[b], out=ob[b, 0])
-        nxt = out[k:top + 1:k]
-        for j in range(k - 1, 0, -1):       # block interiors
-            nxt = np.add(lb[:, j] @ nxt @ rb[:, j], sb[:, j], out=ob[:, j])
-        return out
+        for k in (1 if _wide(max(terminal.shape)) else math.isqrt(m), 1):
+            with np.errstate(over="ignore", invalid="ignore") if k > 1 else nullcontext():
+                top = m - m % k         # the leftover steps top..m-1 go one node at a time
+                cur = out[m]
+                for i in range(m - 1, top - 1, -1):
+                    cur = np.add(left_steps[i] @ cur @ right_steps[i], src[i], out=out[i])
+                lb, rb, sb, ob = (a[:top].reshape((-1, k) + a.shape[1:])
+                                  for a in (left_steps, right_steps, src, out))
+                lc, rc, sc = lb[:, -1], rb[:, -1], sb[:, -1]
+                for j in range(k - 2, -1, -1):      # each block's composite map
+                    lc, rc, sc = lb[:, j] @ lc, rc @ rb[:, j], lb[:, j] @ sc @ rb[:, j] + sb[:, j]
+                for b in range(top // k - 1, -1, -1):       # block starts
+                    cur = np.add(lc[b] @ cur @ rc[b], sc[b], out=ob[b, 0])
+                nxt = out[k:top + 1:k]
+                for j in range(k - 1, 0, -1):       # block interiors
+                    nxt = np.add(lb[:, j] @ nxt @ rb[:, j], sb[:, j], out=ob[:, j])
+            if k == 1 or np.isfinite(out).all():    # else a composite map overflowed
+                return out
     alpha = 0.5 * h
     # x - alpha (x Q1 + Q2 x) at node i + 1: formed at the terminal node, then carried
     carried = out[m] - alpha * _coupling(out[m], q1, q2, m)
@@ -141,6 +145,20 @@ def _march(left_steps: np.ndarray, right_steps: np.ndarray, kernel: np.ndarray,
     return out
 
 
+def _stretch_maps(left_steps, right_steps, src, lo, hi):
+    """Maps x_lo = A x_hi B + c of the stretches [lo, hi), composed as the march's
+    blocks are, in batched passes: pass j steps every stretch longer than j."""
+    order = np.argsort(lo - hi, kind="stable")      # longest first: pass j takes a prefix
+    top, length = hi[order] - 1, (hi - lo)[order]
+    a, b, c = left_steps[top], right_steps[top], src[top]
+    for j in range(1, int(length.max(initial=0))):
+        i = top[:np.count_nonzero(length > j)] - j
+        k, li, ri = len(i), left_steps[i], right_steps[i]
+        a[:k], b[:k], c[:k] = li @ a[:k], b[:k] @ ri, li @ c[:k] @ ri + src[i]
+    back = np.argsort(order)
+    return a[back], b[back], c[back]
+
+
 def _window_defects(left_steps: np.ndarray, right_steps: np.ndarray,
                     kernel: np.ndarray, values: np.ndarray, h: float,
                     t_index: np.ndarray, tau_index: np.ndarray,
@@ -153,28 +171,38 @@ def _window_defects(left_steps: np.ndarray, right_steps: np.ndarray,
     ``chunk`` pairs share one backward sweep.  The chunk's pair ends cut the
     grid into stretches [lo, hi) between consecutive ends, on each of which
     the same windows (t_a <= lo and hi <= tau_a) are active; they are
-    gathered once, advanced node by node from hi - 1 down to lo by one
-    stacked product each, and scattered back once.  So each transport has
-    the bits of the per-node loop over its window, which is
+    gathered once, advanced by one map composed from the stretch's steps
+    (:func:`_stretch_maps`) and scattered back once.  If ``_wide`` (of the larger
+    side), and for a chunk whose transports are not all finite, they advance
+    node by node instead, with the bits of the per-node loop over each window:
     ``_march(left_steps[t:tau], right_steps[t:tau], kernel[t:tau + 1],
-    values[tau], h)[0]`` bitwise only where ``_wide`` holds (elsewhere the
-    march goes by blocks).
+    values[tau], h)[0]`` if ``_wide``.
     """
     src = _sources(left_steps, right_steps, kernel, h)
+    wide = _wide(max(values.shape[1:]))
     defects = np.empty(len(t_index))
     for start in range(0, len(t_index), chunk):
         t, tau = t_index[start:start + chunk], tau_index[start:start + chunk]
-        cur = values[tau]
         ends = np.unique(np.concatenate((t, tau)))
-        for lo, hi in zip(ends[-2::-1].tolist(), ends[:0:-1].tolist()):
-            active = np.flatnonzero((t <= lo) & (hi <= tau))
-            if active.size:
-                part = cur[active]
+        lo, hi = ends[-2::-1], ends[:0:-1]      # the stretches, from the top
+        active = [np.flatnonzero((t <= a) & (b <= tau)) for a, b in zip(lo, hi)]
+        keep = np.flatnonzero([w.size for w in active])
+        lo, hi, active = lo[keep], hi[keep], [active[s] for s in keep]
+        cur = values[tau]
+        if not wide:
+            with np.errstate(over="ignore", invalid="ignore"):  # redone below if not finite
+                for w, a, b, c in zip(active, *_stretch_maps(left_steps, right_steps,
+                                                             src, lo, hi)):
+                    cur[w] = a @ cur[w] @ b + c
+        if wide or not np.isfinite(cur).all():
+            cur = values[tau]
+            for lo_s, hi_s, w in zip(lo.tolist(), hi.tolist(), active):
+                part = cur[w]
                 step = np.empty_like(part)      # each step in place: no temporaries
-                for i in range(hi - 1, lo - 1, -1):
+                for i in range(hi_s - 1, lo_s - 1, -1):
                     np.matmul(left_steps[i], part, out=step)
                     np.add(np.matmul(step, right_steps[i], out=part), src[i], out=part)
-                cur[active] = part
+                cur[w] = part
         defects[start:start + chunk] = node_opnorms(values[t] - cur)
     return defects
 

@@ -195,7 +195,8 @@ def flow_consistency(P: OperatorFunction, problem: RiccatiProblem,
     per pair.  The pairs share one backward sweep in chunks of at most
     ``num_nodes`` pairs, marched by stretches between the chunk's pair ends
     (see ``lyapunov._window_defects``): the chunk's transports and the
-    windows gathered for one stretch are each at most one P-sized stack.
+    windows gathered for one stretch are each at most one P-sized stack, and
+    below 16 x 16 the stretch maps add three stacks of under ``num_nodes`` nodes.
     """
     p = _on_grid(P, problem)
     scalar = np.ndim(t_index) == 0

@@ -306,7 +306,8 @@ def march_reference_blocked(left_steps, right_steps, kernel, terminal, h):
     m mod k top steps go one node at a time from the terminal value.  Each block
     [bk, bk + k) is composed from its top step down into x_bk = A x_(b+1)k B + c;
     the block starts are marched through these maps, and each block's interior
-    nodes are stepped down from the start of the block above.
+    nodes are stepped down from the start of the block above.  A march by blocks
+    whose nodes are not all finite is that per-node loop instead.
     """
     m = left_steps.shape[0]
     out = np.empty((m + 1,) + terminal.shape)
@@ -318,22 +319,25 @@ def march_reference_blocked(left_steps, right_steps, kernel, terminal, h):
            for i in range(m)]
     k = 1 if max(terminal.shape) >= 16 else math.isqrt(m)
     top = m - m % k
-    for i in range(m - 1, top - 1, -1):
-        out[i] = left_steps[i] @ out[i + 1] @ right_steps[i] + src[i]
-    maps = []
-    for b in range(top // k):
-        first = b * k + k - 1
-        a, c, s = left_steps[first], right_steps[first], src[first]
-        for i in range(first - 1, b * k - 1, -1):
-            a, c, s = left_steps[i] @ a, c @ right_steps[i], \
-                left_steps[i] @ s @ right_steps[i] + src[i]
-        maps.append((a, c, s))
-    for b in range(top // k - 1, -1, -1):
-        a, c, s = maps[b]
-        out[b * k] = a @ out[(b + 1) * k] @ c + s
-    for b in range(top // k):
-        for i in range(b * k + k - 1, b * k, -1):
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(m - 1, top - 1, -1):
             out[i] = left_steps[i] @ out[i + 1] @ right_steps[i] + src[i]
+        maps = []
+        for b in range(top // k):
+            first = b * k + k - 1
+            a, c, s = left_steps[first], right_steps[first], src[first]
+            for i in range(first - 1, b * k - 1, -1):
+                a, c, s = left_steps[i] @ a, c @ right_steps[i], \
+                    left_steps[i] @ s @ right_steps[i] + src[i]
+            maps.append((a, c, s))
+        for b in range(top // k - 1, -1, -1):
+            a, c, s = maps[b]
+            out[b * k] = a @ out[(b + 1) * k] @ c + s
+        for b in range(top // k):
+            for i in range(b * k + k - 1, b * k, -1):
+                out[i] = left_steps[i] @ out[i + 1] @ right_steps[i] + src[i]
+    if not np.all(np.isfinite(out)):
+        return march_reference_cold(left_steps, right_steps, kernel, terminal, h)
     return out
 
 
@@ -395,6 +399,53 @@ def window_defects_reference(left_steps, right_steps, kernel, values, h, t_index
                 + alpha * (kernel[i] + folded[i])
         defects[start:start + chunk] = np.linalg.norm(values[t] - cur, 2, axis=(1, 2))
     return defects
+
+
+def window_defects_reference_blocked(left_steps, right_steps, kernel, values, h,
+                                     t_index, tau_index, chunk):
+    """``lyapunov._window_defects`` stretch by stretch, with the source term and
+    each stretch's map formed per node.
+
+    Below 16 x 16 (the larger side of a node) each stretch [lo, hi) between
+    consecutive pair ends of a chunk that has active pairs is composed from its
+    top step down into x_lo = A x_hi B + c, and its active pairs advance by that
+    map.  From 16 x 16, and for a chunk whose transports are not all finite, the
+    chunk goes node by node (``window_defects_reference``).
+    """
+    alpha = 0.5 * h
+    src = [alpha * (kernel[i] + left_steps[i] @ kernel[i + 1] @ right_steps[i])
+           for i in range(left_steps.shape[0])]
+    wide = max(values.shape[1:]) >= 16
+    defects = np.empty(len(t_index))
+    for start in range(0, len(t_index), chunk):
+        t, tau = t_index[start:start + chunk], tau_index[start:start + chunk]
+        ends = sorted(set(t.tolist()) | set(tau.tolist()))
+        cur = values[tau]
+        with np.errstate(over="ignore", invalid="ignore"):
+            for lo, hi in [] if wide else zip(ends[-2::-1], ends[:0:-1]):
+                active = (t <= lo) & (hi <= tau)
+                if active.any():
+                    a, b, c = left_steps[hi - 1], right_steps[hi - 1], src[hi - 1]
+                    for i in range(hi - 2, lo - 1, -1):
+                        a, b, c = left_steps[i] @ a, b @ right_steps[i], \
+                            left_steps[i] @ c @ right_steps[i] + src[i]
+                    cur[active] = a @ cur[active] @ b + c
+        if wide or not np.all(np.isfinite(cur)):
+            defects[start:start + chunk] = window_defects_reference(
+                left_steps, right_steps, kernel, values, h, t, tau, chunk)
+        else:
+            defects[start:start + chunk] = np.linalg.norm(values[t] - cur, 2, axis=(1, 2))
+    return defects
+
+
+def flow_consistency_blocked(P, problem, t_index, tau_index):
+    """``riccati.flow_consistency`` of pair arrays by ``window_defects_reference_blocked``,
+    in chunks of at most one pair per node."""
+    p = P.values
+    return window_defects_reference_blocked(
+        problem.U_backward.steps, problem.U_forward.steps,
+        problem.C.values - p @ problem.B.values @ p, p, problem.grid.h,
+        np.asarray(t_index), np.asarray(tau_index), problem.grid.num_nodes)
 
 
 def rk4_reference(generator, B, C, G, grid):

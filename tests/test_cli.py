@@ -24,7 +24,7 @@ from riccatint.cli import (EXIT_CHECK_FAILED, EXIT_HYPOTHESIS, EXIT_INVALID,
 from riccatint.evolution import OperatorFunction, TimeGrid
 from riccatint.linops import symmetrize
 
-from conftest import (flow_consistency_per_window, read_solution_csv_reference,
+from conftest import (flow_consistency_blocked, read_solution_csv_reference,
                       sample_per_time, spec_callable_reference,
                       write_solution_csv_reference)
 
@@ -499,8 +499,7 @@ def test_cmd_check_flow_max_equals_per_window_loop(tmp_path, capsys):
     problem, _ = ProblemFile.from_path(path).build()
     p_fun = read_solution_csv(out / "lin_P.csv", problem.grid, 1)
     pairs = np.random.default_rng(20240).integers(0, problem.grid.num_nodes, size=(100, 2))
-    want = max(flow_consistency_per_window(p_fun, problem, min(a, b), max(a, b))
-               for a, b in pairs)
+    want = flow_consistency_blocked(p_fun, problem, pairs.min(1), pairs.max(1)).max()
     assert printed[1] == f"{want:.6e}"
 
 
@@ -525,6 +524,41 @@ def test_check_of_an_overflowing_transport_keeps_its_verdicts(tmp_path, capsys, 
     out, err = capsys.readouterr()
     assert [line.split()[-1] for line in out.splitlines()] == verdicts
     assert err == ("" if verdicts else "error: SVD did not converge\n")
+
+
+def _zero_solution_doc(steps, generator):
+    """A 1-D problem with C = 0 and G = 0, so P = 0, whose every step scales by
+    e^(generator / steps) on each side."""
+    return tanh_doc(steps=steps, generator={"kind": "constant", "matrix": [[generator]]},
+                    C={"kind": "zero"})
+
+
+def test_solve_of_an_overflowing_block_map_is_the_per_node_march(tmp_path, capsys):
+    """Each step is e^7.5 on each side, finite, but a block of isqrt(10000) = 100
+    steps overflows: the explicit march is redone node by node, so ``solve``
+    writes P = 0 with residual 0 and ``check`` passes all four gates."""
+    path = write_doc(tmp_path / "zero.json", _zero_solution_doc(10000, 75000.0))
+    assert main(["solve", path, "--out", str(tmp_path / "out")]) == EXIT_OK
+    assert capsys.readouterr().out.split()[3] == "residual=0.000e+00"
+    grid = TimeGrid(1.0, 10000)
+    p_fun = read_solution_csv(tmp_path / "out" / "zero_P.csv", grid, 1)
+    assert np.array_equal(p_fun.values, np.zeros((10001, 1, 1)))
+    assert main(["check", path, str(tmp_path / "out" / "zero_P.csv")]) == EXIT_OK
+    out, err = capsys.readouterr()
+    assert [line.split()[-1] for line in out.splitlines()] == ["PASS"] * 4 and err == ""
+
+
+def test_check_of_an_overflowing_stretch_map_is_the_per_node_sweep(tmp_path, capsys):
+    """Each step is e^7.5 on each side, finite; the one flow pair (117, 255) spans
+    138 steps, whose composed stretch map overflows and would give inf * 0 = NaN
+    on P = 0.  The chunk is redone node by node: four PASS lines, exit 0."""
+    path = write_doc(tmp_path / "zero.json", _zero_solution_doc(400, 3000.0))
+    assert main(["solve", path, "--out", str(tmp_path / "out")]) == EXIT_OK
+    capsys.readouterr()
+    assert main(["check", path, str(tmp_path / "out" / "zero_P.csv"),
+                 "--flow-pairs", "1"]) == EXIT_OK
+    out, err = capsys.readouterr()
+    assert [line.split()[-1] for line in out.splitlines()] == ["PASS"] * 4 and err == ""
 
 
 def _indefinite_doc(steps=20):

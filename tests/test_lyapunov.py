@@ -14,7 +14,8 @@ from riccatint.volterra import perturb_forward
 
 import conftest
 from conftest import (linear_picard_reference, march_reference, march_reference_blocked,
-                      march_reference_cold, outcome, window_defects_reference)
+                      march_reference_cold, outcome, window_defects_reference,
+                      window_defects_reference_blocked)
 
 
 def _scalar_setup(n_steps=200, horizon=1.0):
@@ -314,13 +315,15 @@ def test_monotone_step_makes_fewer_coupling_calls_than_cold_reference(monkeypatc
        seed=st.integers(0, 2 ** 32 - 1))
 def test_window_defects_bitwise_equal_per_node_reference(n, steps, pairs, chunk,
                                                          symmetric, seed):
+    """The stacked sweep gives the bits of the stretch-by-stretch reference, whose
+    stretch maps are formed node by node (and whose steps are, from 16 x 16)."""
     rng = np.random.default_rng(seed)
     left, right, kernel, _, _, _ = _march_data(rng, n, steps, symmetric, 0.0)
     values = rng.standard_normal((steps + 1, n, n))
     ends = np.sort(rng.integers(0, steps + 1, (pairs, 2)), axis=1)
     t_index, tau_index = ends[:, 0], ends[:, 1]
     args = (left, right, kernel, values, 1.0 / steps, t_index, tau_index, chunk)
-    assert outcome(_window_defects, *args) == outcome(window_defects_reference, *args)
+    assert outcome(_window_defects, *args) == outcome(window_defects_reference_blocked, *args)
 
 
 _STRETCH_CASES = {
@@ -340,10 +343,62 @@ _STRETCH_CASES = {
 @pytest.mark.parametrize("case", list(_STRETCH_CASES))
 def test_window_defects_stretches_bitwise_equal_per_node_reference(case, n):
     """Pair layouts whose ends coincide, repeat or span the grid: the march by
-    stretches between pair ends gives the per-node reference's bits."""
+    stretches between pair ends gives the bits of the reference that forms each
+    stretch's map node by node."""
     t_index, tau_index, chunk = _STRETCH_CASES[case]
     rng = np.random.default_rng(17)
     left, right, kernel, _, _, _ = _march_data(rng, n, 10, False, 0.0)
     values = rng.standard_normal((11, n, n))
     args = (left, right, kernel, values, 0.1, np.array(t_index), np.array(tau_index), chunk)
-    assert outcome(_window_defects, *args) == outcome(window_defects_reference, *args)
+    assert outcome(_window_defects, *args) == outcome(window_defects_reference_blocked, *args)
+
+
+def _family_like_window_data(rng, n2, n1, steps):
+    """Family-like steps I + hA on each side of an n2 x n1 unknown, with a
+    kernel and values drawn per node."""
+    h = 1.0 / steps
+    left = np.eye(n2) + h * rng.standard_normal((steps, n2, n2)) / np.sqrt(n2)
+    right = np.eye(n1) + h * rng.standard_normal((steps, n1, n1)) / np.sqrt(n1)
+    return (left, right, rng.standard_normal((steps + 1, n2, n1)),
+            rng.standard_normal((steps + 1, n2, n1)), h)
+
+
+@given(shape=st.sampled_from([(n, n) for n in (1, 2, 3, 8, 15, 16, 32)] + [(3, 5), (5, 3)]),
+       steps=st.sampled_from([10, 200]),
+       layout=st.sampled_from(list(_STRETCH_CASES) + ["random", "empty"]),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_window_defects_match_per_node_reference(shape, steps, layout, seed):
+    """Below 16 x 16 (the larger side) the stretches go by composed maps and land
+    within roundoff of the node-by-node sweep; from 16 x 16 they are that sweep,
+    bitwise."""
+    rng = np.random.default_rng(seed)
+    data = _family_like_window_data(rng, *shape, steps)
+    if layout == "random":
+        ends = np.sort(rng.integers(0, steps + 1, (12, 2)), axis=1)
+        t_index, tau_index, chunk = ends[:, 0], ends[:, 1], int(rng.integers(1, 13))
+    elif layout == "empty":
+        t_index, tau_index, chunk = np.zeros(0, int), np.zeros(0, int), 8
+    else:
+        t, tau, chunk = _STRETCH_CASES[layout]
+        t_index, tau_index = np.array(t), np.array(tau)
+    args = data + (t_index, tau_index, chunk)
+    got, want = _window_defects(*args), window_defects_reference(*args)
+    assert got.shape == want.shape == (len(t_index),)
+    if max(shape) >= 16:
+        assert np.array_equal(got, want)
+    else:
+        values = data[3]
+        assert np.all(np.abs(got - want) <= 1e-13 * (1.0 + float(np.abs(values).max())))
+
+
+def test_overflowing_blocked_march_is_redone_node_by_node():
+    """A block map that overflows (e^(17 k) on the left, e^(-17 k) on the right)
+    makes the blocked march NaN where every step is finite and the march is 1 at
+    every node: such a march is redone one node at a time, without a warning."""
+    m = 2000
+    args = (np.full((m, 1, 1), np.exp(17.0)), np.full((m, 1, 1), np.exp(-17.0)),
+            np.zeros((m + 1, 1, 1)), np.ones((1, 1)), 1.0 / m)
+    got = _march(*args)
+    assert np.array_equal(got, np.ones((m + 1, 1, 1)))
+    assert np.array_equal(got, march_reference_cold(*args))
+    assert np.array_equal(got, march_reference_blocked(*args))

@@ -25,9 +25,11 @@ from riccatint.riccati import (ContractionParams, ConvergenceError,
 from riccatint.testing import (inverse_linear_problem, random_symmetric_problem,
                                tanh_problem)
 
-from conftest import (check_hypotheses_reference, flow_consistency_per_window,
-                      march_reference, march_reference_blocked, march_reference_cold,
-                      solve_monotone_reference, sup_opnorm_reference, symmetry_defect)
+from conftest import (check_hypotheses_reference, flow_consistency_blocked,
+                      flow_consistency_per_window, march_reference, march_reference_blocked,
+                      march_reference_cold, solve_monotone_reference, sup_opnorm_reference,
+                      symmetry_defect, window_defects_reference,
+                      window_defects_reference_blocked)
 
 
 def _exact_tanh(problem):
@@ -308,14 +310,20 @@ def _nonsymmetric_problem(steps, n=3, seed=4):
 
 
 def _assert_sweep_equals_per_window(P, problem, t_index, tau_index):
+    """The sweep has the bits of the stretch-by-stretch reference, and each pair's
+    residual is within roundoff of its own window's node-by-node march."""
     got = flow_consistency(P, problem, np.asarray(t_index), np.asarray(tau_index))
-    want = [flow_consistency_per_window(P, problem, a, b)
-            for a, b in zip(t_index, tau_index)]
-    assert got.shape == (len(want),) and np.array_equal(got, want)
+    want = flow_consistency_blocked(P, problem, t_index, tau_index)
+    assert got.shape == (len(t_index),) and np.array_equal(got, want)
+    per_window = [flow_consistency_per_window(P, problem, a, b)
+                  for a, b in zip(t_index, tau_index)]
+    scale = 1.0 + float(np.abs(P.values).max())
+    assert float(np.abs(got - per_window).max()) <= 1e-13 * scale
     unsigned = flow_consistency(P, problem, np.asarray(t_index, dtype=np.uint32),
                                 np.asarray(tau_index, dtype=np.uint32))
     assert np.array_equal(unsigned, want)
-    assert flow_consistency(P, problem, t_index[0], tau_index[0]) == want[0]
+    assert flow_consistency(P, problem, t_index[0], tau_index[0]) == \
+        flow_consistency_blocked(P, problem, t_index[:1], tau_index[:1])[0]
 
 
 def _edge_pairs(n_steps, rng, extra):
@@ -988,8 +996,9 @@ def test_dropped_residual_error_leaves_no_trace(mispredicted, monkeypatch):
 
 def test_lane_opens_from_n_16():
     """The one rule: jobs beside work on n x n stacks get a thread, and the
-    explicit march steps one node at a time, for n >= 16; below 16 the lane is
-    inline and the march goes by blocks.  Both read ``lyapunov._wide``, the one
+    explicit march and the flow gate's stretches step one node at a time, for
+    n >= 16; below 16 the lane is inline, the march goes by blocks and each
+    stretch by one composed map.  All read ``lyapunov._wide``, the one
     comparison with 16 in the package."""
     assert riccati._wide is lyapunov._wide
     assert [lyapunov._wide(n) for n in (1, 2, 8, 15, 16, 32)] == \
@@ -1005,6 +1014,11 @@ def test_lane_opens_from_n_16():
         got = lyapunov._march(*args)
         assert np.array_equal(got, march_reference_blocked(*args))
         assert np.array_equal(got, march_reference_cold(*args)) is not blocked
+        flow = (left, right, args[2], rng.standard_normal((21, n, n)), 0.05,
+                np.array([0, 3, 7]), np.array([20, 12, 9]), 3)
+        got = lyapunov._window_defects(*flow)
+        assert np.array_equal(got, window_defects_reference_blocked(*flow))
+        assert np.array_equal(got, window_defects_reference(*flow)) is not blocked
     sixteen = _package_owners(lambda node: isinstance(node, ast.Compare) and any(
         isinstance(side, ast.Constant) and side.value == 16
         for side in [node.left, *node.comparators]))
