@@ -5,19 +5,22 @@ Problem files are JSON documents; matrices are row-major nested arrays and
 time-dependent coefficients are given as specs ({"kind": "zero" | "constant" |
 "polynomial" | "piecewise", ...}).  Solutions are written as CSV (one row per
 node: t followed by the n^2 entries of P(t), row-major) next to a JSON
-diagnostics document.  Exit codes, assigned in ``main`` alone: 0 success,
-1 failed check/assertion, 2 invalid input, 3 non-convergence, 4 hypothesis
-violation.
+diagnostics document; a large CSV is formatted and parsed from both ends at
+once, and the Picard and oracle solvers hand it rows as they finish them (see
+``_Meet``).  Exit codes, assigned in ``main`` alone: 0 success, 1 failed
+check/assertion, 2 invalid input, 3 non-convergence, 4 hypothesis violation.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import hashlib
 import itertools
 import json
 import math
+import mmap
 import operator
 import os
 import signal
@@ -289,101 +292,152 @@ def _mirror_columns(n: int) -> tuple[list, list]:
                          for i in range(n) for j in range(n)]
 
 
-_FORK_ENTRIES = 1 << 16     # rows x (1 + n^2) from which a CSV's second half is forked
+_FORK_ENTRIES = 1 << 16     # rows x (1 + n^2) from which a child works a CSV's rows too
 
 
-def _fork_half(rows: int, entries: int, work, send, take) -> int:
-    """Do a table's rows on two processes when it holds at least ``_FORK_ENTRIES``
-    entries, ``os.fork`` exists and two CPUs are usable: ``work(0, cut)`` runs
-    here while one forked child pipes the bytes of ``send(cut, rows)`` to
-    ``take(pipe, cut, rows)``, which says if they are whole.  Returns the row
-    from which the caller still runs ``work(row, rows)``: 0 unsplit (or if the
-    fork failed), ``rows`` once the child's rows arrived, ``cut`` if it failed.
-    The child ends in ``os._exit``, so it flushes nothing it inherited; it is
-    reaped before this returns, and killed first if this half raises."""
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") \
-        else os.cpu_count() or 1
-    if entries < _FORK_ENTRIES or not hasattr(os, "fork") or cpus < 2:
-        return 0
-    cut = rows // 2
-    read_end, write_end = os.pipe()
-    try:
-        with warnings.catch_warnings():   # Python >= 3.12 warns of BLAS threads
-            warnings.filterwarnings("ignore", ".*fork", DeprecationWarning)
-            pid = os.fork()
-    except OSError:
-        os.close(read_end)
-        os.close(write_end)
-        return 0
-    if pid == 0:
-        try:
-            os.close(read_end)
-            with open(write_end, "wb") as pipe:
-                pipe.write(send(cut, rows))
-            os._exit(0)
-        finally:
-            os._exit(1)
-    os.close(write_end)
-    whole = False
-    try:
-        with open(read_end, "rb") as pipe:      # closed first: a child writing fails
-            work(0, cut)
-            whole = take(pipe, cut, rows)
-    finally:
-        if not whole:
-            os.kill(pid, signal.SIGKILL)
-        status = os.waitpid(pid, 0)[1]
-    return rows if whole and status == 0 else cut
+class _Meet:
+    """A CSV's ``rows`` x ``width`` table of P entries, worked from both ends by
+    ``work(table, lo, hi)`` (rows lo..hi; returns their bytes, ``spare`` in all at
+    most, or None).  From ``_FORK_ENTRIES`` entries (rows x (1 + width)), if
+    ``os.fork`` exists and two CPUs are usable, the first :meth:`publish` forks a
+    child that works the published rows from the last one down while :meth:`meet`
+    works up from row 0: the sides meet wherever they meet.  The table and the
+    child's bytes (stacked at the end) share one anonymous ``mmap``; the frontier
+    reaches the child through a pipe, so it reads no row before the write that
+    finished it.  Its lowest finished row is only a hint of where to stop: its
+    bytes are read once it is reaped, and the rows it left (at a row ``work``
+    refuses with ``ValueError``, or on a failure) are done here.  It imports
+    nothing, runs no BLAS or LAPACK (see the README), writes no file and ends in
+    ``os._exit``."""
 
+    def __init__(self, rows: int, width: int, work, spare: int = 0):
+        cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") \
+            else os.cpu_count() or 1
+        self.forks = rows * (1 + width) >= _FORK_ENTRIES and hasattr(os, "fork") and cpus > 1
+        self.rows, self.work, self.chunk = rows, work, max(1, (_FORK_ENTRIES >> 6) // (1 + width))
+        self.shared = mmap.mmap(-1, 24 + 8 * rows * width + spare)
+        self.head = np.frombuffer(self.shared, np.int64, 3)    # child's last row, stop, bytes
+        self.head[:] = rows, 0, len(self.shared)
+        self.table = np.frombuffer(self.shared, float, rows * width, 24).reshape(rows, width)
+        self.sent, self.pid, self.pipe = rows, -1, -1
 
-def write_solution_csv(path, grid: TimeGrid, values: np.ndarray) -> None:
-    """Row-major CSV of ``values`` at ``repr`` precision.  A node whose block
-    is bitwise symmetric formats its upper triangle only and copies the text
-    to the mirrored entries: the same bytes for half the ``repr`` calls.  A
-    large table's second half is formatted in :func:`_fork_half`'s child."""
-    table = np.column_stack([grid.nodes(), values.reshape(grid.num_nodes, -1)])
-    n_rows, n_cols = values.shape[1], values.shape[2]
-    symmetric = np.zeros(grid.num_nodes, dtype=bool)
-    if n_rows == n_cols > 1:
-        # bits, not floats: -0.0 against 0.0 or two NaN payloads are unequal
-        bits = np.asarray(values, dtype=float).view(np.int64)
-        symmetric = (bits == np.swapaxes(bits, 1, 2)).all(axis=(1, 2))
-        upper, mirror = _mirror_columns(n_rows)
-        mirrored = operator.itemgetter(*mirror)
+    def close(self, stop: int = signal.SIGKILL) -> int:
+        """Stop (signal 0: after its chunk) and reap the child; its lowest row, or rows."""
+        if self.pid > 0:
+            os.kill(self.pid, stop)
+            self.head[1] = 1
+            if os.waitpid(self.pid, 0)[1]:
+                self.head[:] = self.rows, 1, len(self.shared)
+            os.close(self.pipe)
+            self.pid = self.pipe = -1
+        return int(self.head[0])
 
-    def lines(lo, hi):
-        for row, sym in zip(table[lo:hi], symmetric[lo:hi]):
-            if sym:
-                yield ",".join(mirrored(list(map(repr, row[upper].tolist())))) + "\n"
+    def publish(self, values: Optional[np.ndarray], lo: int) -> None:
+        """The solver hook: rows ``lo`` on of ``values`` (None: of the table) are
+        final.  A call that adds less than a chunk above row 0 waits for the next."""
+        if lo >= self.sent or lo and self.sent - lo < self.chunk:
+            return
+        if values is not None and (self.forks or self.pid > 0):     # the child alone reads them
+            self.table[lo:self.sent] = values[lo:self.sent].reshape(self.sent - lo, -1)
+            page = (24 + self.table[:lo].nbytes) // mmap.PAGESIZE * mmap.PAGESIZE
+            self.shared.madvise(mmap.MADV_DONTNEED, page, 24 + self.table[:self.sent].nbytes - page)
+        self.sent = lo = int(lo)
+        if self.pid > 0:
+            with contextlib.suppress(BrokenPipeError):     # a dead child is met as failed
+                os.write(self.pipe, lo.to_bytes(8, "little"))
+        elif self.forks:
+            self.forks, (frontier, self.pipe) = False, os.pipe()
+            try:
+                with warnings.catch_warnings():   # Python >= 3.12 warns of BLAS threads
+                    warnings.filterwarnings("ignore", ".*fork", DeprecationWarning)
+                    self.pid = os.fork()
+            except OSError:
+                os.close(self.pipe)
+                self.pid = self.pipe = -1
+            if self.pid == 0:
+                try:
+                    os.close(self.pipe)
+                    self._child(frontier)
+                    os._exit(0)
+                finally:
+                    os._exit(1)
+            os.close(frontier)
+
+    def _child(self, frontier: int) -> None:
+        lo, end, published = self.rows, len(self.shared), self.sent
+        while lo and not self.head[1]:
+            if lo <= published:     # wait for rows; the last frontier sent is the lowest
+                if not (sent := os.read(frontier, 1 << 16)):
+                    return
+                published = int.from_bytes(sent[-8:], "little")
+                continue
+            below = max(published, lo - self.chunk)
+            try:
+                out = self.work(self.table, below, lo)
+            except ValueError:      # the caller reaches this row and raises
+                return
+            if out:
+                self.shared[end - len(out):end] = out
+                end = self.head[2] = end - len(out)
+            lo = self.head[0] = below
+
+    def meet(self, table: np.ndarray, sink) -> None:
+        """Hand ``sink`` what ``work`` makes of ``table`` (shared, or a copy) from row 0
+        up until it meets the child, which it then reaps, and of the rows it left; then
+        the child's bytes past the lines made here too, freeing each slice once handed."""
+        mine, theirs = 0, self.rows
+        while mine < theirs or self.pid > 0:
+            if self.pid > 0 and mine >= self.head[0]:
+                theirs = self.close(0)
             else:
-                yield ",".join(map(repr, row.tolist())) + "\n"
+                sink(self.work(table, mine, min(mine + self.chunk, theirs)))
+                mine = min(mine + self.chunk, theirs)
+        if (start := int(self.head[2])) < len(self.shared):
+            for _ in range(mine - theirs):
+                start = self.shared.find(b"\n", start) + 1
+            for page in range(start - start % mmap.PAGESIZE, len(self.shared), 1 << 16):
+                sink(memoryview(self.shared)[max(page, start):page + (1 << 16)])
+                self.shared.madvise(getattr(mmap, "MADV_REMOVE", mmap.MADV_DONTNEED), page, 1 << 16)
 
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(_csv_header(n_rows, n_cols) + "\n")
-        starts = []                     # where the child's text begins in the file
 
-        def take(pipe, lo, hi):         # in chunks: the whole text is never held
-            starts.append(fh.tell())
-            count = 0
-            while chunk := pipe.read(1 << 20):
-                fh.buffer.write(chunk)
-                count += chunk.count(b"\n")
-            return count == hi - lo
+def _solution_rows(grid: TimeGrid, shape: tuple[int, int]) -> _Meet:
+    """The :class:`_Meet` formatting a solution's CSV lines at ``repr`` precision.
+    A node whose block is bitwise symmetric formats its upper triangle only and
+    copies the text to the mirrored entries: the same bytes for half the calls."""
+    nodes, (n_rows, n_cols) = grid.nodes(), shape
+    square, (upper, mirror) = n_rows == n_cols > 1, _mirror_columns(n_rows)
+    upper, mirrored = np.array(upper[1:]) - 1, operator.itemgetter(*mirror)
 
-        done = _fork_half(grid.num_nodes, table.size,
-                          lambda lo, hi: fh.writelines(lines(lo, hi)),
-                          lambda lo, hi: "".join(lines(lo, hi)).encode(), take)
-        if starts and done < grid.num_nodes:    # a failed child's rows are redone
-            fh.truncate(fh.seek(starts[0]))
-        fh.writelines(lines(done, grid.num_nodes))
+    def text(table, lo, hi):    # 25 bytes an entry at most: a float64's longest repr, a comma
+        block, symmetric = table[lo:hi], [False] * (hi - lo)
+        if square:      # bits, not floats: -0.0 against 0.0 or two NaN payloads are unequal
+            bits = block.view(np.int64).reshape(-1, n_rows, n_cols)
+            symmetric = (bits == np.swapaxes(bits, 1, 2)).all(axis=(1, 2)).tolist()
+        return "".join(",".join(mirrored([repr(t), *map(repr, row[upper].tolist())]) if sym
+                                else map(repr, [t, *row.tolist()])) + "\n"
+                       for t, row, sym in zip(nodes[lo:hi].tolist(), block, symmetric)).encode()
+
+    return _Meet(grid.num_nodes, n_rows * n_cols, text, 25 * grid.num_nodes * (1 + n_rows * n_cols))
+
+
+def write_solution_csv(path, grid: TimeGrid, values: np.ndarray, rows: Optional[_Meet] = None):
+    """Row-major CSV of ``values``, formatted on ``rows`` (see :func:`_solution_rows`;
+    opened here if not given): this process streams its lines to the file and
+    appends the child's, dropping the lines both formatted."""
+    if rows is None:
+        with contextlib.closing(_solution_rows(grid, values.shape[1:])) as rows:
+            return write_solution_csv(path, grid, values, rows)
+    rows.publish(values, 0)
+    with open(path, "wb") as fh:
+        fh.write((_csv_header(*values.shape[1:]) + "\n").encode())
+        rows.meet(values.reshape(grid.num_nodes, -1), fh.write)
 
 
 def read_solution_csv(path, grid: TimeGrid, n: int) -> OperatorFunction:
-    """Parse a CSV that ``write_solution_csv`` wrote.  A row whose mirrored
-    tokens are equal strings parses its upper triangle only.  The first bad
-    token of such a row in row-major order lies there, so the errors and
-    their order are those of parsing every token.  A large table's second
-    half is parsed in :func:`_fork_half`'s child and read into place."""
+    """Parse a CSV that ``write_solution_csv`` wrote, on a :class:`_Meet` whose
+    child parses from the last row down and stops at a bad row.  A row whose
+    mirrored tokens are equal strings parses its upper triangle only, where its
+    first bad token in row-major order lies: the errors are those of the serial parse."""
     text = Path(path).read_text(encoding="utf-8").strip().splitlines()
     if not text:
         raise ValueError("solution file is empty")
@@ -393,14 +447,12 @@ def read_solution_csv(path, grid: TimeGrid, n: int) -> OperatorFunction:
     if len(text) != grid.num_nodes + 1:
         raise ValueError(
             f"solution has {len(text) - 1} rows, expected {grid.num_nodes}")
-    values = np.empty((grid.num_nodes, n * n))
     upper, mirror = _mirror_columns(n)
     upper_tokens, mirrored = operator.itemgetter(*upper), operator.itemgetter(*mirror)
-    half = np.empty((grid.num_nodes, len(upper)))
-    symmetric = np.zeros(grid.num_nodes, dtype=bool)
     nodes = grid.nodes()
 
-    def parse(lo, hi):
+    def parse(table, lo, hi):
+        half, symmetric = np.empty((hi - lo, len(upper))), np.zeros(hi - lo, dtype=bool)
         for i in range(lo, hi):
             parts = text[i + 1].split(",")
             if len(parts) != 1 + n * n:
@@ -411,18 +463,16 @@ def read_solution_csv(path, grid: TimeGrid, n: int) -> OperatorFunction:
             # p0_1 against p1_0 first: a non-symmetric row is told at once
             if n > 1 and parts[2] == parts[n + 1] and \
                     mirrored(upper_tokens(parts)) == tuple(parts):
-                symmetric[i] = True
-                half[i] = list(map(float, upper_tokens(parts)))
+                symmetric[i - lo] = True
+                half[i - lo] = list(map(float, upper_tokens(parts)))
             else:
-                values[i] = list(map(float, parts[1:]))
-        rows = symmetric[lo:hi]
-        values[lo:hi][rows] = half[lo:hi][rows][:, mirror[1:]]
-        return values[lo:hi]
+                table[i] = list(map(float, parts[1:]))
+        table[lo:hi][symmetric] = half[symmetric][:, mirror[1:]]
 
-    done = _fork_half(grid.num_nodes, values.size + grid.num_nodes, parse, parse,
-                      lambda pipe, lo, hi: pipe.readinto(values[lo:hi]) == values[lo:hi].nbytes)
-    parse(done, grid.num_nodes)
-    return OperatorFunction(grid, values.reshape(-1, n, n))
+    with contextlib.closing(_Meet(grid.num_nodes, n * n, parse)) as meet:
+        meet.publish(None, 0)
+        meet.meet(meet.table, lambda _: None)
+    return OperatorFunction(grid, meet.table.reshape(-1, n, n))
 
 
 def _sha256(path) -> str:
@@ -466,23 +516,23 @@ def _residual_threshold(grid: TimeGrid, p_fun: OperatorFunction) -> float:
 
 def _run_solver(solver: str, problem: RiccatiProblem,
                 generator: Optional[OperatorFunction], tol_abs: float,
-                tol_rel: float, max_iter: int, safety: float) -> RiccatiSolution:
+                tol_rel: float, max_iter: int, safety: float, publish=None) -> RiccatiSolution:
     """The one dispatch over the monotone, Picard and oracle solvers.  A monotone
     or Picard solution whose residual exceeds the gate of ``check`` stopped on
     its tolerances before convergence and raises; the oracle has no stopping
-    tolerance and is not gated."""
+    tolerance and is not gated.  The monotone solver does not take ``publish``."""
     if solver == "oracle":
         if generator is None:
             raise ValueError("the oracle solver needs a generator-driven problem")
         p_oracle = solve_differential_riccati(generator, problem.B, problem.C,
-                                              problem.G, problem.grid)
+                                              problem.G, problem.grid, publish=publish)
         return RiccatiSolution(P=p_oracle, sup_differences=[],
                                residual=riccati_residual(p_oracle, problem))
     if solver == "monotone":
         solution = solve_monotone(problem, tol_abs=tol_abs, tol_rel=tol_rel, max_iter=max_iter)
     else:
         solution = solve_picard_stepped(problem, tol_abs=tol_abs, tol_rel=tol_rel,
-                                        max_iter=max_iter, safety=safety)
+                                        max_iter=max_iter, safety=safety, publish=publish)
     limit = _residual_threshold(problem.grid, solution.P)
     if not solution.residual <= limit:
         raise ConvergenceError("stopped before convergence: residual "
@@ -501,15 +551,15 @@ def cmd_solve(problem_path, out_dir, tol_abs: Optional[float] = None,
     settings = _settings(pfile, tol_abs=tol_abs, tol_rel=tol_rel, max_iter=max_iter,
                          safety=safety)
     start = time.perf_counter()
-    solution = _run_solver(chosen, problem, generator, **settings)
-    wall = time.perf_counter() - start
-
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    stem = Path(problem_path).stem
-    csv_path = out / f"{stem}_P.csv"
-    json_path = out / f"{stem}_run.json"
-    write_solution_csv(csv_path, problem.grid, solution.P.values)
+    with contextlib.closing(_solution_rows(problem.grid, (pfile.dimension,) * 2)) as rows:
+        solution = _run_solver(chosen, problem, generator, **settings, publish=rows.publish)
+        wall = time.perf_counter() - start
+        out = Path(out_dir)
+        out.mkdir(parents=True, exist_ok=True)
+        stem = Path(problem_path).stem
+        csv_path = out / f"{stem}_P.csv"
+        json_path = out / f"{stem}_run.json"
+        write_solution_csv(csv_path, problem.grid, solution.P.values, rows)
     record = {
         "solver": chosen,
         "version": __version__,

@@ -23,13 +23,16 @@ from .linops import first_defect, symmetrize
 
 
 def solve_differential_riccati(generator: OperatorFunction, B: OperatorFunction,
-                               C: OperatorFunction, G, grid: TimeGrid) -> OperatorFunction:
+                               C: OperatorFunction, G, grid: TimeGrid,
+                               publish=None) -> OperatorFunction:
     """Integrate the backward Riccati ODE from P(T) = G on the given grid and
     return the sampled P.
 
     All coefficients must be sampled on the nodes and midpoints of ``grid``.
     When B, C and G are symmetric the state is symmetrized after every step,
-    which the exact flow preserves.
+    which the exact flow preserves.  After each step to node ``i``,
+    ``publish(values, i)``, if given, is told that rows ``i`` on are final (the
+    CLI formats them meanwhile).
     """
     if generator.grid != grid or B.grid != grid or C.grid != grid:
         raise ValueError("all coefficients must be sampled on the given grid")
@@ -51,9 +54,6 @@ def solve_differential_riccati(generator: OperatorFunction, B: OperatorFunction,
                                       lambda part: 1.0 + float(np.abs(v).max()), sym_tol) is None
                          for v in (B.values, C.values)))
 
-    def rhs(a_t, b_t, neg_c_t, p):
-        return neg_c_t - a_t.T @ p - p @ a_t + p @ b_t @ p
-
     a, b, neg_c = generator.values, B.values, -C.values
     a_mid, b_mid = generator.midpoint_values, B.midpoint_values
     neg_c_mid = -C.midpoint_values if grid.steps else None
@@ -62,18 +62,24 @@ def solve_differential_riccati(generator: OperatorFunction, B: OperatorFunction,
     h = -grid.h  # integrating backward in time
     half, sixth = 0.5 * h, h / 6.0
 
-    def rk4(i):
-        p = values[i + 1]
-        k1 = rhs(a[i + 1], b[i + 1], neg_c[i + 1], p)
-        k2 = rhs(a_mid[i], b_mid[i], neg_c_mid[i], p + half * k1)
-        k3 = rhs(a_mid[i], b_mid[i], neg_c_mid[i], p + half * k2)
-        k4 = rhs(a[i], b[i], neg_c[i], p + h * k3)
+    def rk4(i):     # each stage is -C - A^T P - P A + P B P at its node or midpoint
+        p, a_1, b_1, c_1 = values[i + 1], a[i + 1], b[i + 1], neg_c[i + 1]
+        a_m, b_m, c_m, a_0, b_0, c_0 = a_mid[i], b_mid[i], neg_c_mid[i], a[i], b[i], neg_c[i]
+        k1 = c_1 - a_1.T @ p - p @ a_1 + p @ b_1 @ p
+        q = p + half * k1
+        k2 = c_m - a_m.T @ q - q @ a_m + q @ b_m @ q
+        q = p + half * k2
+        k3 = c_m - a_m.T @ q - q @ a_m + q @ b_m @ q
+        q = p + h * k3
+        k4 = c_0 - a_0.T @ q - q @ a_0 + q @ b_0 @ q
         return p + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
     with np.errstate(over="ignore", invalid="ignore"):  # blow-up is diagnosed below
         for i in range(grid.steps - 1, -1, -1):
             step = rk4(i)
             values[i] = symmetrize(step) if symmetric else step
+            if publish is not None:
+                publish(values, i)
         # A non-finite entry stays so in every later step: the loop met the highest
         # such node first, or the next one if only its symmetrization overflowed.
         blown = np.flatnonzero(~np.isfinite(values[:grid.steps]).all(axis=(1, 2)))

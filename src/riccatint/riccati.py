@@ -543,7 +543,7 @@ def _picard_window(problem: RiccatiProblem, terminal: np.ndarray, idx: int,
 
 def solve_picard_stepped(problem: RiccatiProblem, tol_abs: float = 1e-10,
                          tol_rel: float = 1e-8, max_iter: int = 50,
-                         safety: float = 0.5) -> RiccatiSolution:
+                         safety: float = 0.5, publish=None) -> RiccatiSolution:
     """Certified fixed-point solver stepping backward through contraction windows.
 
     Works without symmetry hypotheses.  Each window's length is chosen so the
@@ -552,6 +552,8 @@ def solve_picard_stepped(problem: RiccatiProblem, tol_abs: float = 1e-10,
     are checked to stay inside the certified ball (one retry per window with
     an inflated cap).  A window that needs more than ``max_iter`` sweeps
     raises ``ConvergenceError``, as the monotone solver does past its cap.
+    After each certified window, ``publish(values, lo)``, if given, is told that
+    rows ``lo`` on of the values are final (the CLI formats them meanwhile).
     """
     grid = problem.grid
     r_c = sup_opnorm(problem.C.values)
@@ -578,6 +580,8 @@ def solve_picard_stepped(problem: RiccatiProblem, tol_abs: float = 1e-10,
                     "the solution"
                 ) from second
         values[lo:idx + 1] = window
+        if publish is not None:
+            publish(values, lo)
         certificates.append(cert)
         all_updates.extend(updates)
         idx = lo

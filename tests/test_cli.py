@@ -387,17 +387,36 @@ def _exit_status_plus_5():
     os._exit = lambda code: real(code + 5)
 
 
+def _exit_0_after_one_chunk():
+    """Let the child finish one chunk of its rows, then end it with status 0."""
+    real = riccatint.cli._Meet._child
+
+    def child(self, frontier):
+        work = self.work
+
+        def once(*args):
+            self.work = lambda *args: os._exit(0)
+            return work(*args)
+
+        self.work = once
+        real(self, frontier)
+
+    riccatint.cli._Meet._child = child
+
+
 @pytest.mark.parametrize("child", [
     lambda: os._exit(1),
     lambda: os.kill(os.getpid(), signal.SIGKILL),
     lambda: os._exit(0),
+    _exit_0_after_one_chunk,
     _exit_status_plus_5,
-], ids=["exits-1", "killed", "exits-0-sending-nothing", "sends-all-then-exits-5"])
+], ids=["exits-1", "killed", "exits-0-sending-nothing", "exits-0-after-one-chunk",
+        "sends-all-then-exits-5"])
 def test_failed_csv_child_leaves_the_serial_result(tmp_path, monkeypatch, child):
-    """A child that fails leaves this process to do its rows: the same bytes,
-    bits and errors as the reference, and no child is left behind.  A child
-    that sent all its rows but exits non-zero is failed too: the writer cuts
-    its text back off the file before it writes those rows again."""
+    """A child that fails or stops early leaves this process to do the rows it
+    did not finish: the same bytes, bits and errors as the reference, and no
+    child is left behind.  A child that did all its rows but exits non-zero
+    is failed too: its text and floats are not read."""
     _two_cpus(monkeypatch)
     pids = _counted_forks(monkeypatch, child)
     grid, values = _split_table(8, kinds=("symmetric", "general", "signed-zero"))
@@ -409,12 +428,50 @@ def test_failed_csv_child_leaves_the_serial_result(tmp_path, monkeypatch, child)
     assert len(pids) == 3
 
 
+def _wait_for_hint(meet, row):
+    deadline = time.monotonic() + 30.0
+    while meet.head[0] != row:
+        assert time.monotonic() < deadline, f"the child's rows never reached {row}"
+        time.sleep(0.001)
+
+
+@pytest.mark.parametrize("meeting", ["child-does-none", "child-does-all-but-row-0",
+                                     "middle", "child-does-all"])
+def test_meeting_row_anywhere_writes_the_reference_bytes(tmp_path, monkeypatch, meeting):
+    """The child is stopped at a chosen row through the stop flag (it sees it
+    at the next frontier): at the last row, at row 1, at the middle row, or
+    not at all.  This process then formats up from row 0 a chunk at a time,
+    past the child's row but for the stop at the last row, and the writer drops
+    the lines both formatted: the bytes are the reference's, and the child's
+    lowest row is the chosen one."""
+    _two_cpus(monkeypatch)
+    pids = _counted_forks(monkeypatch)
+    grid, values = _split_table(8)
+    rows = grid.num_nodes
+    row = {"child-does-none": rows, "child-does-all-but-row-0": 1,
+           "middle": rows // 2, "child-does-all": 0}[meeting]
+    meet = riccatint.cli._solution_rows(grid, (8, 8))
+    with contextlib.closing(meet):
+        if row < rows:
+            meet.publish(values, row)
+            _wait_for_hint(meet, row)
+        meet.head[1] = row > 0
+        mine, work = [], meet.work
+        meet.work = lambda table, lo, hi: mine.append(hi - lo) or work(table, lo, hi)
+        write_solution_csv(tmp_path / "new.csv", grid, values, meet)
+        assert meet.head[0] == row and len(pids) == 1
+        assert sum(mine) == min(-(-row // meet.chunk) * meet.chunk, rows)   # past the child's
+    _no_child_left()
+    write_solution_csv_reference(tmp_path / "ref.csv", grid, values)
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
 @pytest.mark.parametrize("bad_rows", [[-1], [1, -1], [1]],
                          ids=["child-half", "both-halves", "own-half"])
 def test_split_read_reports_the_first_bad_row(tmp_path, monkeypatch, bad_rows):
-    """Bad tokens in the child's half, in this process's half or in both are
+    """Bad tokens in the child's rows, in this process's rows or in both are
     reported as the row-by-row reference reports them: the first in row order.
-    A child still parsing or blocked on a full pipe is killed and reaped."""
+    The child stops at a bad row, and this process parses up to it."""
     _two_cpus(monkeypatch)
     grid, values = _split_table(8, kinds=("symmetric", "general"))
     write_solution_csv(tmp_path / "p.csv", grid, values)
@@ -428,26 +485,107 @@ def test_split_read_reports_the_first_bad_row(tmp_path, monkeypatch, bad_rows):
     _assert_read_like_reference(tmp_path / "p.csv", grid, 8)
 
 
-def _slow_payload(lo, hi):
-    time.sleep(60)
-    return b""
-
-
-@pytest.mark.parametrize("send", [lambda lo, hi: bytes(1 << 22), _slow_payload],
-                         ids=["blocked-on-a-full-pipe", "still-working"])
-def test_fork_half_kills_and_reaps_its_child_on_an_interrupt(monkeypatch, send):
-    """An interrupt in this process's half closes the pipe and kills the child
-    before reaping it, whether it is blocked on a payload larger than the pipe
-    holds or still working: the call ends at once and leaves no child."""
+@pytest.mark.parametrize("state", ["waiting-for-rows", "still-working"])
+def test_meet_kills_and_reaps_its_child_on_an_interrupt(monkeypatch, state):
+    """An interrupt in this process, while the child waits for rows the solver
+    has not finished or is still working, kills the child before reaping it:
+    the call ends at once and leaves no child."""
     _two_cpus(monkeypatch)
+    parent = os.getpid()
 
-    def interrupted(lo, hi):
-        raise KeyboardInterrupt
+    def work(table, lo, hi):
+        if os.getpid() == parent:
+            raise KeyboardInterrupt
+        if state == "still-working":
+            time.sleep(60)
+        return b"x"
 
     start = time.monotonic()
     with pytest.raises(KeyboardInterrupt):
-        riccatint.cli._fork_half(2, 1 << 16, interrupted, send, lambda pipe, lo, hi: True)
+        with contextlib.closing(riccatint.cli._Meet(1 << 16, 1, work, 1 << 16)) as meet:
+            if state == "waiting-for-rows":
+                meet.publish(np.zeros(1 << 16), (1 << 16) - meet.chunk)
+                _wait_for_hint(meet, (1 << 16) - meet.chunk)
+                raise KeyboardInterrupt
+            meet.publish(None, 0)
+            meet.meet(meet.table, lambda out: None)
     assert time.monotonic() - start < 30.0
+    _no_child_left()
+
+
+def _streamed_doc(solver, steps=1100, **overrides):
+    """An 8 x 8 problem whose CSV (steps + 1 rows of 65 entries) reaches the
+    fork rule: a constant generator and constant C, B and G."""
+    rng = np.random.default_rng(5)
+    a, m = 0.3 * rng.standard_normal((2, 8, 8))
+    psd = (m @ m.T / 8).tolist()
+    doc = {"dimension": 8, "horizon": 1.0, "steps": steps, "solver": solver,
+           "generator": {"kind": "constant", "matrix": a.tolist()},
+           "C": {"kind": "constant", "matrix": psd},
+           "B": {"kind": "constant", "matrix": psd}, "G": psd}
+    doc.update(overrides)
+    return doc
+
+
+@pytest.mark.parametrize("solver", ["picard", "oracle"])
+def test_streamed_solve_csv_is_the_unstreamed_write(tmp_path, monkeypatch, solver):
+    """Picard windows and RK4 steps publish their rows while the solve runs and
+    a forked child formats them meanwhile: the CSV is byte for byte the
+    row-by-row reference's of the solution the library returns unstreamed."""
+    _two_cpus(monkeypatch)
+    pids = _counted_forks(monkeypatch)
+    path = write_doc(tmp_path / "p.json", _streamed_doc(solver))
+    published = []
+    real = riccatint.cli._Meet.publish
+    monkeypatch.setattr(riccatint.cli._Meet, "publish",
+                        lambda self, values, lo: published.append(lo) or real(self, values, lo))
+    assert main(["solve", path, "--out", str(tmp_path / "out")]) == EXIT_OK
+    assert len(pids) == 1 and len(published) > 2 and published[-1] == 0
+    _no_child_left()
+    problem, generator = ProblemFile.from_path(path).build(midpoints=solver == "oracle")
+    settings = riccatint.cli._settings(ProblemFile.from_path(path))
+    values = riccatint.cli._run_solver(solver, problem, generator, **settings).P.values
+    write_solution_csv_reference(tmp_path / "ref.csv", problem.grid, values)
+    assert (tmp_path / "out" / "p_P.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
+def _second_window_fails(monkeypatch):
+    real, calls = riccatint.riccati._picard_window, []
+
+    def window(*args, **kwargs):
+        calls.append(1)
+        if len(calls) == 2:
+            raise riccatint.riccati.ConvergenceError("window [0, 1] did not converge")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(riccatint.riccati, "_picard_window", window)
+
+
+@pytest.mark.parametrize("command, doc, patch, message", [
+    ("solve", _streamed_doc("picard", tolerances={"tol_abs": 1e300}), None,
+     "stopped before convergence: residual"),
+    ("solve", _streamed_doc("picard"), _second_window_fails, "did not converge"),
+    # P = tan(3 (1 - t)) I has its pole at t = 1 - pi / 6, between nodes 523 and 524
+    ("oracle", _streamed_doc("oracle", generator={"kind": "zero"}, G=np.zeros((8, 8)).tolist(),
+                             B={"kind": "constant", "matrix": (-3.0 * np.eye(8)).tolist()},
+                             C={"kind": "constant", "matrix": (3.0 * np.eye(8)).tolist()}),
+     None, "backward integration blew up at node 521"),
+], ids=["residual-gate", "later-window-raises", "rk4-blows-up"])
+def test_failed_streamed_solve_leaves_no_output_and_no_child(tmp_path, monkeypatch, capsys,
+                                                             command, doc, patch, message):
+    """A solve that fails after its rows were handed to the CSV child (every
+    window published then the residual gate, a window after a published one,
+    or an RK4 blow-up at an interior node after the rows above it) exits 3 and
+    leaves, as an unstreamed solve does, no CSV, no run JSON and no --out
+    directory; the child is killed and reaped."""
+    _two_cpus(monkeypatch)
+    pids = _counted_forks(monkeypatch)
+    if patch is not None:
+        patch(monkeypatch)
+    path = write_doc(tmp_path / "p.json", doc)
+    assert main([command, path, "--out", str(tmp_path / "out")]) == EXIT_NO_CONVERGENCE
+    assert message in capsys.readouterr().err
+    assert len(pids) == 1 and not (tmp_path / "out").exists()
     _no_child_left()
 
 

@@ -83,6 +83,20 @@ def test_oracle_blowup_diagnostic():
 
 # ------------------------------------------------- RK4 against the per-step loop
 
+def test_publish_sees_each_step_final():
+    """``publish(values, i)`` follows each step, from node steps - 1 down to 0,
+    and the rows it is told are final are the returned ones; without the hook
+    the values are the same bits."""
+    problem, gen = random_symmetric_problem(seed=4, n=3, steps=60)
+    args = (gen, problem.B, problem.C, problem.G, problem.grid)
+    seen = []
+    got = solve_differential_riccati(
+        *args, publish=lambda values, i: seen.append((i, values[i:].copy()))).values
+    assert [i for i, _ in seen] == list(range(59, -1, -1))
+    assert all(np.array_equal(rows, got[i:]) for i, rows in seen)
+    assert np.array_equal(solve_differential_riccati(*args).values, got)
+
+
 def _oracle_values(generator, B, C, G, grid):
     return solve_differential_riccati(generator, B, C, G, grid).values
 

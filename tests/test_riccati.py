@@ -630,6 +630,20 @@ def test_picard_certificates():
         assert cert.sup_iterate_norm <= cert.params.rho + 1e-6
 
 
+def test_picard_publishes_each_certified_window():
+    """``publish(values, lo)`` follows each certified window, with the window's
+    start node, and the rows it is told are final are the returned ones;
+    without the hook the solution is the same bits."""
+    problem, _ = random_symmetric_problem(seed=8, n=4, steps=500)
+    seen = []
+    sol = solve_picard_stepped(
+        problem, publish=lambda values, lo: seen.append((lo, values[lo:].copy())))
+    assert [lo for lo, _ in seen] == [c.start_index for c in sol.intervals]
+    assert len(seen) > 1 and seen[-1][0] == 0
+    assert all(np.array_equal(rows, sol.P.values[lo:]) for lo, rows in seen)
+    assert np.array_equal(solve_picard_stepped(problem).P.values, sol.P.values)
+
+
 def test_picard_general_nonsymmetric_problem():
     """Distinct generators on each side; reference is a fourth-order ODE run."""
     a1, a2, b, c, g, horizon = 0.3, -0.2, 0.8, 0.5, 0.4, 1.0
@@ -1064,9 +1078,12 @@ def test_only_the_lane_starts_threads():
 
 
 def test_only_the_csv_helper_forks():
-    """One owner of processes: ``os.fork`` appears in the package only inside
-    ``cli._fork_half``, the helper that hands half a CSV's rows to a child."""
-    assert _package_owners(_naming("fork")) == {"cli._fork_half"}
+    """One owner of processes and of shared memory: ``os.fork`` and ``mmap``
+    (past its import) appear in the package only inside ``cli._Meet``, the
+    helper that works a CSV's rows from both ends with one child."""
+    for named in (_naming("fork"), _naming("mmap")):
+        owners = _package_owners(lambda node: named(node) and not isinstance(node, ast.alias))
+        assert owners and {owner.rsplit(".", 1)[0] for owner in owners} == {"cli._Meet"}
 
 
 def test_only_require_hypotheses_builds_violations():
