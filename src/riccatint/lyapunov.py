@@ -19,7 +19,6 @@ checks and representation formulas.
 from __future__ import annotations
 
 import math
-from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import List, Optional
 
@@ -96,24 +95,29 @@ def _march(left_steps: np.ndarray, right_steps: np.ndarray, kernel: np.ndarray,
         return out
     src = _sources(left_steps, right_steps, kernel, h)
     if q1 is None and q2 is None:
-        for k in (1 if _wide(max(terminal.shape)) else math.isqrt(m), 1):
-            with np.errstate(over="ignore", invalid="ignore") if k > 1 else nullcontext():
-                top = m - m % k         # the leftover steps top..m-1 go one node at a time
-                cur = out[m]
-                for i in range(m - 1, top - 1, -1):
-                    cur = np.add(left_steps[i] @ cur @ right_steps[i], src[i], out=out[i])
-                lb, rb, sb, ob = (a[:top].reshape((-1, k) + a.shape[1:])
-                                  for a in (left_steps, right_steps, src, out))
-                lc, rc, sc = lb[:, -1], rb[:, -1], sb[:, -1]
-                for j in range(k - 2, -1, -1):      # each block's composite map
-                    lc, rc, sc = lb[:, j] @ lc, rc @ rb[:, j], lb[:, j] @ sc @ rb[:, j] + sb[:, j]
-                for b in range(top // k - 1, -1, -1):       # block starts
-                    cur = np.add(lc[b] @ cur @ rc[b], sc[b], out=ob[b, 0])
-                nxt = out[k:top + 1:k]
-                for j in range(k - 1, 0, -1):       # block interiors
-                    nxt = np.add(lb[:, j] @ nxt @ rb[:, j], sb[:, j], out=ob[:, j])
-            if k == 1 or np.isfinite(out).all():    # else a composite map overflowed
-                return out
+        def by_maps():
+            k = math.isqrt(m)
+            top = m - m % k         # the leftover steps top..m-1 go one node at a time
+            cur = out[m]
+            for i in range(m - 1, top - 1, -1):
+                cur = np.add(left_steps[i] @ cur @ right_steps[i], src[i], out=out[i])
+            lo = np.arange(0, top, k)
+            for b, a, r, c in reversed(list(zip(lo, *_stretch_maps(
+                    left_steps, right_steps, src, lo, lo + k)))):     # block starts
+                cur = np.add(a @ cur @ r, c, out=out[b])
+            ob, lb, rb, sb = (x[:top].reshape((-1, k) + x.shape[1:])
+                              for x in (out, left_steps, right_steps, src))
+            nxt = out[k:top + 1:k]
+            for j in range(k - 1, 0, -1):       # block interiors
+                nxt = np.add(lb[:, j] @ nxt @ rb[:, j], sb[:, j], out=ob[:, j])
+            return out
+
+        def by_node():
+            cur = out[m]
+            for i in range(m - 1, -1, -1):
+                cur = np.add(left_steps[i] @ cur @ right_steps[i], src[i], out=out[i])
+            return out
+        return _explicit(max(terminal.shape), by_maps, by_node)
     alpha = 0.5 * h
     # x - alpha (x Q1 + Q2 x) at node i + 1: formed at the terminal node, then carried
     carried = out[m] - alpha * _coupling(out[m], q1, q2, m)
@@ -143,6 +147,18 @@ def _march(left_steps: np.ndarray, right_steps: np.ndarray, kernel: np.ndarray,
         d1, d2 = x - rhs, d1
         carried = x + d1
     return out
+
+
+def _explicit(n: int, by_maps, by_node):
+    """The one rule of the explicit recursion: unless ``_wide(n)``, ``by_maps()``,
+    which steps runs of nodes by maps from :func:`_stretch_maps`; if ``_wide(n)``,
+    or where that result is not all finite (a composed map overflowed), ``by_node()``."""
+    if not _wide(n):
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = by_maps()
+        if np.isfinite(got).all():
+            return got
+    return by_node()
 
 
 def _stretch_maps(left_steps, right_steps, src, lo, hi):
@@ -179,7 +195,6 @@ def _window_defects(left_steps: np.ndarray, right_steps: np.ndarray,
     values[tau], h)[0]`` if ``_wide``.
     """
     src = _sources(left_steps, right_steps, kernel, h)
-    wide = _wide(max(values.shape[1:]))
     defects = np.empty(len(t_index))
     for start in range(0, len(t_index), chunk):
         t, tau = t_index[start:start + chunk], tau_index[start:start + chunk]
@@ -188,13 +203,13 @@ def _window_defects(left_steps: np.ndarray, right_steps: np.ndarray,
         active = [np.flatnonzero((t <= a) & (b <= tau)) for a, b in zip(lo, hi)]
         keep = np.flatnonzero([w.size for w in active])
         lo, hi, active = lo[keep], hi[keep], [active[s] for s in keep]
-        cur = values[tau]
-        if not wide:
-            with np.errstate(over="ignore", invalid="ignore"):  # redone below if not finite
-                for w, a, b, c in zip(active, *_stretch_maps(left_steps, right_steps,
-                                                             src, lo, hi)):
-                    cur[w] = a @ cur[w] @ b + c
-        if wide or not np.isfinite(cur).all():
+        def by_maps():
+            cur = values[tau]
+            for w, a, b, c in zip(active, *_stretch_maps(left_steps, right_steps, src, lo, hi)):
+                cur[w] = a @ cur[w] @ b + c
+            return cur
+
+        def by_node():
             cur = values[tau]
             for lo_s, hi_s, w in zip(lo.tolist(), hi.tolist(), active):
                 part = cur[w]
@@ -203,6 +218,8 @@ def _window_defects(left_steps: np.ndarray, right_steps: np.ndarray,
                     np.matmul(left_steps[i], part, out=step)
                     np.add(np.matmul(step, right_steps[i], out=part), src[i], out=part)
                 cur[w] = part
+            return cur
+        cur = _explicit(max(values.shape[1:]), by_maps, by_node)
         defects[start:start + chunk] = node_opnorms(values[t] - cur)
     return defects
 
