@@ -10,7 +10,7 @@ the composite trapezoidal rule; because the transports compose exactly, the
 whole quadrature collapses to a backward one-node-at-a-time recursion, and
 the coefficient terms at the newest node are solved implicitly, so the
 returned samples satisfy the discrete equation to machine precision.  Without
-coefficients the recursion is affine and small nodes march it by blocks.
+coefficients the recursion is affine and small nodes march it by stretches.
 
 The same marching core doubles as the explicit evaluator used for residual
 checks and representation formulas.
@@ -71,12 +71,11 @@ def _march(left_steps: np.ndarray, right_steps: np.ndarray, kernel: np.ndarray,
     by the recursion R_i = B_i R_{i+1} S_i + (h/2)(K_i + B_i K_{i+1} S_i),
     which unrolls to exactly the composite trapezoidal sum at every node.  The
     source terms (h/2)(...) need no earlier node and come as one stack (:func:`_sources`).
-    The steps compose, so unless ``_wide`` (of the larger side) they go in
-    blocks of k = isqrt(m), as in a scan: k - 1 batched passes form each block's
-    composite map, the block starts are marched through those, and k - 1 batched
-    passes fill the interiors; the m mod k top steps go one node at a time.
-    This is the same unrolled sum, rounded otherwise.  If ``_wide``, k is 1;
-    a march by blocks that is not all finite is redone with k = 1.
+    The steps compose, so they go as in a scan (:func:`_explicit`): stretches
+    [0, k), [k, 2k), ... of k = isqrt(m) steps, the top one shorter, are folded
+    into one map each, the stretch starts are marched through those, and pass
+    j < k fills node hi - j of every stretch [lo, hi) longer than j: the same
+    unrolled sum, rounded otherwise.  Node by node, k is 1.
 
     With Q1/Q2 the kernel gains -(P Q1 + Q2 P), and the endpoint term couples
     P_i to itself; the small affine system x = rhs_i - (h/2)(x Q1_i + Q2_i x)
@@ -95,29 +94,19 @@ def _march(left_steps: np.ndarray, right_steps: np.ndarray, kernel: np.ndarray,
         return out
     src = _sources(left_steps, right_steps, kernel, h)
     if q1 is None and q2 is None:
-        def by_maps():
-            k = math.isqrt(m)
-            top = m - m % k         # the leftover steps top..m-1 go one node at a time
-            cur = out[m]
-            for i in range(m - 1, top - 1, -1):
-                cur = np.add(left_steps[i] @ cur @ right_steps[i], src[i], out=out[i])
-            lo = np.arange(0, top, k)
-            for b, a, r, c in reversed(list(zip(lo, *_stretch_maps(
-                    left_steps, right_steps, src, lo, lo + k)))):     # block starts
-                cur = np.add(a @ cur @ r, c, out=out[b])
-            ob, lb, rb, sb = (x[:top].reshape((-1, k) + x.shape[1:])
-                              for x in (out, left_steps, right_steps, src))
-            nxt = out[k:top + 1:k]
-            for j in range(k - 1, 0, -1):       # block interiors
-                nxt = np.add(lb[:, j] @ nxt @ rb[:, j], sb[:, j], out=ob[:, j])
+        def walk(composed):     # stretches of k steps from node 0, the top one shorter
+            k = math.isqrt(m) if composed else 1
+            lo = np.arange(0, m, k)[::-1]
+            hi = np.append(m, lo[:-1])
+            maps = _stretch_maps(left_steps, right_steps, src, lo, hi) if k > 1 \
+                else (left_steps[::-1], right_steps[::-1], src[::-1])   # the steps, uncopied
+            for lo_s, hi_s, a, b, c in zip(lo, hi, *maps):     # the stretch starts
+                np.add(a @ out[hi_s] @ b, c, out=out[lo_s])
+            for j in range(1, k):       # pass j: node hi - j of every longer stretch
+                i = hi[hi - lo > j] - j
+                out[i] = left_steps[i] @ out[i + 1] @ right_steps[i] + src[i]
             return out
-
-        def by_node():
-            cur = out[m]
-            for i in range(m - 1, -1, -1):
-                cur = np.add(left_steps[i] @ cur @ right_steps[i], src[i], out=out[i])
-            return out
-        return _explicit(max(terminal.shape), by_maps, by_node)
+        return _explicit(max(terminal.shape), walk)
     alpha = 0.5 * h
     # x - alpha (x Q1 + Q2 x) at node i + 1: formed at the terminal node, then carried
     carried = out[m] - alpha * _coupling(out[m], q1, q2, m)
@@ -131,12 +120,10 @@ def _march(left_steps: np.ndarray, right_steps: np.ndarray, kernel: np.ndarray,
             x_new = rhs - alpha * _coupling(x, q1, q2, i)
             diff = float(np.abs(x_new - x).max())
             x = x_new
-            if diff <= 1e-15 * scale:
+            # converged, or the contraction has reached the roundoff floor (ulp limit cycle)
+            if diff <= 1e-15 * scale or prev <= diff <= 1e-12 * scale:
                 break
             if diff >= prev:
-                # contraction has reached the roundoff floor (ulp limit cycle)
-                if diff <= 1e-12 * scale:
-                    break
                 raise ConvergenceError(
                     "implicit endpoint solve is diverging; h * ||Q|| is too large")
             prev = diff
@@ -149,21 +136,21 @@ def _march(left_steps: np.ndarray, right_steps: np.ndarray, kernel: np.ndarray,
     return out
 
 
-def _explicit(n: int, by_maps, by_node):
-    """The one rule of the explicit recursion: unless ``_wide(n)``, ``by_maps()``,
-    which steps runs of nodes by maps from :func:`_stretch_maps`; if ``_wide(n)``,
-    or where that result is not all finite (a composed map overflowed), ``by_node()``."""
+def _explicit(n: int, walk):
+    """The one rule of the explicit recursion on n x n nodes (the larger side):
+    ``walk(True)``, by maps of :func:`_stretch_maps`, unless ``_wide(n)`` or its
+    result is not all finite (a map overflowed); else ``walk(False)``, node by node."""
     if not _wide(n):
         with np.errstate(over="ignore", invalid="ignore"):
-            got = by_maps()
+            got = walk(True)
         if np.isfinite(got).all():
             return got
-    return by_node()
+    return walk(False)
 
 
 def _stretch_maps(left_steps, right_steps, src, lo, hi):
-    """Maps x_lo = A x_hi B + c of the stretches [lo, hi), composed as the march's
-    blocks are, in batched passes: pass j steps every stretch longer than j."""
+    """Maps x_lo = A x_hi B + c of the stretches [lo, hi), each composed from its
+    top step down, in batched passes: pass j steps every stretch longer than j."""
     order = np.argsort(lo - hi, kind="stable")      # longest first: pass j takes a prefix
     top, length = hi[order] - 1, (hi - lo)[order]
     a, b, c = left_steps[top], right_steps[top], src[top]
@@ -187,12 +174,10 @@ def _window_defects(left_steps: np.ndarray, right_steps: np.ndarray,
     ``chunk`` pairs share one backward sweep.  The chunk's pair ends cut the
     grid into stretches [lo, hi) between consecutive ends, on each of which
     the same windows (t_a <= lo and hi <= tau_a) are active; they are
-    gathered once, advanced by one map composed from the stretch's steps
-    (:func:`_stretch_maps`) and scattered back once.  If ``_wide`` (of the larger
-    side), and for a chunk whose transports are not all finite, they advance
-    node by node instead, with the bits of the per-node loop over each window:
+    gathered once, advanced by the stretch's map and scattered back once, or
+    advanced node by node in place (:func:`_explicit`), with the bits of
     ``_march(left_steps[t:tau], right_steps[t:tau], kernel[t:tau + 1],
-    values[tau], h)[0]`` if ``_wide``.
+    values[tau], h)[0]`` from 16 x 16.
     """
     src = _sources(left_steps, right_steps, kernel, h)
     defects = np.empty(len(t_index))
@@ -201,16 +186,13 @@ def _window_defects(left_steps: np.ndarray, right_steps: np.ndarray,
         ends = np.unique(np.concatenate((t, tau)))
         lo, hi = ends[-2::-1], ends[:0:-1]      # the stretches, from the top
         active = [np.flatnonzero((t <= a) & (b <= tau)) for a, b in zip(lo, hi)]
-        keep = np.flatnonzero([w.size for w in active])
-        lo, hi, active = lo[keep], hi[keep], [active[s] for s in keep]
-        def by_maps():
-            cur = values[tau]
-            for w, a, b, c in zip(active, *_stretch_maps(left_steps, right_steps, src, lo, hi)):
-                cur[w] = a @ cur[w] @ b + c
-            return cur
 
-        def by_node():
+        def walk(composed):
             cur = values[tau]
+            if composed:
+                for w, a, b, c in zip(active, *_stretch_maps(left_steps, right_steps, src, lo, hi)):
+                    cur[w] = a @ cur[w] @ b + c
+                return cur
             for lo_s, hi_s, w in zip(lo.tolist(), hi.tolist(), active):
                 part = cur[w]
                 step = np.empty_like(part)      # each step in place: no temporaries
@@ -219,8 +201,8 @@ def _window_defects(left_steps: np.ndarray, right_steps: np.ndarray,
                     np.add(np.matmul(step, right_steps[i], out=part), src[i], out=part)
                 cur[w] = part
             return cur
-        cur = _explicit(max(values.shape[1:]), by_maps, by_node)
-        defects[start:start + chunk] = node_opnorms(values[t] - cur)
+        defects[start:start + chunk] = node_opnorms(
+            values[t] - _explicit(max(values.shape[1:]), walk))
     return defects
 
 

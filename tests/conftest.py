@@ -298,16 +298,17 @@ def march_reference(left_steps, right_steps, kernel, terminal, h, q1=None, q2=No
 
 
 def march_reference_blocked(left_steps, right_steps, kernel, terminal, h):
-    """The explicit ``lyapunov._march`` block by block and node by node, with
+    """The explicit ``lyapunov._march`` stretch by stretch and node by node, with
     the source term (h/2)(K_i + L_i K_{i+1} R_i) formed per node.
 
-    Below 16 x 16 the m steps go in blocks of k = isqrt(m), from 16 x 16 in
-    blocks of one, which is the per-node loop of ``march_reference_cold``.  The
-    m mod k top steps go one node at a time from the terminal value.  Each block
-    [bk, bk + k) is composed from its top step down into x_bk = A x_(b+1)k B + c;
-    the block starts are marched through these maps, and each block's interior
-    nodes are stepped down from the start of the block above.  A march by blocks
-    whose nodes are not all finite is that per-node loop instead.
+    Below 16 x 16 the m steps go in stretches [0, k), [k, 2k), ... of k = isqrt(m)
+    steps, the top one [m - m mod k, m) shorter if k does not divide m; from
+    16 x 16 in stretches of one, which is the per-node loop of
+    ``march_reference_cold``.  Each stretch [lo, hi) is composed from its top
+    step down into x_lo = A x_hi B + c; the stretch starts are marched through
+    these maps, and each stretch's interior nodes are stepped down from the
+    start of the stretch above (the terminal value for the top one).  A march
+    by stretches whose nodes are not all finite is that per-node loop instead.
     """
     m = left_steps.shape[0]
     out = np.empty((m + 1,) + terminal.shape)
@@ -318,23 +319,19 @@ def march_reference_blocked(left_steps, right_steps, kernel, terminal, h):
     src = [alpha * (kernel[i] + left_steps[i] @ kernel[i + 1] @ right_steps[i])
            for i in range(m)]
     k = 1 if max(terminal.shape) >= 16 else math.isqrt(m)
-    top = m - m % k
+    stretches = [(lo, min(lo + k, m)) for lo in range(0, m, k)]
     with np.errstate(over="ignore", invalid="ignore"):
-        for i in range(m - 1, top - 1, -1):
-            out[i] = left_steps[i] @ out[i + 1] @ right_steps[i] + src[i]
         maps = []
-        for b in range(top // k):
-            first = b * k + k - 1
-            a, c, s = left_steps[first], right_steps[first], src[first]
-            for i in range(first - 1, b * k - 1, -1):
+        for lo, hi in stretches:
+            a, c, s = left_steps[hi - 1], right_steps[hi - 1], src[hi - 1]
+            for i in range(hi - 2, lo - 1, -1):
                 a, c, s = left_steps[i] @ a, c @ right_steps[i], \
                     left_steps[i] @ s @ right_steps[i] + src[i]
             maps.append((a, c, s))
-        for b in range(top // k - 1, -1, -1):
-            a, c, s = maps[b]
-            out[b * k] = a @ out[(b + 1) * k] @ c + s
-        for b in range(top // k):
-            for i in range(b * k + k - 1, b * k, -1):
+        for (lo, hi), (a, c, s) in reversed(list(zip(stretches, maps))):
+            out[lo] = a @ out[hi] @ c + s
+        for lo, hi in stretches:
+            for i in range(hi - 1, lo, -1):
                 out[i] = left_steps[i] @ out[i + 1] @ right_steps[i] + src[i]
     if not np.all(np.isfinite(out)):
         return march_reference_cold(left_steps, right_steps, kernel, terminal, h)

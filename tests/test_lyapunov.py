@@ -239,6 +239,45 @@ def test_blocked_march_matches_per_node_loop(n, steps, seed):
         assert float(np.abs(got - want).max()) <= 1e-13 * (1.0 + float(np.abs(want).max()))
 
 
+@pytest.mark.parametrize("n", [1, 2, 8])
+@pytest.mark.parametrize("k", [2, 5, 12])
+@pytest.mark.parametrize("extra", ["k^2", "k^2+1", "k^2+k-1", "(k+1)^2-1"])
+def test_march_top_stretch_matches_per_node_loop(n, k, extra):
+    """m mod k top steps, from none to k - 1 (and m a square and the last m
+    with isqrt(m) = k): the top stretch goes by one shorter map, within 1e-13
+    of the per-node loop and with the bits of the stretch-by-stretch reference."""
+    m = {"k^2": k * k, "k^2+1": k * k + 1, "k^2+k-1": k * k + k - 1,
+         "(k+1)^2-1": (k + 1) ** 2 - 1}[extra]
+    left, right, kernel, terminal, h, _ = _smooth_march_data(
+        np.random.default_rng(100 * n + m), n, m, "none", 0.0)
+    got = _march(left, right, kernel, terminal, h)
+    want = march_reference_cold(left, right, kernel, terminal, h)
+    assert float(np.abs(got - want).max()) <= 1e-13 * (1.0 + float(np.abs(want).max()))
+    assert np.array_equal(got, march_reference_blocked(left, right, kernel, terminal, h))
+
+
+@pytest.mark.parametrize("n, composed", [(8, True), (15, True), (16, False), (32, False)])
+def test_stretch_maps_compose_every_explicit_recursion(monkeypatch, n, composed):
+    """Below 16 x 16 one explicit march calls ``_stretch_maps`` once and the
+    flow gate once per chunk; from 16 x 16 neither calls it."""
+    calls = []
+
+    def spy(*args):
+        calls.append(len(args[3]))
+        return real(*args)
+
+    real = lyapunov._stretch_maps
+    monkeypatch.setattr(lyapunov, "_stretch_maps", spy)
+    left, right, kernel, terminal, h, _ = _smooth_march_data(
+        np.random.default_rng(n), n, 50, "none", 0.0)
+    _march(left, right, kernel, terminal, h)
+    assert calls == ([8] if composed else [])      # isqrt(50) = 7: 7 stretches and a top one
+    calls.clear()
+    t_index, tau_index = np.array([0, 3, 7, 20, 40]), np.array([20, 12, 9, 50, 41])
+    _window_defects(left, right, kernel, np.ones((51, n, n)), h, t_index, tau_index, 2)
+    assert len(calls) == (3 if composed else 0)
+
+
 @pytest.mark.parametrize("n1, n2", [(3, 5), (5, 3), (2, 16), (16, 2)])
 def test_non_square_march_reads_the_larger_side(n1, n2):
     """Without coefficients ``solve_linear`` on an n2 x n1 unknown steps one
