@@ -510,33 +510,35 @@ def _settings(pfile: ProblemFile, **overrides) -> dict:
 
 
 def _residual_threshold(grid: TimeGrid, p_fun: OperatorFunction) -> float:
-    """The residual gate of ``check``, and of every solve with an iterative solver."""
+    """The residual gate of ``check``, and of every solve."""
     return max(1e-9, 25.0 * grid.h * grid.h * (1.0 + sup_opnorm(p_fun.values)))
 
 
 def _run_solver(solver: str, problem: RiccatiProblem,
                 generator: Optional[OperatorFunction], tol_abs: float,
                 tol_rel: float, max_iter: int, safety: float, publish=None) -> RiccatiSolution:
-    """The one dispatch over the monotone, Picard and oracle solvers.  A monotone
-    or Picard solution whose residual exceeds the gate of ``check`` stopped on
-    its tolerances before convergence and raises; the oracle has no stopping
-    tolerance and is not gated.  The monotone solver does not take ``publish``."""
+    """The one dispatch over the monotone, Picard and oracle solvers, and the one
+    residual gate: a solution whose residual exceeds the gate of ``check``
+    raises.  A monotone or Picard solver then stopped on its tolerances before
+    convergence; the oracle's RK4 steps were too coarse for the problem.  The
+    monotone solver does not take ``publish``."""
     if solver == "oracle":
         if generator is None:
             raise ValueError("the oracle solver needs a generator-driven problem")
         p_oracle = solve_differential_riccati(generator, problem.B, problem.C,
                                               problem.G, problem.grid, publish=publish)
-        return RiccatiSolution(P=p_oracle, sup_differences=[],
-                               residual=riccati_residual(p_oracle, problem))
-    if solver == "monotone":
+        solution = RiccatiSolution(P=p_oracle, sup_differences=[],
+                                   residual=riccati_residual(p_oracle, problem))
+    elif solver == "monotone":
         solution = solve_monotone(problem, tol_abs=tol_abs, tol_rel=tol_rel, max_iter=max_iter)
     else:
         solution = solve_picard_stepped(problem, tol_abs=tol_abs, tol_rel=tol_rel,
                                         max_iter=max_iter, safety=safety, publish=publish)
     limit = _residual_threshold(problem.grid, solution.P)
     if not solution.residual <= limit:
-        raise ConvergenceError("stopped before convergence: residual "
-                               f"{solution.residual:.3e} > {limit:.3e}")
+        gap = f"residual {solution.residual:.3e} > {limit:.3e}"
+        raise ConvergenceError(f"oracle {gap}; refine the grid" if solver == "oracle"
+                               else f"stopped before convergence: {gap}")
     return solution
 
 
@@ -632,9 +634,7 @@ def cmd_study(problem_path, grids: List[int], solver: Optional[str] = None) -> i
 
     chosen = solver if solver is not None else pfile.solver
     settings = _settings(pfile)
-    problem_f, generator_f = pfile.build(steps=finest)
-    reference = solve_differential_riccati(
-        generator_f, problem_f.B, problem_f.C, problem_f.G, problem_f.grid)
+    reference = _run_solver("oracle", *pfile.build(steps=finest), **settings).P
     rows = []
     for n_steps in grids:
         problem, generator = pfile.build(steps=n_steps, midpoints=chosen == "oracle")

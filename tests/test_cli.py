@@ -699,6 +699,50 @@ def test_check_of_an_overflowing_stretch_map_is_the_per_node_sweep(tmp_path, cap
     assert [line.split()[-1] for line in out.splitlines()] == ["PASS"] * 4 and err == ""
 
 
+def test_solve_of_an_overflowing_top_stretch_is_the_per_node_march(tmp_path, capsys):
+    """At 10099 steps of e^7.43 on each side the march goes in stretches of
+    isqrt(10099) = 100 steps with a top stretch of 99, and the maps of both
+    overflow: the march is redone node by node, so P = 0 stays exactly zero."""
+    path = write_doc(tmp_path / "zero.json", _zero_solution_doc(10099, 75000.0))
+    assert main(["solve", path, "--out", str(tmp_path / "out")]) == EXIT_OK
+    assert capsys.readouterr().out.split()[3] == "residual=0.000e+00"
+    p_fun = read_solution_csv(tmp_path / "out" / "zero_P.csv", TimeGrid(1.0, 10099), 1)
+    assert np.array_equal(p_fun.values, np.zeros((10100, 1, 1)))
+
+
+def _heat_doc(n=32, steps=50):
+    """The finite-difference heat equation on (0, 1) with Dirichlet ends over the
+    horizon 0.1: generator 0.1 (n + 1)^2 tridiag(1, -2, 1), B = C = G = I."""
+    lap = np.diag(np.full(n - 1, 1.0), 1) + np.diag(np.full(n - 1, 1.0), -1) - 2.0 * np.eye(n)
+    eye = np.eye(n).tolist()
+    return {"dimension": n, "horizon": 0.1, "steps": steps, "solver": "monotone",
+            "generator": {"kind": "constant", "matrix": (0.1 * (n + 1) ** 2 * lap).tolist()},
+            "C": {"kind": "constant", "matrix": eye}, "B": {"kind": "constant", "matrix": eye},
+            "G": eye}
+
+
+def test_oracle_above_the_residual_gate_exits_3(tmp_path, capsys):
+    """The stiff heat problem at n = 32, N = 50 (2 h ||A|| = 1.74): the RK4
+    oracle's residual is far above the gate of ``check``, so ``oracle`` and the
+    oracle reference of ``study`` exit 3 with one line and write nothing.  The
+    monotone ``solve`` exits 0 and its CSV passes ``check``."""
+    path = write_doc(tmp_path / "heat.json", _heat_doc())
+    assert main(["oracle", path, "--out", str(tmp_path / "oracle")]) == EXIT_NO_CONVERGENCE
+    out, err = capsys.readouterr()
+    words = err.split()
+    assert out == "" and err.count("\n") == 1 and not (tmp_path / "oracle").exists()
+    assert words[:3] == ["error:", "oracle", "residual"] and words[4] == ">"
+    assert err.endswith("; refine the grid\n")
+    residual, limit = float(words[3]), float(words[5].rstrip(";"))
+    assert residual == pytest.approx(1.017e-1, rel=1e-3) and limit == pytest.approx(2.0e-4, rel=0.05)
+    assert main(["study", path, "--grids", "10,25,50"]) == EXIT_NO_CONVERGENCE
+    assert capsys.readouterr().err.startswith("error: oracle residual ")
+    assert main(["solve", path, "--out", str(tmp_path / "out")]) == EXIT_OK
+    assert main(["check", path, str(tmp_path / "out" / "heat_P.csv")]) == EXIT_OK
+    out, err = capsys.readouterr()
+    assert [line.split()[-1] for line in out.splitlines()[1:]] == ["PASS"] * 4 and err == ""
+
+
 def _indefinite_doc(steps=20):
     """A problem that violates C-nonnegativity; only the Picard solver takes it."""
     return {
@@ -1141,7 +1185,9 @@ def test_solve_stopped_before_convergence_exits_3(tmp_path, capsys, solver):
     assert first.startswith("riccati_residual ") and first.endswith(" FAIL")
 
 
-def test_oracle_solve_has_no_residual_gate(tmp_path):
+def test_oracle_solve_reads_no_stopping_tolerance(tmp_path):
+    """The oracle has no stopping tolerance, so ``--tol-abs 1e300`` changes
+    nothing; its residual on tanh stays far below the gate."""
     path = write_doc(tmp_path / "tanh.json", tanh_doc(steps=200))
     assert main(["solve", path, "--out", str(tmp_path / "out"), "--solver", "oracle",
                  "--tol-abs", "1e300"]) == EXIT_OK
