@@ -46,12 +46,8 @@ def _wide(n: int) -> bool:
 def _coupling(x: np.ndarray, q1: Optional[np.ndarray], q2: Optional[np.ndarray],
               i: int):
     """x Q1_i + Q2_i x, with an absent coefficient contributing nothing."""
-    out = 0.0
-    if q1 is not None:
-        out = x @ q1[i]
-    if q2 is not None:
-        out = out + q2[i] @ x
-    return out
+    out = 0.0 if q1 is None else x @ q1[i]
+    return out if q2 is None else out + q2[i] @ x
 
 
 def _sources(left_steps, right_steps, kernel, h: float) -> np.ndarray:
@@ -72,10 +68,11 @@ def _march(left_steps: np.ndarray, right_steps: np.ndarray, kernel: np.ndarray,
     which unrolls to exactly the composite trapezoidal sum at every node.  The
     source terms (h/2)(...) need no earlier node and come as one stack (:func:`_sources`).
     The steps compose, so they go as in a scan (:func:`_explicit`): stretches
-    [0, k), [k, 2k), ... of k = isqrt(m) steps, the top one shorter, are folded
-    into one map each, the stretch starts are marched through those, and pass
-    j < k fills node hi - j of every stretch [lo, hi) longer than j: the same
-    unrolled sum, rounded otherwise.  Node by node, k is 1.
+    [m - k, m), [m - 2k, m - k), ... of k = isqrt(m) steps, the last one shorter,
+    each fold into one map, the stretch starts are marched through those, and
+    pass j < k fills node hi - j of every stretch [lo, hi) longer than j, one
+    strided view of each stack: the same unrolled sum, rounded otherwise.  Node
+    by node, k is 1.
 
     With Q1/Q2 the kernel gains -(P Q1 + Q2 P), and the endpoint term couples
     P_i to itself; the small affine system x = rhs_i - (h/2)(x Q1_i + Q2_i x)
@@ -94,17 +91,17 @@ def _march(left_steps: np.ndarray, right_steps: np.ndarray, kernel: np.ndarray,
         return out
     src = _sources(left_steps, right_steps, kernel, h)
     if q1 is None and q2 is None:
-        def walk(composed):     # stretches of k steps from node 0, the top one shorter
+        def walk(composed):     # stretches of k steps down from node m, the bottom one shorter
             k = math.isqrt(m) if composed else 1
-            lo = np.arange(0, m, k)[::-1]
-            hi = np.append(m, lo[:-1])
+            hi = np.arange(m, 0, -k)
+            lo = np.maximum(hi - k, 0)
             maps = _stretch_maps(left_steps, right_steps, src, lo, hi) if k > 1 \
                 else (left_steps[::-1], right_steps[::-1], src[::-1])   # the steps, uncopied
-            for lo_s, hi_s, a, b, c in zip(lo, hi, *maps):     # the stretch starts
+            for lo_s, hi_s, a, b, c in zip(lo.tolist(), hi.tolist(), *maps):   # starts
                 np.add(a @ out[hi_s] @ b, c, out=out[lo_s])
             for j in range(1, k):       # pass j: node hi - j of every longer stretch
-                i = hi[hi - lo > j] - j
-                out[i] = left_steps[i] @ out[i + 1] @ right_steps[i] + src[i]
+                i = slice((m - j) % k or k, m, k)
+                np.add(left_steps[i] @ out[i.start + 1::k] @ right_steps[i], src[i], out=out[i])
             return out
         return _explicit(max(terminal.shape), walk)
     alpha = 0.5 * h
@@ -149,17 +146,30 @@ def _explicit(n: int, walk):
 
 
 def _stretch_maps(left_steps, right_steps, src, lo, hi):
-    """Maps x_lo = A x_hi B + c of the stretches [lo, hi), each composed from its
-    top step down, in batched passes: pass j steps every stretch longer than j."""
-    order = np.argsort(lo - hi, kind="stable")      # longest first: pass j takes a prefix
-    top, length = hi[order] - 1, (hi - lo)[order]
-    a, b, c = left_steps[top], right_steps[top], src[top]
-    for j in range(1, int(length.max(initial=0))):
-        i = top[:np.count_nonzero(length > j)] - j
-        k, li, ri = len(i), left_steps[i], right_steps[i]
-        a[:k], b[:k], c[:k] = li @ a[:k], b[:k] @ ri, li @ c[:k] @ ri + src[i]
-    back = np.argsort(order)
-    return a[back], b[back], c[back]
+    """Maps x_lo = A x_hi B + c of the stretches [lo, hi), given longest first, each
+    composed from its top step down in batched passes: pass j steps the stretches
+    longer than j, a prefix.  Where the tops are evenly spaced, as the march's
+    are, a pass reads one strided view of each stack, else gathered copies."""
+    top, length = (hi - 1).tolist(), (hi - lo).tolist()
+    gap = top[0] - top[1] if len(top) > 1 else 0
+    even = gap > 0 and top == list(range(top[0], top[0] - gap * len(top), -gap))
+    stacks = [x[top[0]::-1] if even else x for x in (left_steps, right_steps, src)]
+
+    def steps(j, k):        # the steps top[:k] - j of each stack
+        i = slice(j, j + gap * k, gap) if even else np.array(top[:k], dtype=int) - j
+        return [x[i] for x in stacks]
+
+    a, b, c = (np.array(x) for x in steps(0, len(top)))
+    k = len(top)
+    for j in range(1, max(length, default=0)):
+        while length[k - 1] <= j:
+            k -= 1
+        li, ri, si = steps(j, k)
+        if k == len(a):
+            a, b, c = li @ a, b @ ri, li @ c @ ri + si
+        else:
+            a[:k], b[:k], c[:k] = li @ a[:k], b[:k] @ ri, li @ c[:k] @ ri + si
+    return a, b, c
 
 
 def _window_defects(left_steps: np.ndarray, right_steps: np.ndarray,
@@ -174,10 +184,9 @@ def _window_defects(left_steps: np.ndarray, right_steps: np.ndarray,
     ``chunk`` pairs share one backward sweep.  The chunk's pair ends cut the
     grid into stretches [lo, hi) between consecutive ends, on each of which
     the same windows (t_a <= lo and hi <= tau_a) are active; they are
-    gathered once, advanced by the stretch's map and scattered back once, or
-    advanced node by node in place (:func:`_explicit`), with the bits of
-    ``_march(left_steps[t:tau], right_steps[t:tau], kernel[t:tau + 1],
-    values[tau], h)[0]`` from 16 x 16.
+    gathered once, advanced by the stretch's map (or node by node in place,
+    with the bits of ``_march(...)[0]`` on each window: :func:`_explicit`) and
+    scattered back once.
     """
     src = _sources(left_steps, right_steps, kernel, h)
     defects = np.empty(len(t_index))
@@ -190,8 +199,10 @@ def _window_defects(left_steps: np.ndarray, right_steps: np.ndarray,
         def walk(composed):
             cur = values[tau]
             if composed:
-                for w, a, b, c in zip(active, *_stretch_maps(left_steps, right_steps, src, lo, hi)):
-                    cur[w] = a @ cur[w] @ b + c
+                order = np.argsort(lo - hi, kind="stable")      # longest first
+                a, b, c = _stretch_maps(left_steps, right_steps, src, lo[order], hi[order])
+                for w, r in zip(active, np.argsort(order).tolist()):
+                    cur[w] = a[r] @ cur[w] @ b[r] + c[r]
                 return cur
             for lo_s, hi_s, w in zip(lo.tolist(), hi.tolist(), active):
                 part = cur[w]
@@ -246,10 +257,9 @@ class LinearIntegralProblem:
         grid, n1, n2 = self.grid, self.U_forward.dim, self.U_backward.dim
         if self.Q12.shape != (n2, n1) or self.Q12.grid != grid:
             raise ValueError(f"Q12 must be sampled on the grid with shape {(n2, n1)}")
-        if self.Q1 is not None and (self.Q1.shape != (n1, n1) or self.Q1.grid != grid):
-            raise ValueError(f"Q1 must be square of dimension {n1} on the grid")
-        if self.Q2 is not None and (self.Q2.shape != (n2, n2) or self.Q2.grid != grid):
-            raise ValueError(f"Q2 must be square of dimension {n2} on the grid")
+        for name, q, n in (("Q1", self.Q1, n1), ("Q2", self.Q2, n2)):
+            if q is not None and (q.shape != (n, n) or q.grid != grid):
+                raise ValueError(f"{name} must be square of dimension {n} on the grid")
 
     @property
     def grid(self):

@@ -301,8 +301,8 @@ def march_reference_blocked(left_steps, right_steps, kernel, terminal, h):
     """The explicit ``lyapunov._march`` stretch by stretch and node by node, with
     the source term (h/2)(K_i + L_i K_{i+1} R_i) formed per node.
 
-    Below 16 x 16 the m steps go in stretches [0, k), [k, 2k), ... of k = isqrt(m)
-    steps, the top one [m - m mod k, m) shorter if k does not divide m; from
+    Below 16 x 16 the m steps go in stretches [m - k, m), [m - 2k, m - k), ... of
+    k = isqrt(m) steps, the bottom one [0, m mod k) shorter if k does not divide m; from
     16 x 16 in stretches of one, which is the per-node loop of
     ``march_reference_cold``.  Each stretch [lo, hi) is composed from its top
     step down into x_lo = A x_hi B + c; the stretch starts are marched through
@@ -319,7 +319,7 @@ def march_reference_blocked(left_steps, right_steps, kernel, terminal, h):
     src = [alpha * (kernel[i] + left_steps[i] @ kernel[i + 1] @ right_steps[i])
            for i in range(m)]
     k = 1 if max(terminal.shape) >= 16 else math.isqrt(m)
-    stretches = [(lo, min(lo + k, m)) for lo in range(0, m, k)]
+    stretches = [(max(hi - k, 0), hi) for hi in range(m, 0, -k)]
     with np.errstate(over="ignore", invalid="ignore"):
         maps = []
         for lo, hi in stretches:
@@ -328,7 +328,7 @@ def march_reference_blocked(left_steps, right_steps, kernel, terminal, h):
                 a, c, s = left_steps[i] @ a, c @ right_steps[i], \
                     left_steps[i] @ s @ right_steps[i] + src[i]
             maps.append((a, c, s))
-        for (lo, hi), (a, c, s) in reversed(list(zip(stretches, maps))):
+        for (lo, hi), (a, c, s) in zip(stretches, maps):
             out[lo] = a @ out[hi] @ c + s
         for lo, hi in stretches:
             for i in range(hi - 1, lo, -1):

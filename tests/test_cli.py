@@ -699,10 +699,10 @@ def test_check_of_an_overflowing_stretch_map_is_the_per_node_sweep(tmp_path, cap
     assert [line.split()[-1] for line in out.splitlines()] == ["PASS"] * 4 and err == ""
 
 
-def test_solve_of_an_overflowing_top_stretch_is_the_per_node_march(tmp_path, capsys):
+def test_solve_of_an_overflowing_short_stretch_is_the_per_node_march(tmp_path, capsys):
     """At 10099 steps of e^7.43 on each side the march goes in stretches of
-    isqrt(10099) = 100 steps with a top stretch of 99, and the maps of both
-    overflow: the march is redone node by node, so P = 0 stays exactly zero."""
+    isqrt(10099) = 100 steps and a last one of 99, and the maps of both overflow:
+    the march is redone node by node, so P = 0 stays exactly zero."""
     path = write_doc(tmp_path / "zero.json", _zero_solution_doc(10099, 75000.0))
     assert main(["solve", path, "--out", str(tmp_path / "out")]) == EXIT_OK
     assert capsys.readouterr().out.split()[3] == "residual=0.000e+00"

@@ -242,9 +242,9 @@ def test_blocked_march_matches_per_node_loop(n, steps, seed):
 @pytest.mark.parametrize("n", [1, 2, 8])
 @pytest.mark.parametrize("k", [2, 5, 12])
 @pytest.mark.parametrize("extra", ["k^2", "k^2+1", "k^2+k-1", "(k+1)^2-1"])
-def test_march_top_stretch_matches_per_node_loop(n, k, extra):
-    """m mod k top steps, from none to k - 1 (and m a square and the last m
-    with isqrt(m) = k): the top stretch goes by one shorter map, within 1e-13
+def test_march_short_stretch_matches_per_node_loop(n, k, extra):
+    """m mod k leftover steps, from none to k - 1 (and m a square and the last m
+    with isqrt(m) = k): they go as one shorter stretch [0, m mod k), within 1e-13
     of the per-node loop and with the bits of the stretch-by-stretch reference."""
     m = {"k^2": k * k, "k^2+1": k * k + 1, "k^2+k-1": k * k + k - 1,
          "(k+1)^2-1": (k + 1) ** 2 - 1}[extra]
@@ -271,7 +271,7 @@ def test_stretch_maps_compose_every_explicit_recursion(monkeypatch, n, composed)
     left, right, kernel, terminal, h, _ = _smooth_march_data(
         np.random.default_rng(n), n, 50, "none", 0.0)
     _march(left, right, kernel, terminal, h)
-    assert calls == ([8] if composed else [])      # isqrt(50) = 7: 7 stretches and a top one
+    assert calls == ([8] if composed else [])      # isqrt(50) = 7: 7 stretches and [0, 1)
     calls.clear()
     t_index, tau_index = np.array([0, 3, 7, 20, 40]), np.array([20, 12, 9, 50, 41])
     _window_defects(left, right, kernel, np.ones((51, n, n)), h, t_index, tau_index, 2)
