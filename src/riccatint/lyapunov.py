@@ -46,8 +46,12 @@ def _wide(n: int) -> bool:
 def _coupling(x: np.ndarray, q1: Optional[np.ndarray], q2: Optional[np.ndarray],
               i: int):
     """x Q1_i + Q2_i x, with an absent coefficient contributing nothing."""
-    out = 0.0 if q1 is None else x @ q1[i]
-    return out if q2 is None else out + q2[i] @ x
+    out = 0.0
+    if q1 is not None:
+        out = x @ q1[i]
+    if q2 is not None:
+        out = out + q2[i] @ x
+    return out
 
 
 def _sources(left_steps, right_steps, kernel, h: float) -> np.ndarray:
@@ -117,10 +121,12 @@ def _march(left_steps: np.ndarray, right_steps: np.ndarray, kernel: np.ndarray,
             x_new = rhs - alpha * _coupling(x, q1, q2, i)
             diff = float(np.abs(x_new - x).max())
             x = x_new
-            # converged, or the contraction has reached the roundoff floor (ulp limit cycle)
-            if diff <= 1e-15 * scale or prev <= diff <= 1e-12 * scale:
+            if diff <= 1e-15 * scale:
                 break
             if diff >= prev:
+                # contraction has reached the roundoff floor (ulp limit cycle)
+                if diff <= 1e-12 * scale:
+                    break
                 raise ConvergenceError(
                     "implicit endpoint solve is diverging; h * ||Q|| is too large")
             prev = diff
@@ -165,10 +171,7 @@ def _stretch_maps(left_steps, right_steps, src, lo, hi):
         while length[k - 1] <= j:
             k -= 1
         li, ri, si = steps(j, k)
-        if k == len(a):
-            a, b, c = li @ a, b @ ri, li @ c @ ri + si
-        else:
-            a[:k], b[:k], c[:k] = li @ a[:k], b[:k] @ ri, li @ c[:k] @ ri + si
+        a[:k], b[:k], c[:k] = li @ a[:k], b[:k] @ ri, li @ c[:k] @ ri + si
     return a, b, c
 
 
@@ -195,6 +198,8 @@ def _window_defects(left_steps: np.ndarray, right_steps: np.ndarray,
         ends = np.unique(np.concatenate((t, tau)))
         lo, hi = ends[-2::-1], ends[:0:-1]      # the stretches, from the top
         active = [np.flatnonzero((t <= a) & (b <= tau)) for a, b in zip(lo, hi)]
+        keep = np.flatnonzero([w.size for w in active])
+        lo, hi, active = lo[keep], hi[keep], [active[s] for s in keep]
 
         def walk(composed):
             cur = values[tau]
@@ -257,9 +262,10 @@ class LinearIntegralProblem:
         grid, n1, n2 = self.grid, self.U_forward.dim, self.U_backward.dim
         if self.Q12.shape != (n2, n1) or self.Q12.grid != grid:
             raise ValueError(f"Q12 must be sampled on the grid with shape {(n2, n1)}")
-        for name, q, n in (("Q1", self.Q1, n1), ("Q2", self.Q2, n2)):
-            if q is not None and (q.shape != (n, n) or q.grid != grid):
-                raise ValueError(f"{name} must be square of dimension {n} on the grid")
+        if self.Q1 is not None and (self.Q1.shape != (n1, n1) or self.Q1.grid != grid):
+            raise ValueError(f"Q1 must be square of dimension {n1} on the grid")
+        if self.Q2 is not None and (self.Q2.shape != (n2, n2) or self.Q2.grid != grid):
+            raise ValueError(f"Q2 must be square of dimension {n2} on the grid")
 
     @property
     def grid(self):
