@@ -9,7 +9,6 @@ helper is imported from its module.
 
 from .evolution import (EvolutionFamily, OperatorFunction, TimeGrid,
                         adjoint_backward_family, build_forward_family)
-from .linops import is_nonnegative, quadratic_form
 from .lyapunov import LinearIntegralProblem, solve_linear
 from .oracle import solve_differential_riccati
 from .riccati import (ContractionParams, ConvergenceError, HypothesisViolation,
@@ -24,8 +23,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "TimeGrid", "OperatorFunction", "EvolutionFamily",
-    "build_forward_family", "adjoint_backward_family",
-    "is_nonnegative", "quadratic_form", "GronwallBound",
+    "build_forward_family", "adjoint_backward_family", "GronwallBound",
     "perturb_forward", "perturb_backward", "cross_form_check",
     "continuous_dependence_gap",
     "LinearIntegralProblem", "solve_linear",

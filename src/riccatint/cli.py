@@ -35,7 +35,7 @@ import numpy as np
 
 from . import __version__
 from .evolution import EvolutionFamily, OperatorFunction, TimeGrid, build_forward_family
-from .linops import quadratic_form, sup_opnorm
+from .linops import sup_opnorm
 from .oracle import solve_differential_riccati
 from .riccati import (ConvergenceError, HypothesisViolation, RiccatiProblem,
                       RiccatiSolution, _lane, _psi_forward, _require_hypotheses,
@@ -74,6 +74,14 @@ def _as_matrix(data, n: int, name: str, cols: Optional[int] = None) -> np.ndarra
     if not np.all(np.isfinite(mat)):
         raise ValueError(f"{name} has non-finite entries")
     return mat
+
+
+def _b_factor(data, n: int) -> np.ndarray:
+    """B_factor as a finite n x m matrix with m >= 1 columns."""
+    mat = _float_array(data, "B_factor")
+    if mat.ndim != 2 or mat.shape[0] != n or mat.shape[1] < 1:
+        raise ValueError(f"B_factor must be a {n}xm matrix with m >= 1, got shape {mat.shape}")
+    return _as_matrix(mat, n, "B_factor", cols=mat.shape[1])
 
 
 def _as_object(value, name: str) -> dict:
@@ -249,8 +257,7 @@ class ProblemFile:
             generator=generator, propagators=propagators,
             tolerances=_field(doc, "tolerances", _tolerances, None),
             solver=solver, safety=_field(doc, "safety", _safety, 0.5),
-            b_factor=_field(doc, "B_factor", lambda mat: _as_matrix(
-                mat, n, "B_factor", cols=np.shape(mat)[-1]), None))
+            b_factor=_field(doc, "B_factor", lambda mat: _b_factor(mat, n), None))
 
     @classmethod
     def from_path(cls, path) -> "ProblemFile":
@@ -714,7 +721,7 @@ def cmd_lqr_demo(problem_path, x0: List[float], tol: Optional[float] = None) -> 
 
     solution = _run_solver("monotone", problem, generator, **_settings(pfile))
     with np.errstate(over="ignore", invalid="ignore"):  # reported once, below
-        predicted = quadratic_form(solution.P.values[0], x_init)
+        predicted = float(x_init @ solution.P.values[0] @ x_init)
         cost, states = _simulate_lqr(generator, problem.C, problem.G, bu, problem.grid,
                                      x_init, p_values=solution.P.values)
         eff_tol = tol if tol is not None else 1e-4 * (1.0 + abs(predicted))

@@ -1,10 +1,8 @@
-"""Dense matrix primitives: spectral norms, definiteness predicates, quadratic forms.
+"""Dense matrix primitives: spectral norms of stacks, the first node at which
+two stacks differ by more than a tolerance, and the self-adjoint part.
 
 All operators are real matrices and the pairing is the Euclidean one, so the
-adjoint is the transpose.  Symmetry and nonnegativity predicates use the
-relative tolerance tol * (1 + ||M||) so that they behave uniformly on badly
-scaled inputs, and eigenvalue queries always go through the symmetrized part
-(M + M^T)/2 to avoid being poisoned by roundoff asymmetry.
+adjoint is the transpose and the self-adjoint part is (M + M^T)/2.
 
 :func:`sup_opnorm` and :func:`node_opnorms` are the only SVDs of the package.
 """
@@ -15,18 +13,6 @@ import math
 from typing import Callable, Optional
 
 import numpy as np
-
-
-def _require_square(value, name: str = "matrix") -> np.ndarray:
-    """Coerce to a square 2-D float array with finite entries, or raise ValueError."""
-    mat = np.asarray(value, dtype=float)
-    if mat.ndim != 2 or mat.shape[0] < 1 or mat.shape[1] < 1:
-        raise ValueError(f"{name} must be a nonempty 2-D matrix, got shape {mat.shape}")
-    if not np.all(np.isfinite(mat)):
-        raise ValueError(f"{name} contains non-finite entries")
-    if mat.shape[0] != mat.shape[1]:
-        raise ValueError(f"{name} must be square, got shape {mat.shape}")
-    return mat
 
 
 def node_opnorms(values: np.ndarray) -> np.ndarray:
@@ -107,30 +93,3 @@ def symmetrize(values: np.ndarray) -> np.ndarray:
     """(M + M^T)/2, applied to a matrix or a stack of matrices."""
     arr = np.asarray(values, dtype=float)
     return 0.5 * (arr + np.swapaxes(arr, -1, -2))
-
-
-def is_nonnegative(mat, tol: float = 1e-12) -> bool:
-    """True iff the symmetrized matrix has min eigenvalue >= -tol * (1 + ||M||).
-
-    Raises ValueError when ||M - M^T|| exceeds the same bound (a definiteness
-    query on a genuinely non-self-adjoint operator is a usage bug) or when
-    ``tol`` is negative or NaN.
-    """
-    square = _require_square(mat)
-    if not tol >= 0:
-        raise ValueError("tol must be nonnegative")
-    bound = tol * (1.0 + sup_opnorm(square))
-    if not sup_opnorm(square - square.T) <= bound:
-        raise ValueError("matrix is not self-adjoint within tolerance")
-    return float(np.linalg.eigvalsh(symmetrize(square))[0]) >= -bound
-
-
-def quadratic_form(mat, x) -> float:
-    """The pairing <M x, x>."""
-    square = _require_square(mat)
-    vec = np.asarray(x, dtype=float).reshape(-1)
-    if vec.shape[0] != square.shape[0]:
-        raise ValueError(
-            f"dimension mismatch: matrix is {square.shape}, vector has length {vec.shape[0]}"
-        )
-    return float(vec @ square @ vec)

@@ -401,11 +401,15 @@ def _spectra(new: np.ndarray, diff: Optional[np.ndarray]) -> tuple[np.ndarray, n
 
 
 class _Inline(futures.Executor):
-    """Executor running each job at submit, which raises the job's error."""
+    """Executor running each job at submit; as on a thread, the job's error
+    is raised when its result is read."""
 
     def submit(self, fn, *args) -> futures.Future:
         done = futures.Future()
-        done.set_result(fn(*args))
+        try:
+            done.set_result(fn(*args))
+        except Exception as exc:
+            done.set_exception(exc)
         return done
 
 
@@ -429,40 +433,37 @@ def solve_monotone(problem: RiccatiProblem, tol_abs: float = 1e-10,
     thread runs the next step ahead, unless the previous update d has d^2 <=
     tol_abs + tol_rel ||P|| (by quadratic convergence the iterate is then the
     last), in which case this thread computes the iterate's residual instead.
-    A step or residual not needed is dropped with any error it raised, so
-    results, records and errors are the serial loop's, bitwise, threaded or
-    inline.
+    Both run as :class:`_Inline` jobs, so an error surfaces only if the result
+    is read: a step or residual not needed is dropped with any error it
+    raised, and results, records and errors are the serial loop's, bitwise,
+    threaded or inline.
     """
     _require_hypotheses(problem)
 
     grid = problem.grid
+
+    def settle(values):     # the solution's P and its residual
+        p_final = OperatorFunction(grid, values)
+        return p_final, riccati_residual(p_final, problem)
+
     if grid.steps == 0:
-        p_final = OperatorFunction(grid, problem.G[None, :, :])
-        return RiccatiSolution(P=p_final, sup_differences=[],
-                               residual=riccati_residual(p_final, problem))
+        p_final, residual = settle(problem.G[None, :, :])
+        return RiccatiSolution(P=p_final, sup_differences=[], residual=residual)
 
     cur = np.zeros((grid.num_nodes, problem.U_backward.dim, problem.U_forward.dim))
     records: List[IterationRecord] = []
-    sup_diff, max_norm, prev_norms, ahead = math.inf, 0.0, None, None
+    inline = _Inline()
+    sup_diff, max_norm, prev_norms, ahead, final = math.inf, 0.0, None, None, None
     with _lane(problem.U_forward.dim) as pool:
         for n in range(1, max_iter + 1):
-            if isinstance(ahead, Exception):
-                raise ahead
-            new, defect = ahead or _monotone_step_core(cur, problem)
+            new, defect = ahead.result() if ahead else _monotone_step_core(cur, problem)
             spectra = pool.submit(_spectra, new, None if n == 1 else new - cur)
             # P_{n-1}, and a dropped residual's P, are not held while the next step runs
-            cur, ahead, p_final, residual = new, None, None, None
+            cur, ahead, final = new, None, None
             if n < max_iter and sup_diff * sup_diff > tol_abs + tol_rel * max_norm:
-                try:
-                    ahead = _monotone_step_core(new, problem)
-                except Exception as exc:    # surfaces only if the loop goes on
-                    ahead = exc
+                ahead = inline.submit(_monotone_step_core, new, problem)
             else:       # predicted to be the last iterate: its residual
-                try:
-                    p_final = OperatorFunction(grid, new)
-                    residual = riccati_residual(p_final, problem)
-                except Exception as exc:    # surfaces only if the loop ends here
-                    residual = exc
+                final = inline.submit(settle, new)
             diff_eigs, new_eigs = spectra.result()
             sup_diff = float(np.abs(diff_eigs).max())
             norms = np.abs(new_eigs).max(axis=1)
@@ -479,11 +480,8 @@ def solve_monotone(problem: RiccatiProblem, tol_abs: float = 1e-10,
         else:
             raise ConvergenceError(f"monotone iteration did not converge in {max_iter} steps",
                                    history=[r.sup_difference for r in records])
-    if isinstance(residual, Exception):
-        raise residual
-    if residual is None:        # the loop ended where a step ran ahead
-        p_final = OperatorFunction(grid, cur)
-        residual = riccati_residual(p_final, problem)
+    # where a step ran ahead, the loop ended on an iterate whose residual is not yet known
+    p_final, residual = final.result() if final else settle(cur)
     return RiccatiSolution(P=p_final, sup_differences=[r.sup_difference for r in records],
                            residual=residual, invariant_report=records)
 

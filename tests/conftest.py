@@ -44,23 +44,9 @@ def symmetry_defect(P):
     return sup_opnorm(P.values - np.swapaxes(P.values, -1, -2))
 
 
-# Routes and predicates the package no longer has, kept as references: the
-# plain Picard iteration of the discrete linear equation must land on the
-# implicit march's values, the composition law must hold on every family
-# built, and ``is_nonnegative`` must decide as the two predicates it inlines.
-
-def is_nonnegative_reference(mat, tol=1e-12):
-    """``linops.is_nonnegative`` composed of the self-adjointness and smallest-
-    eigenvalue predicates it had, each with its own ``np.linalg.norm(., 2)``."""
-    square = np.asarray(mat, dtype=float)
-    if tol < 0:
-        raise ValueError("tol must be nonnegative")
-    defect = float(np.linalg.norm(square - square.T, 2))
-    if not defect <= tol * (1.0 + float(np.linalg.norm(square, 2))):
-        raise ValueError("matrix is not self-adjoint within tolerance")
-    bound = tol * (1.0 + float(np.linalg.norm(square, 2)))
-    return float(np.linalg.eigvalsh(symmetrize(square))[0]) >= -bound
-
+# Routes the package no longer has, kept as references: the plain Picard
+# iteration of the discrete linear equation must land on the implicit march's
+# values, and the composition law must hold on every family built.
 
 def linear_picard_reference(problem, tol=1e-12, max_iter=400):
     """Node values of a ``LinearIntegralProblem`` by Picard fixed-point iteration,

@@ -1115,6 +1115,18 @@ def test_cmd_lqr_demo(tmp_path, capsys):
         "error: hypothesis violation (C-nonnegativity at node 0)\n"
 
 
+@pytest.mark.parametrize("factor, shape", [(1.0, "()"), ([], "(0,)"), ([[]], "(1, 0)")],
+                         ids=["scalar", "empty-list", "no-columns"])
+def test_lqr_demo_refuses_a_b_factor_without_rows_and_columns(tmp_path, capsys, factor,
+                                                              shape):
+    """B_factor must be an n x m matrix with m >= 1; anything else is named
+    with the shape it has, not met later as an index error or a bad factor."""
+    path = write_doc(tmp_path / "tanh.json", tanh_doc(steps=20, B_factor=factor))
+    assert main(["lqr-demo", path, "--x0", "1.0"]) == EXIT_INVALID
+    assert capsys.readouterr().err == ("error: field 'B_factor': B_factor must be a 1xm "
+                                       f"matrix with m >= 1, got shape {shape}\n")
+
+
 @pytest.mark.parametrize("tolerances", [{"max_iter": 1}, {"tol_abs": 1e300}])
 def test_monotone_commands_stop_as_solve_does(tmp_path, capsys, tolerances):
     """``lqr-demo`` and ``study`` solve with the document's tolerances and the

@@ -10,93 +10,11 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from riccatint import linops
-from riccatint.linops import (first_defect, is_nonnegative, node_opnorms, quadratic_form,
-                              sup_opnorm)
+from riccatint.linops import first_defect, node_opnorms, sup_opnorm
 
-from conftest import is_nonnegative_reference, outcome, sup_opnorm_reference
+from conftest import sup_opnorm_reference
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "riccatint"
-
-
-def test_is_self_adjoint_basic():
-    # is_nonnegative answers for self-adjoint input only
-    assert is_nonnegative(np.eye(3), 1e-12)
-    with pytest.raises(ValueError, match="not self-adjoint"):
-        is_nonnegative([[0.0, 1.0], [0.0, 0.0]], 1e-12)
-
-
-def test_is_self_adjoint_tolerates_tiny_perturbation(rng):
-    m = np.array([[1.0, 0.5], [0.5, 2.0]])
-    noise = rng.standard_normal((2, 2))
-    noise /= sup_opnorm(noise)
-    assert is_nonnegative(m + 1e-14 * noise, 1e-12)
-
-
-def test_is_self_adjoint_rejects_nonsquare():
-    with pytest.raises(ValueError):
-        is_nonnegative(np.zeros((2, 3)))
-    with pytest.raises(ValueError, match="tol must be nonnegative"):
-        is_nonnegative(np.eye(2), -1e-12)
-    # a NaN tolerance certifies nothing: refused as such, not as an asymmetry
-    with pytest.raises(ValueError, match="tol must be nonnegative"):
-        is_nonnegative(np.eye(2), np.nan)
-
-
-def test_is_nonnegative_zero_and_identity():
-    assert is_nonnegative(np.zeros((2, 2)))
-    assert is_nonnegative(np.eye(4))
-
-
-def test_is_nonnegative_indefinite():
-    # characteristic polynomial of [[1,2],[2,1]] gives eigenvalues 3 and -1
-    m = np.array([[1.0, 2.0], [2.0, 1.0]])
-    assert not is_nonnegative(m)
-    # the smallest eigenvalue is -1: a shift by 1 reaches 0, a shift by less does not
-    assert is_nonnegative(m + np.eye(2))
-    assert not is_nonnegative(m + (1.0 - 1e-9) * np.eye(2))
-
-
-def test_is_nonnegative_rejects_asymmetric():
-    with pytest.raises(ValueError):
-        is_nonnegative([[0.0, 1.0], [0.0, 0.0]])
-
-
-@given(n=st.sampled_from([1, 2, 3, 8]), exponent=st.integers(-8, 8),
-       shift=st.floats(-2e-12, 2e-12), skew=st.floats(0.0, 4e-12),
-       tol=st.sampled_from([0.0, 1e-12, 1e-10]), seed=st.integers(0, 2 ** 32 - 1))
-def test_is_nonnegative_decides_as_the_composed_reference(n, exponent, shift, skew, tol,
-                                                          seed):
-    """The same verdict, or the same error, at the edges of both tolerance tests:
-    the smallest eigenvalue moved to about +-shift * (1 + ||M||), the asymmetry
-    to about skew * (1 + ||M||)."""
-    rng = np.random.default_rng(seed)
-    scale = 10.0 ** exponent
-    basis = np.linalg.qr(rng.standard_normal((n, n)))[0]
-    eigs = scale * rng.uniform(0.0, 1.0, n)
-    eigs[0] = shift * (1.0 + eigs.max())
-    mat = (basis * eigs) @ basis.T
-    noise = rng.standard_normal((n, n))
-    mat = mat + skew * (1.0 + scale) * (noise - noise.T) / 2.0
-    assert outcome(is_nonnegative, mat, tol) == outcome(is_nonnegative_reference, mat, tol)
-
-
-def test_loewner_examples():
-    # A <= B in the Loewner order iff B - A is nonnegative
-    assert is_nonnegative(np.eye(2) - np.zeros((2, 2)))
-    assert not is_nonnegative(np.zeros((2, 2)) - np.eye(2))
-    # B - A = diag(1, 0) has eigenvalues 1 and 0
-    assert is_nonnegative(np.diag([2.0, 2.0]) - np.diag([1.0, 2.0]))
-
-
-def test_loewner_reflexive_transitive(rng):
-    for _ in range(5):
-        base = rng.standard_normal((3, 3))
-        a = base @ base.T
-        b = a + _random_psd(rng, 3)
-        c = b + _random_psd(rng, 3)
-        assert is_nonnegative(a - a, 1e-10)
-        assert is_nonnegative(b - a, 1e-10) and is_nonnegative(c - b, 1e-10)
-        assert is_nonnegative(c - a, 1e-10)
 
 
 def _random_psd(rng, n):
@@ -117,44 +35,17 @@ def test_op_norm_homogeneous(rng):
     assert_allclose(sup_opnorm(-2.5 * m), 2.5 * sup_opnorm(m), rtol=1e-12)
 
 
-def test_quadratic_form_values():
-    assert quadratic_form(np.eye(2), [1.0, 1.0]) == 2.0
-    assert quadratic_form(np.zeros((3, 3)), [1.0, -2.0, 0.5]) == 0.0
-    # expand the bilinear form by hand
-    assert quadratic_form([[1.0, 2.0], [2.0, 1.0]], [1.0, -1.0]) == -2.0
-
-
-def test_quadratic_form_dimension_mismatch():
-    with pytest.raises(ValueError):
-        quadratic_form(np.eye(3), [1.0, 2.0])
-
-
-def test_nonnegative_iff_quadratic_forms(rng):
-    """Eigenvalue criterion agrees with sampled quadratic forms."""
-    for trial in range(8):
-        sym = _random_psd(rng, 3) - (trial % 2) * 2.0 * np.eye(3)
-        tol = 1e-12
-        scale = tol * (1.0 + sup_opnorm(sym))
-        if is_nonnegative(sym, tol):
-            for _ in range(50):
-                x = rng.standard_normal(3)
-                x /= np.linalg.norm(x)
-                assert quadratic_form(sym, x) >= -scale
-        else:
-            eigvals, eigvecs = np.linalg.eigh(sym)
-            assert quadratic_form(sym, eigvecs[:, 0]) < -scale
-
-
 def test_op_norm_of_psd_is_max_quadratic_form(rng):
     for _ in range(5):
         m = _random_psd(rng, 4)
         eigvals, eigvecs = np.linalg.eigh(m)
-        attained = quadratic_form(m, eigvecs[:, -1])
+        v = eigvecs[:, -1]
+        attained = v @ m @ v
         assert_allclose(sup_opnorm(m), attained, rtol=1e-10)
         for _ in range(40):
             x = rng.standard_normal(4)
             x /= np.linalg.norm(x)
-            assert quadratic_form(m, x) <= sup_opnorm(m) + 1e-12
+            assert x @ m @ x <= sup_opnorm(m) + 1e-12
 
 
 # ---------------------------------------------------------------- sup norm of a stack
