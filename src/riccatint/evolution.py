@@ -20,7 +20,6 @@ from functools import cached_property
 from typing import Callable, Iterator, Optional
 
 import numpy as np
-import scipy.linalg
 
 from .linops import node_opnorms
 
@@ -233,6 +232,8 @@ def build_forward_family(generator_samples: OperatorFunction) -> EvolutionFamily
     steps = np.empty((grid.steps, rows, rows))
     nonzero = mids.any(axis=(1, 2))
     steps[~nonzero] = np.eye(rows)
+    if nonzero.any():  # scipy loads at the first exponentiated step, not at import
+        import scipy.linalg
     with np.errstate(over="ignore", invalid="ignore"):  # reported once, below
         for i in np.flatnonzero(nonzero).tolist():
             steps[i] = scipy.linalg.expm(h * mids[i])

@@ -24,7 +24,7 @@ from riccatint.cli import (EXIT_CHECK_FAILED, EXIT_HYPOTHESIS, EXIT_INVALID,
 from riccatint.evolution import OperatorFunction, TimeGrid
 from riccatint.linops import symmetrize
 
-from conftest import (flow_consistency_blocked, read_solution_csv_reference,
+from conftest import (flow_consistency_blocked, read_solution_csv_reference, run_fresh,
                       sample_per_time, spec_callable_reference,
                       write_solution_csv_reference)
 
@@ -1144,9 +1144,9 @@ def test_monotone_commands_stop_as_solve_does(tmp_path, capsys, tolerances):
         assert capsys.readouterr() == ("", err)
 
 
-def test_propagator_table_problem(tmp_path):
-    steps = 40
-    doc = {
+def _table_doc(steps):
+    """The tanh problem given by a table of identity propagators."""
+    return {
         "dimension": 1,
         "horizon": 1.0,
         "steps": steps,
@@ -1156,12 +1156,59 @@ def test_propagator_table_problem(tmp_path):
         "G": [[0.0]],
         "solver": "picard",
     }
-    path = write_doc(tmp_path / "table.json", doc)
+
+
+def test_propagator_table_problem(tmp_path):
+    path = write_doc(tmp_path / "table.json", _table_doc(40))
     out = tmp_path / "out"
     assert cmd_solve(path, out) == EXIT_OK
     # no generator: the study (oracle reference) must refuse
     assert main(["study", path, "--grids", "10,20,40"]) == EXIT_INVALID
     assert main(["solve", path, "--out", str(out), "--solver", "oracle"]) == EXIT_INVALID
+
+
+# Runs main on each JSON-encoded argument list; prints the exit codes and the
+# scipy modules loaded by then.
+_MODULE_SET = """
+import json, sys
+import riccatint, riccatint.cli
+
+def run(argv):
+    try:
+        return riccatint.cli.main(argv)
+    except SystemExit as stop:      # --help
+        return stop.code
+
+codes = [run(json.loads(argv)) for argv in sys.argv[1:]]
+print(json.dumps({"codes": codes,
+                  "scipy": sorted(m for m in sys.modules if m.partition(".")[0] == "scipy")}))
+"""
+
+_SOLVE_CHECK = (["solve", "{doc}", "--out", "{out}"], ["check", "{doc}", "{out}/p_P.csv"])
+
+
+@pytest.mark.parametrize("doc, argvs, codes, loads_scipy", [
+    (None, (), [], False),
+    (None, (["--help"],), [0], False),
+    (_table_doc(40), _SOLVE_CHECK, [EXIT_OK, EXIT_OK], False),
+    (tanh_doc(steps=200), _SOLVE_CHECK, [EXIT_OK, EXIT_OK], False),
+    (tanh_doc(steps=20.7), _SOLVE_CHECK[:1], [EXIT_INVALID], False),
+    (tanh_doc(steps=200, generator={"kind": "constant", "matrix": [[-0.5]]}),
+     _SOLVE_CHECK, [EXIT_OK, EXIT_OK], True),
+], ids=["import", "help", "propagator-table", "zero-generator", "refused-input",
+        "nonzero-generator"])
+def test_scipy_loads_only_to_exponentiate_a_step(tmp_path, doc, argvs, codes, loads_scipy):
+    """In a fresh interpreter, scipy loads only once a family build meets a
+    nonzero midpoint sample of the generator."""
+    path = write_doc(tmp_path / "p.json", doc) if doc is not None else ""
+    args = [json.dumps([part.format(doc=path, out=tmp_path / "out") for part in argv])
+            for argv in argvs]
+    seen = run_fresh(_MODULE_SET, *args)
+    assert seen["codes"] == codes
+    if loads_scipy:
+        assert "scipy.linalg" in seen["scipy"]
+    else:
+        assert seen["scipy"] == []
 
 
 def test_main_dispatch(tmp_path):
