@@ -1,9 +1,5 @@
 import itertools
-import json
 import math
-import os
-import subprocess
-import sys
 from pathlib import Path
 
 import numpy as np
@@ -18,18 +14,6 @@ from riccatint.linops import node_opnorms, sup_opnorm, symmetrize
 from riccatint.lyapunov import ConvergenceError, _march
 from riccatint.riccati import (IterationRecord, RiccatiSolution, _require_hypotheses,
                                riccati_residual)
-
-SRC = Path(__file__).resolve().parents[1] / "src"
-
-
-def run_fresh(code, *args):
-    """Run ``code`` with ``args`` in a fresh interpreter that imports riccatint
-    from this checkout's sources; its last stdout line, read as JSON."""
-    run = subprocess.run([sys.executable, "-c", code, *args], capture_output=True, text=True,
-                         env=dict(os.environ, PYTHONPATH=str(SRC)), timeout=120)
-    assert run.returncode == 0, run.stderr
-    return json.loads(run.stdout.splitlines()[-1])
-
 
 # Property tests run a fixed, derandomized set of examples: the same inputs and
 # the same run time on every run.

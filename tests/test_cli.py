@@ -5,10 +5,13 @@ import json
 import math
 import os
 import signal
+import subprocess
+import sys
 import threading
 import time
 import warnings
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,7 +27,7 @@ from riccatint.cli import (EXIT_CHECK_FAILED, EXIT_HYPOTHESIS, EXIT_INVALID,
 from riccatint.evolution import OperatorFunction, TimeGrid
 from riccatint.linops import symmetrize
 
-from conftest import (flow_consistency_blocked, read_solution_csv_reference, run_fresh,
+from conftest import (flow_consistency_blocked, read_solution_csv_reference,
                       sample_per_time, spec_callable_reference,
                       write_solution_csv_reference)
 
@@ -1203,7 +1206,11 @@ def test_scipy_loads_only_to_exponentiate_a_step(tmp_path, doc, argvs, codes, lo
     path = write_doc(tmp_path / "p.json", doc) if doc is not None else ""
     args = [json.dumps([part.format(doc=path, out=tmp_path / "out") for part in argv])
             for argv in argvs]
-    seen = run_fresh(_MODULE_SET, *args)
+    run = subprocess.run([sys.executable, "-c", _MODULE_SET, *args], capture_output=True,
+                         text=True, timeout=120,
+                         env=dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src")))
+    assert run.returncode == 0, run.stderr
+    seen = json.loads(run.stdout.splitlines()[-1])
     assert seen["codes"] == codes
     if loads_scipy:
         assert "scipy.linalg" in seen["scipy"]

@@ -13,7 +13,7 @@ from riccatint.evolution import (EvolutionFamily, OperatorFunction, TimeGrid,
                                  adjoint_backward_family, build_forward_family)
 
 from conftest import (certified_product_bound_reference, forward_steps_reference,
-                      outcome, run_fresh, semigroup_defect_reference)
+                      outcome, semigroup_defect_reference)
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "riccatint"
 
@@ -324,24 +324,3 @@ def test_family_build_calls_expm_once_per_nonzero_step(monkeypatch, n, steps, ze
     build_forward_family(gen)
     nonzero = int(gen.midpoint_values.any(axis=(1, 2)).sum())
     assert len(calls) == nonzero
-
-
-# Imports riccatint before scipy, then patches scipy.linalg.expm with a counter,
-# the order of a tracer that wraps an already imported package.
-_COUNT_AFTER_IMPORT = """
-import json, sys
-import numpy as np
-from riccatint.evolution import OperatorFunction, TimeGrid, build_forward_family
-loaded_first = "scipy" not in sys.modules
-import scipy.linalg
-calls, expm = [], scipy.linalg.expm
-scipy.linalg.expm = lambda mat: calls.append(mat) or expm(mat)
-mids = np.zeros((6, 2, 2))
-mids[[0, 2, 3]] = [[0.0, 1.0], [-1.0, 0.0]]
-build_forward_family(OperatorFunction(TimeGrid(1.0, 6), np.zeros((7, 2, 2)), mids))
-print(json.dumps({"loaded_first": loaded_first, "calls": len(calls)}))
-"""
-
-
-def test_expm_is_counted_when_riccatint_loads_before_scipy():
-    assert run_fresh(_COUNT_AFTER_IMPORT) == {"loaded_first": True, "calls": 3}
