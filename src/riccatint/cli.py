@@ -56,13 +56,14 @@ _LQR_PERTURBATIONS = 10     # seeded open-loop controls lqr-demo compares agains
 
 
 def _float_array(data, name: str) -> np.ndarray:
-    """``data`` as a float array; a JSON boolean entry is refused, not read as 0 or 1."""
+    """``data`` as a float array; a boolean or string entry is refused, not read as a number."""
     values = np.asarray(data, dtype=float)
     entries = [data]
     for _ in range(values.ndim):
         entries = itertools.chain.from_iterable(entries)
-    if bool in set(map(type, entries)):
-        raise ValueError(f"{name} has boolean entries")
+    types = set(map(type, entries))
+    if types & {bool, str}:
+        raise ValueError(f"{name} has {'boolean' if bool in types else 'string'} entries")
     return values
 
 
@@ -91,16 +92,20 @@ def _as_object(value, name: str) -> dict:
 
 
 def _field(doc: dict, name: str, parse, default=...):
-    """Parse one document field (null counts as absent); any error names it."""
+    """Parse one document field (null counts as absent); any error names it.
+    A JSON string is taken as text only: one that ``parse`` reads as a number is refused."""
     value = doc.get(name)
     if value is None:
         if default is ...:
             raise ValueError(f"problem file is missing field {name!r}")
         return default
     try:
-        return parse(value)
+        parsed = parse(value)
     except (ArithmeticError, LookupError, TypeError, ValueError) as exc:
         raise ValueError(f"field {name!r}: {exc}") from None
+    if isinstance(value, str) and not isinstance(parsed, str):
+        raise ValueError(f"field {name!r}: expected a number, got {value!r}")
+    return parsed
 
 
 def _real(value) -> float:
@@ -200,7 +205,7 @@ def _spec_sampler(spec: dict, n: int, name: str):
 
 
 def _propagator_table(table, steps: int, n: int) -> np.ndarray:
-    steps_arr = _float_array(_as_object(table, "propagators")["steps"], "propagators.steps")
+    steps_arr = _float_array(_as_object(table, "propagators").get("steps"), "propagators.steps")
     if steps_arr.shape != (steps, n, n):
         raise ValueError(f"propagators.steps must have shape {(steps, n, n)}, "
                          f"got {steps_arr.shape}")
@@ -277,8 +282,6 @@ class ProblemFile:
             generator = OperatorFunction.from_sampler(grid, self.generator)
             u_fwd = build_forward_family(generator)
         else:
-            if steps is not None and steps != self.steps:
-                raise ValueError("propagator-table problems cannot be re-gridded")
             u_fwd = EvolutionFamily(grid, "forward", self.propagators)
         return RiccatiProblem.symmetric(u_fwd, c_fun, b_fun, self.g), \
             generator if midpoints else None
@@ -532,8 +535,8 @@ def _run_solver(solver: str, problem: RiccatiProblem,
     if solver == "oracle":
         if generator is None:
             raise ValueError("the oracle solver needs a generator-driven problem")
-        p_oracle = solve_differential_riccati(generator, problem.B, problem.C,
-                                              problem.G, problem.grid, publish=publish)
+        p_oracle = solve_differential_riccati(generator, problem.B, problem.C, problem.G,
+                                              publish=publish)
         solution = RiccatiSolution(P=p_oracle, sup_differences=[],
                                    residual=riccati_residual(p_oracle, problem))
     elif solver == "monotone":

@@ -121,8 +121,8 @@ class OperatorFunction:
         return cls.from_sampler(grid, lambda ts: np.broadcast_to(mat, (len(ts),) + mat.shape))
 
     @classmethod
-    def zero(cls, grid: TimeGrid, rows: int, cols: Optional[int] = None) -> "OperatorFunction":
-        return cls.constant(grid, np.zeros((rows, rows if cols is None else cols)))
+    def zero(cls, grid: TimeGrid, n: int) -> "OperatorFunction":
+        return cls.constant(grid, np.zeros((n, n)))
 
     @property
     def shape(self) -> tuple[int, int]:

@@ -30,11 +30,8 @@ def first_defect(a: np.ndarray, b: np.ndarray, scale: Callable[[np.ndarray], np.
     one scale for all).  A node where a and b are equal passes without LAPACK;
     only the others are decomposed, each with the norm it has in any batch.
     The first of them goes alone, as a defective stack usually fails there, and
-    ``scale`` is evaluated on the decomposed nodes only.  A NaN or negative
-    ``tol``, which would pass every node or fail an equal one, is refused.
+    ``scale`` is evaluated on the decomposed nodes only.
     """
-    if not tol >= 0:
-        raise ValueError("tol must be nonnegative")
     undecided = np.flatnonzero((a != b).any(axis=(1, 2)))
     for part in (undecided[:1], undecided[1:]):
         if part.size:

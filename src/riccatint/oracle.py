@@ -18,24 +18,24 @@ from __future__ import annotations
 
 import numpy as np
 
-from .evolution import OperatorFunction, TimeGrid
+from .evolution import OperatorFunction
 from .linops import first_defect, symmetrize
 
 
 def solve_differential_riccati(generator: OperatorFunction, B: OperatorFunction,
-                               C: OperatorFunction, G, grid: TimeGrid,
-                               publish=None) -> OperatorFunction:
-    """Integrate the backward Riccati ODE from P(T) = G on the given grid and
-    return the sampled P.
+                               C: OperatorFunction, G, publish=None) -> OperatorFunction:
+    """Integrate the backward Riccati ODE from P(T) = G on the generator's grid
+    and return the sampled P.
 
-    All coefficients must be sampled on the nodes and midpoints of ``grid``.
+    B and C must be sampled on the nodes and midpoints of that grid.
     When B, C and G are symmetric the state is symmetrized after every step,
     which the exact flow preserves.  After each step to node ``i``,
     ``publish(values, i)``, if given, is told that rows ``i`` on are final (the
     CLI formats them meanwhile).
     """
-    if generator.grid != grid or B.grid != grid or C.grid != grid:
-        raise ValueError("all coefficients must be sampled on the given grid")
+    grid = generator.grid
+    if B.grid != grid or C.grid != grid:
+        raise ValueError("B and C must be sampled on the generator's grid")
     n = generator.shape[0]
     if generator.shape != (n, n):
         raise ValueError("generator samples must be square")

@@ -83,7 +83,7 @@ class RiccatiProblem:
 
     @cached_property
     def first_violation(self) -> Optional[tuple]:
-        """``check_hypotheses(self)`` at the default tolerance, run on first use."""
+        """``check_hypotheses(self)``, run on first use."""
         return check_hypotheses(self)
 
     @property
@@ -131,7 +131,7 @@ def _first_negative_node(values: np.ndarray, tol: float) -> Optional[int]:
     return int(nodes[0]) if nodes.size else None
 
 
-def check_hypotheses(problem: RiccatiProblem, tol: float = _HYPOTHESIS_TOL) -> Optional[tuple]:
+def check_hypotheses(problem: RiccatiProblem) -> Optional[tuple]:
     """The first failing hypothesis of the symmetric setting as (kind, node), or None.
 
     Duality is checked step by step: equality of every backward step with the
@@ -141,25 +141,22 @@ def check_hypotheses(problem: RiccatiProblem, tol: float = _HYPOTHESIS_TOL) -> O
     and the first kind with a failing node is reported at its first such node.
     Steps and nodes with an exactly zero defect pass without LAPACK
     (``first_defect``), and one batched Cholesky decides nonnegativity where it
-    can (``_first_negative_node``).  A NaN or negative ``tol`` certifies
-    nothing and is refused.
+    can (``_first_negative_node``); each test is relative, at ``_HYPOTHESIS_TOL``.
     """
-    if not tol >= 0.0:
-        raise ValueError("tol must be nonnegative")
     forward = problem.U_forward
     if forward.dim != problem.U_backward.dim:
         return "dimension", -1
     node = first_defect(problem.U_backward.steps, np.swapaxes(forward.steps, -1, -2),
-                        lambda part: 1.0 + forward.step_norms[part], tol)
+                        lambda part: 1.0 + forward.step_norms[part], _HYPOTHESIS_TOL)
     if node is not None:
         return "duality", node
     for name, values in (("C", problem.C.values), ("B", problem.B.values),
                          ("G", problem.G[None, :, :])):
         node = first_defect(values, np.swapaxes(values, -1, -2), lambda part: 1.0 + np.abs(
-            np.linalg.eigvalsh(symmetrize(values[part]))).max(axis=1), tol)
+            np.linalg.eigvalsh(symmetrize(values[part]))).max(axis=1), _HYPOTHESIS_TOL)
         if node is not None:
             return f"{name}-symmetry", node
-        node = _first_negative_node(values, tol)
+        node = _first_negative_node(values, _HYPOTHESIS_TOL)
         if node is not None:
             return f"{name}-nonnegativity", node
     return None

@@ -51,12 +51,10 @@ def suite():
         prob_fine, gen_fine = random_symmetric_problem(seed=k, n=n, steps=N_FINE)
         start = time.perf_counter()
         sol = solve_monotone(prob)
-        oracle_run = solve_differential_riccati(gen, prob.B, prob.C, prob.G,
-                                                prob.grid)
+        oracle_run = solve_differential_riccati(gen, prob.B, prob.C, prob.G)
         sol_fine = solve_monotone(prob_fine)
         oracle_fine = solve_differential_riccati(gen_fine, prob_fine.B,
-                                                 prob_fine.C, prob_fine.G,
-                                                 prob_fine.grid)
+                                                 prob_fine.C, prob_fine.G)
         solve_seconds += time.perf_counter() - start
         entries.append({
             "seed": k,

@@ -70,7 +70,10 @@ def test_problem_file_validation(tmp_path):
             ProblemFile.from_dict(doc)
     for name, doc in (("horizon", tanh_doc(horizon=True)), ("safety", tanh_doc(safety=False)),
                       ("tol_abs", tanh_doc(tolerances={"tol_abs": True})),
-                      ("tol_rel", tanh_doc(tolerances={"tol_rel": True}))):
+                      ("tol_rel", tanh_doc(tolerances={"tol_rel": True})),
+                      ("horizon", tanh_doc(horizon="1")), ("steps", tanh_doc(steps="4")),
+                      ("dimension", tanh_doc(dimension="1")), ("safety", tanh_doc(safety="0.3")),
+                      ("tol_abs", tanh_doc(tolerances={"tol_abs": "1e-3"}))):
         with pytest.raises(ValueError, match=f"field '{name}': expected a number, got"):
             ProblemFile.from_dict(doc)
     for name, doc in (("G", tanh_doc(G=[[False]])),
@@ -81,6 +84,9 @@ def test_problem_file_validation(tmp_path):
                       ("propagators.steps", _without_generator(
                           steps=1, propagators={"steps": [[[True]]]}))):
         with pytest.raises(ValueError, match=f"{name} has boolean entries"):
+            ProblemFile.from_dict(doc)
+    for name, doc in (("G", tanh_doc(G=[["0.5"]])), ("C.times", tanh_doc(C=_STRING_TIMES))):
+        with pytest.raises(ValueError, match=f"{name} has string entries"):
             ProblemFile.from_dict(doc)
     for t1 in (math.nan, math.inf):
         with pytest.raises(ValueError, match="C piecewise times must be finite"):
@@ -1284,6 +1290,9 @@ def _piecewise_c(t1):
     return {"kind": "piecewise", "times": [0.0, t1], "matrices": [[[1.0]], [[2.0]]]}
 
 
+_STRING_TIMES = dict(_piecewise_c(0.5), times=["0", "0.5"])
+
+
 def _stiff_doc(steps, solver):
     """The 1-D stiff case B = C = 400, G = 50: the trapezoid's node solve
     diverges (monotone) and the certified window is shorter than h (Picard)."""
@@ -1359,6 +1368,16 @@ BOUNDARY_CASES = {
     "boolean-spec-entry": ("solve", tanh_doc(steps=20, C={"kind": "constant",
                                                          "matrix": [[True]]}),
                            [], EXIT_INVALID),
+    # ... and what float() would read from number text
+    "string-horizon": ("solve", tanh_doc(steps=20, horizon="1"), [], EXIT_INVALID),
+    "string-steps": ("solve", tanh_doc(steps="4"), [], EXIT_INVALID),
+    "string-dimension": ("solve", tanh_doc(steps=20, dimension="1"), [], EXIT_INVALID),
+    "string-safety": ("solve", tanh_doc(steps=20, safety="0.3"), [], EXIT_INVALID),
+    "string-tol-abs": ("solve", tanh_doc(steps=20, tolerances={"tol_abs": "1e-3"}),
+                       [], EXIT_INVALID),
+    "string-matrix-entry": ("solve", tanh_doc(steps=20, G=[["0.5"]]), [], EXIT_INVALID),
+    "string-piecewise-times": ("solve", tanh_doc(steps=20, C=_STRING_TIMES),
+                               [], EXIT_INVALID),
     # json.load reads NaN and Infinity; a piecewise breakpoint must be finite
     "piecewise-nan-time": ("solve", tanh_doc(steps=20, C=_piecewise_c(math.nan)),
                            [], EXIT_INVALID),
@@ -1367,25 +1386,76 @@ BOUNDARY_CASES = {
 }
 
 
-@pytest.mark.parametrize("command, doc, extra, expected", BOUNDARY_CASES.values(),
-                         ids=BOUNDARY_CASES.keys())
-def test_error_boundary_one_line(tmp_path, capsys, command, doc, extra, expected):
+def _main_on(tmp_path, command, doc, extra):
+    """``main`` on ``doc`` written to a file, ``solve`` and ``oracle`` writing
+    into ``tmp_path``; ``check`` reads the text of its solution CSV from the
+    first extra item.  No warning is raised (it would print too)."""
     path = write_doc(tmp_path / "problem.json", doc)
-    option = extra[-2] if len(extra) >= 2 and extra[-2].startswith("--") else None
     if command in ("solve", "oracle"):
         extra = extra + ["--out", str(tmp_path / "out")]
     if command == "check":
         solution = tmp_path / "P.csv"
         solution.write_text(extra[0], encoding="utf-8")
         extra = [str(solution)] + extra[1:]
-    with warnings.catch_warnings(record=True) as caught:   # they would print too
+    with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        assert main([command, path] + extra) == expected
+        code = main([command, path] + extra)
     assert [str(w.message) for w in caught] == []
+    return code
+
+
+@pytest.mark.parametrize("command, doc, extra, expected", BOUNDARY_CASES.values(),
+                         ids=BOUNDARY_CASES.keys())
+def test_error_boundary_one_line(tmp_path, capsys, command, doc, extra, expected):
+    option = extra[-2] if len(extra) >= 2 and extra[-2].startswith("--") else None
+    assert _main_on(tmp_path, command, doc, extra) == expected
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1 and err.startswith("error:")
     assert "Traceback" not in err
     assert option is None or option in err      # an option out of range is named
+
+
+_TWENTY_STEPS = {"steps": [[[1.0]]] * 20}
+# (command, document, extra arguments, the one-line message after "error: ")
+REFUSALS = {
+    "polynomial-without-coefficients": (
+        "solve", tanh_doc(steps=20, C={"kind": "polynomial", "coefficients": []}), [],
+        "field 'C': C polynomial needs at least one coefficient"),
+    "piecewise-length-mismatch": (
+        "solve", tanh_doc(steps=20, C=dict(_piecewise_c(0.5), times=[0.0])), [],
+        "field 'C': C piecewise needs matching times and matrices"),
+    "piecewise-late-start": (
+        "solve", tanh_doc(steps=20, C=dict(_piecewise_c(0.5), times=[0.25, 0.5])), [],
+        "field 'C': C piecewise times must start at 0 and increase"),
+    "piecewise-repeated-time": (
+        "solve", tanh_doc(steps=20, C=_piecewise_c(0.0)), [],
+        "field 'C': C piecewise times must start at 0 and increase"),
+    "zero-dimension": ("solve", tanh_doc(steps=20, dimension=0), [], "dimension must be >= 1"),
+    "generator-and-propagators": (
+        "solve", tanh_doc(steps=20, propagators=_TWENTY_STEPS), [],
+        "exactly one of 'generator' or 'propagators' is required"),
+    "neither-generator-nor-propagators": (
+        "solve", _without_generator(steps=20), [],
+        "exactly one of 'generator' or 'propagators' is required"),
+    "propagators-without-steps": (
+        "solve", _without_generator(steps=20, propagators={}), [],
+        "field 'propagators': propagators.steps must have shape (20, 1, 1), got ()"),
+    "csv-row-count": ("check", tanh_doc(steps=20), [_ZERO_CSV.rsplit("\n", 2)[0] + "\n"],
+                      "solution has 20 rows, expected 21"),
+    "lqr-demo-propagator-table": (
+        "lqr-demo", _without_generator(steps=20, propagators=_TWENTY_STEPS), ["--x0", "1"],
+        "lqr-demo needs a generator-driven problem"),
+    "lqr-demo-b-factor-mismatch": (
+        "lqr-demo", tanh_doc(steps=20, B_factor=[[2.0]]), ["--x0", "1"],
+        "B_factor does not factor B(t) on the grid (defect 3.000e+00); "
+        "the demo needs a constant factored B"),
+}
+
+
+@pytest.mark.parametrize("command, doc, extra, message", REFUSALS.values(), ids=REFUSALS.keys())
+def test_refusal_says_why_in_one_line(tmp_path, capsys, command, doc, extra, message):
+    assert _main_on(tmp_path, command, doc, extra) == EXIT_INVALID
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 @pytest.mark.parametrize("case", [case for case, (_, doc, _, _) in _STIFF_CASES.items()

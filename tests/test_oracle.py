@@ -17,16 +17,14 @@ from conftest import outcome, rk4_reference, sup_opnorm_reference, symmetry_defe
 
 def test_oracle_scalar_closed_forms():
     problem, gen = tanh_problem(2000)
-    p_oracle = solve_differential_riccati(gen, problem.B, problem.C, problem.G,
-                                          problem.grid)
+    p_oracle = solve_differential_riccati(gen, problem.B, problem.C, problem.G)
     exact = np.tanh(1.0 - problem.grid.nodes())
     assert np.abs(p_oracle.values[:, 0, 0] - exact).max() <= 1e-10
     assert np.array_equal(p_oracle.values[-1], problem.G)
     assert p_oracle.grid == problem.grid   # fixed steps on the shared grid
 
     problem2, gen2 = inverse_linear_problem(2000)
-    p_oracle2 = solve_differential_riccati(gen2, problem2.B, problem2.C,
-                                           problem2.G, problem2.grid)
+    p_oracle2 = solve_differential_riccati(gen2, problem2.B, problem2.C, problem2.G)
     exact2 = 1.0 / (1.0 + 1.0 - problem2.grid.nodes())
     assert np.abs(p_oracle2.values[:, 0, 0] - exact2).max() <= 1e-10
 
@@ -35,14 +33,13 @@ def test_oracle_zero_data():
     grid = TimeGrid(1.0, 100)
     zero = OperatorFunction.zero(grid, 2)
     one = OperatorFunction.constant(grid, np.eye(2))
-    p_oracle = solve_differential_riccati(zero, one, zero, np.zeros((2, 2)), grid)
+    p_oracle = solve_differential_riccati(zero, one, zero, np.zeros((2, 2)))
     assert np.abs(p_oracle.values).max() == 0.0
 
 
 def test_oracle_preserves_symmetry_and_positivity():
     problem, gen = random_symmetric_problem(seed=4, n=4, steps=500)
-    p_oracle = solve_differential_riccati(gen, problem.B, problem.C, problem.G,
-                                          problem.grid)
+    p_oracle = solve_differential_riccati(gen, problem.B, problem.C, problem.G)
     vals = p_oracle.values
     assert symmetry_defect(p_oracle) <= 1e-10
     assert np.linalg.eigvalsh(vals).min() >= -1e-10
@@ -56,8 +53,7 @@ def test_oracle_gap_refines_at_second_order():
     for n_steps in (500, 1000):
         problem, gen = random_symmetric_problem(seed=6, n=2, steps=n_steps)
         sol = solve_monotone(problem)
-        p_oracle = solve_differential_riccati(gen, problem.B, problem.C,
-                                              problem.G, problem.grid)
+        p_oracle = solve_differential_riccati(gen, problem.B, problem.C, problem.G)
         gaps[n_steps] = sup_opnorm(sol.P.values - p_oracle.values)
     assert math.log2(gaps[500] / gaps[1000]) >= 1.8
 
@@ -67,7 +63,7 @@ def test_oracle_requires_midpoints():
     gen = OperatorFunction(grid, np.zeros((11, 1, 1)))
     full = OperatorFunction.constant(grid, [[1.0]])
     with pytest.raises(ValueError, match="midpoint"):
-        solve_differential_riccati(gen, full, full, np.zeros((1, 1)), grid)
+        solve_differential_riccati(gen, full, full, np.zeros((1, 1)))
 
 
 def test_oracle_blowup_diagnostic():
@@ -78,7 +74,7 @@ def test_oracle_blowup_diagnostic():
     b_neg = OperatorFunction.constant(grid, [[-1.0]])
     c_zero = OperatorFunction.zero(grid, 1)
     with pytest.raises(RuntimeError, match="node"):
-        solve_differential_riccati(gen, b_neg, c_zero, np.array([[2.0]]), grid)
+        solve_differential_riccati(gen, b_neg, c_zero, np.array([[2.0]]))
 
 
 # ------------------------------------------------- RK4 against the per-step loop
@@ -88,7 +84,7 @@ def test_publish_sees_each_step_final():
     and the rows it is told are final are the returned ones; without the hook
     the values are the same bits."""
     problem, gen = random_symmetric_problem(seed=4, n=3, steps=60)
-    args = (gen, problem.B, problem.C, problem.G, problem.grid)
+    args = (gen, problem.B, problem.C, problem.G)
     seen = []
     got = solve_differential_riccati(
         *args, publish=lambda values, i: seen.append((i, values[i:].copy()))).values
@@ -98,7 +94,8 @@ def test_publish_sees_each_step_final():
 
 
 def _oracle_values(generator, B, C, G, grid):
-    return solve_differential_riccati(generator, B, C, G, grid).values
+    """The oracle's node values, called as ``rk4_reference`` is (on the generator's grid)."""
+    return solve_differential_riccati(generator, B, C, G).values
 
 
 def _sampled(grid, rng, n, kind, scale=1.0):
@@ -181,7 +178,7 @@ def test_symmetric_decision_decomposes_only_the_first_asymmetric_node(monkeypatc
         return node_opnorms(values)
 
     monkeypatch.setattr(linops, "node_opnorms", counting)
-    p_oracle = solve_differential_riccati(symmetric, symmetric, general, np.eye(2), grid)
+    p_oracle = solve_differential_riccati(symmetric, symmetric, general, np.eye(2))
     assert sum(decomposed) == 1         # B exactly symmetric, C fails at node 0
     assert symmetry_defect(p_oracle) > 0.0      # not symmetrized
 

@@ -484,9 +484,9 @@ def _hypothesis_problem(n, steps, seed, duality, perturbations, tol=1e-10):
                           OperatorFunction(grid, stacks["B"]), stacks["G"][0])
 
 
-def _assert_check_equals_reference(problem, tol=1e-10):
-    first = check_hypotheses(problem, tol)
-    assert (first is None, first) == check_hypotheses_reference(problem, tol)
+def _assert_check_equals_reference(problem):
+    first = check_hypotheses(problem)
+    assert (first is None, first) == check_hypotheses_reference(problem)
     return first
 
 
@@ -507,35 +507,30 @@ def test_check_hypotheses_equals_full_decomposition(n, steps, seed, duality, per
 
 @pytest.mark.parametrize("tol", [0.0, 1e-17, 1e-30, 1e-3])
 def test_check_hypotheses_equals_full_decomposition_at_other_tolerances(tol):
-    """Tolerances where the Cholesky test does not apply (n (n+1) eps > tol / 4)
-    take the full decomposition; a singular node (eigenvalue factor 0) sits at
-    the threshold of tol = 0."""
+    """The nonnegativity test of C, B and G at tolerances other than the
+    hypothesis check's own: where the Cholesky test does not apply
+    (n (n+1) eps > tol / 4) the full decomposition decides; a singular node
+    (eigenvalue factor 0) sits at the threshold of tol = 0."""
     for n, steps, perturbations in (
             (8, 20, {}), (3, 20, {"C": (None, 1.01)}), (2, 20, {"B": (0.99, None)}),
             (1, 20, {"G": (None, 2.0)}), (2, 0, {}), (8, 20, {"C": (None, 0.0)}),
             (32, 20, {"B": (None, 0.0)})):
         for seed in range(4):
-            _assert_check_equals_reference(
-                _hypothesis_problem(n, steps, seed, None, perturbations), tol)
-
-
-@pytest.mark.parametrize("tol", [-1e-10, -1.0, math.nan])
-def test_check_hypotheses_refuses_a_tolerance_that_certifies_nothing(tol):
-    """A NaN tolerance passed every node (C = -1 included) and a negative one
-    failed exact duality; both are refused before any scan."""
-    indefinite = _indefinite(tanh_problem(20)[0])
-    for problem in (indefinite, tanh_problem(20)[0]):
-        with pytest.raises(ValueError, match="tol must be nonnegative"):
-            check_hypotheses(problem, tol)
-    assert check_hypotheses(indefinite, 0.0) == ("C-nonnegativity", 0)
+            problem = _hypothesis_problem(n, steps, seed, None, perturbations)
+            for values in (problem.C.values, problem.B.values, problem.G[None]):
+                eigs = np.linalg.eigvalsh(symmetrize(values))
+                bad = np.flatnonzero(eigs[:, 0] < -tol * (1.0 + np.abs(eigs).max(axis=1)))
+                assert riccati._first_negative_node(values, tol) == \
+                    (int(bad[0]) if bad.size else None)
 
 
 def test_hypothesis_report_for_mismatched_dimensions():
     grid = TimeGrid(1.0, 4)
     forward = EvolutionFamily(grid, "forward", np.repeat(np.eye(2)[None], 4, axis=0))
     backward = EvolutionFamily(grid, "backward", np.repeat(np.eye(3)[None], 4, axis=0))
-    problem = RiccatiProblem(forward, backward, OperatorFunction.zero(grid, 3, 2),
-                             OperatorFunction.zero(grid, 2, 3), np.zeros((3, 2)))
+    problem = RiccatiProblem(forward, backward,
+                             OperatorFunction.constant(grid, np.zeros((3, 2))),
+                             OperatorFunction.constant(grid, np.zeros((2, 3))), np.zeros((3, 2)))
     assert _assert_check_equals_reference(problem) == ("dimension", -1)
     assert not problem.symmetric_mode
     with pytest.raises(HypothesisViolation) as err:
